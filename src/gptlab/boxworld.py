@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from .errors import InputError, NotAVertexError, SignallingError
 from .ratgeo import HRep
-from .ratgeo.linalg import ONE, Vector, ZERO, rank
+from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, rank
 from .spaces import StateSpace, from_hrep
 
 HALF = Fraction(1, 2)
@@ -54,7 +54,7 @@ class ProbabilityTable:
                 if total != 1:
                     raise InputError(
                         "outcomes for settings (x=%d, y=%d) sum to %s, not 1"
-                        % (x, y, total)
+                        % (x, y, format_rational(total))
                     )
 
     def value(self, a: int, b: int, x: int, y: int) -> Fraction:
@@ -148,10 +148,6 @@ def table_from_vector(v: Vector) -> ProbabilityTable:
     return ProbabilityTable(p=tuple(v))
 
 
-def vector_from_table(t: ProbabilityTable) -> Vector:
-    return t.p
-
-
 # ---------------------------------------------------------------------------
 # Marginals and products
 # ---------------------------------------------------------------------------
@@ -187,14 +183,6 @@ def marginals(t: ProbabilityTable):
     )
 
 
-def is_no_signalling(t: ProbabilityTable) -> bool:
-    try:
-        marginals(t)
-    except SignallingError:
-        return False
-    return True
-
-
 def product_table(omega_a: Vector, omega_b: Vector) -> ProbabilityTable:
     """Independent local preparation: p(a,b|x,y) = pA(a|x) * pB(b|y).
 
@@ -205,7 +193,10 @@ def product_table(omega_a: Vector, omega_b: Vector) -> ProbabilityTable:
     omega_b = tuple(omega_b)
     for omega in (omega_a, omega_b):
         if len(omega) != 2 or any(not 0 <= c <= 1 for c in omega):
-            raise InputError("gbit states lie in the unit square, got %s" % (omega,))
+            raise InputError(
+                "gbit states lie in the unit square, got (%s)"
+                % ", ".join(map(format_rational, omega))
+            )
 
     def pa(a, x):
         return omega_a[x] if a == 0 else ONE - omega_a[x]

@@ -78,6 +78,8 @@ def resolve_space(name: str):
             "unknown space %r (registered: gbit, classical-N, boxworld2, "
             "ball3, or a JSON file path)" % name
         )
+    except OSError as err:
+        raise InputError("cannot read space file %r: %s" % (name, err.strerror))
     except json.JSONDecodeError as err:
         raise InputError("space file %r is not valid JSON: %s" % (name, err))
 
@@ -88,6 +90,8 @@ def load_table(path: str):
             return serialize.table_from_json(json.load(fh))
     except FileNotFoundError:
         raise InputError("table file %r not found" % path)
+    except OSError as err:
+        raise InputError("cannot read table file %r: %s" % (path, err.strerror))
     except json.JSONDecodeError as err:
         raise InputError("table file %r is not valid JSON: %s" % (path, err))
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ..errors import InputError
+
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
@@ -36,10 +38,14 @@ def as_fraction(value) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse 'n/d' or plain integer strings; floats are rejected."""
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, den = text.split("/", 1) if "/" in text else (text, "1")
+    try:
+        num, den = int(num), int(den)
+    except ValueError as err:
+        raise InputError("malformed rational %r: %s" % (text, err)) from None
+    if den == 0:
+        raise InputError("rational %r has a zero denominator" % text)
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:
@@ -179,15 +185,6 @@ def inverse(m: Matrix) -> Matrix | None:
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a nonempty point list."""
-    pts = list(points)
-    if not pts:
-        raise ValueError("affine_rank of an empty point list")
-    base = pts[0]
-    return rank([vsub(p, base) for p in pts[1:]])
 
 
 def primitive(v: Vector) -> Vector:

@@ -21,6 +21,7 @@ from .linalg import (
     Vector,
     ZERO,
     dot,
+    format_rational,
     inverse,
     is_zero,
     null_space,
@@ -62,7 +63,8 @@ class HRep:
                 raise InputError("inequality normal has wrong length")
             if is_zero(normal) and offset < 0:
                 raise InputError(
-                    "inequality 0.x <= %s is trivially infeasible" % (offset,)
+                    "inequality 0.x <= %s is trivially infeasible"
+                    % format_rational(offset)
                 )
         for normal, _ in self.equalities:
             if len(normal) != self.ambient_dim:
@@ -443,7 +445,10 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
         raise InputError("representation dimension mismatch")
     for x in v.vertices:
         if not h.contains(x):
-            raise InputError("vertex %s violates the H-representation" % (x,))
+            raise InputError(
+                "vertex (%s) violates the H-representation"
+                % ", ".join(map(format_rational, x))
+            )
     d = h.ambient_dim
     eq_normals = [n for n, _ in h.equalities]
     active_sets = [set(h.active_inequalities(x)) for x in v.vertices]

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .ratgeo import HRep, VRep, format_rational, parse_rational
-from .spaces import AffineMap, BALL3, Effect, Measurement, POLYTOPAL, StateSpace
+from .spaces import BALL3, Effect, POLYTOPAL, StateSpace
 
 
 def rational_to_json(value: Fraction) -> str:
@@ -129,17 +129,6 @@ def effect_from_json(data) -> Effect:
         linear=vector_from_json(data["linear"]),
         constant=rational_from_json(data["constant"]),
     )
-
-
-def measurement_to_json(m: Measurement) -> dict:
-    return {"effects": [effect_to_json(e) for e in m.effects]}
-
-
-def affine_map_to_json(t: AffineMap) -> dict:
-    return {
-        "matrix": [vector_to_json(row) for row in t.matrix],
-        "shift": vector_to_json(t.shift),
-    }
 
 
 def symmetry_group_to_json(group) -> list:

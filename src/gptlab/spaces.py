@@ -20,6 +20,7 @@ from .ratgeo.linalg import (
     Vector,
     ZERO,
     dot,
+    format_rational,
     identity as identity_matrix,
     inverse,
     mat_mul,
@@ -132,10 +133,6 @@ class Effect:
 
 def unit_effect(dim: int) -> Effect:
     return Effect(linear=zeros(dim), constant=ONE)
-
-
-def zero_effect(dim: int) -> Effect:
-    return Effect(linear=zeros(dim), constant=ZERO)
 
 
 @dataclass(frozen=True)
@@ -255,8 +252,16 @@ def decompose_state(s: Vector, space: StateSpace) -> tuple[Decomposition, ...]:
     """
     space.require_polytopal()
     s = tuple(s)
+    if len(s) != space.dim:
+        raise InputError(
+            "state has %d coordinates, the space has dimension %d"
+            % (len(s), space.dim)
+        )
     if not space.contains(s):
-        raise InputError("state %s lies outside the state space" % (s,))
+        raise InputError(
+            "state (%s) lies outside the state space"
+            % ", ".join(map(format_rational, s))
+        )
     verts = space.vertices
     lifted = [v + (ONE,) for v in verts]
     target = s + (ONE,)

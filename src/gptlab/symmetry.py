@@ -1,25 +1,32 @@
 """Affine symmetry groups of polytopal state spaces.
 
 The reversible transformations of a GPT are the affine bijections of its
-state space onto itself.  For a polytope these permute the vertex set, so
-the full group is found by a backtracking search over vertex permutations:
-images are branched only for an affinely independent prefix (everything
-else is forced by exact affine dependencies), candidates are pruned by
-adjacency and facet-incidence invariants, and every surviving permutation
-is realized as an explicit affine map and re-verified on all vertices.
+state space onto itself.  For a polytope these permute the vertex set, and
+a vertex permutation extends to an affine map exactly when it fixes the
+matrix Q = W (W^T W)^-1 W^T, the exact projector onto the column space of
+the lifted vertex matrix W (rows (v, 1)).  The group is found by a plain
+backtrack over vertices: a candidate image must carry the same colour (the
+sorted Q row plus the diagonal entry) and agree with Q on every vertex
+already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
+*Computing symmetry groups of polyhedra*, LMS J. Comput. Math. 17, 2014.)
+
+The search is certified independently of Q: every generator is realized
+as an explicit affine map and verified on all vertices, and the closure of
+the generators must equal the permutation set, so every element is a
+product of verified affine automorphisms.  The affine maps of the other
+elements are realized (and verified again) only when they are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .bloch import rotation_path
 from .errors import InputError, UnsupportedError
-from .ratgeo import vertex_adjacency
 from .ratgeo.linalg import (
     ONE,
     Vector,
@@ -28,7 +35,9 @@ from .ratgeo.linalg import (
     mat_vec,
     null_space,
     rank,
+    rref,
     solve,
+    transpose,
     vsub,
 )
 from .spaces import AffineMap, BALL3, StateSpace
@@ -46,18 +55,27 @@ MAX_VERTICES = 32
 class SymmetryGroup:
     """The complete group of affine self-bijections of a polytope.
 
-    Elements are canonically sorted by their induced vertex permutation;
-    ``generators`` is a (greedy minimal) generating sublist.
+    ``vertex_permutations`` is sorted lexicographically; it is every
+    permutation that fixes the Gram projector Q of the lifted vertices.
+    ``generator_permutations`` is a greedy minimal generating sublist whose
+    ``generators`` were realized and verified on all vertices when the group
+    was built, and whose closure equals the permutation set.  ``elements``
+    realizes the affine map of every permutation, in the same order, on
+    first read.
     """
 
-    elements: tuple[AffineMap, ...]
     vertex_permutations: tuple[tuple[int, ...], ...]
     generators: tuple[AffineMap, ...]
     generator_permutations: tuple[tuple[int, ...], ...]
+    _realizer: "_AffineRealizer" = field(repr=False, compare=False)
+
+    @cached_property
+    def elements(self) -> tuple[AffineMap, ...]:
+        return tuple(self._realizer.realize(p) for p in self.vertex_permutations)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.vertex_permutations)
 
 
 @dataclass(frozen=True)
@@ -88,139 +106,48 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
             "symmetry search supports at most %d vertices, got %d"
             % (MAX_VERTICES, n)
         )
-    d = space.dim
-
-    adjacency = vertex_adjacency(space.v, space.h)
-    adj_sets = [frozenset(row) for row in adjacency]
-    incidence = [
-        frozenset(space.h.active_inequalities(v)) for v in verts
-    ]
-    common = [
-        [len(incidence[i] & incidence[j]) for j in range(n)] for i in range(n)
-    ]
-    profile = []
-    for i in range(n):
-        row = sorted(
-            (common[i][j], j in adj_sets[i], len(incidence[j]))
-            for j in range(n)
-            if j != i
-        )
-        profile.append((len(adj_sets[i]), len(incidence[i]), tuple(row)))
 
     lifted = [tuple(v) + (ONE,) for v in verts]
-    vertex_index = {lift: i for i, lift in enumerate(lifted)}
+    _, pivots = rref(lifted)
+    w = tuple(tuple(row[c] for c in pivots) for row in lifted)
+    wt = transpose(w)
+    q = mat_mul(mat_mul(w, inverse(mat_mul(wt, w))), wt)
+    colour = [(q[i][i], sorted(q[i])) for i in range(n)]
 
     permutations: list[tuple[int, ...]] = []
-
-    assigned_src: list[int] = []
-    assigned_dst: list[int] = []
+    image: list[int] = []
     used = [False] * n
-    image = [-1] * n
-    # Forward-elimination echelon over the assigned lifted vertices; each row
-    # keeps the combination coefficients over the assigned list, so affine
-    # dependencies (and hence forced images) are read off incrementally.
-    echelon: list[tuple[list[Fraction], int, list[Fraction]]] = []
-
-    def reduce_lifted(vector):
-        residual = list(vector)
-        coeffs = [Fraction(0)] * len(assigned_src)
-        for row, pivot, row_coeffs in echelon:
-            factor = residual[pivot] / row[pivot]
-            if factor:
-                for k in range(d + 1):
-                    residual[k] -= factor * row[k]
-                for idx, c in enumerate(row_coeffs):
-                    coeffs[idx] += factor * c
-        return residual, coeffs
-
-    def compatible(u: int, w: int) -> bool:
-        if profile[u] != profile[w]:
-            return False
-        for uu, ww in zip(assigned_src, assigned_dst):
-            if (uu in adj_sets[u]) != (ww in adj_sets[w]):
-                return False
-            if common[u][uu] != common[w][ww]:
-                return False
-        return True
-
-    def push(u: int, w: int) -> bool:
-        """Assign u -> w; returns whether an echelon row was added."""
-        residual, coeffs = reduce_lifted(lifted[u])
-        pushed = False
-        pivot = next((k for k, val in enumerate(residual) if val != 0), None)
-        if pivot is not None:
-            row_coeffs = [-c for c in coeffs] + [ONE]
-            echelon.append((residual, pivot, row_coeffs))
-            pushed = True
-        assigned_src.append(u)
-        assigned_dst.append(w)
-        used[w] = True
-        image[u] = w
-        return pushed
-
-    def pop(u: int, w: int, pushed: bool):
-        if pushed:
-            echelon.pop()
-        assigned_src.pop()
-        assigned_dst.pop()
-        used[w] = False
-        image[u] = -1
-
-    def forced_candidate():
-        for u in range(n):
-            if image[u] >= 0:
-                continue
-            residual, coeffs = reduce_lifted(lifted[u])
-            if all(val == 0 for val in residual):
-                return u, coeffs
-        return None
 
     def descend():
-        if len(assigned_src) == n:
+        i = len(image)
+        if i == n:
             permutations.append(tuple(image))
             return
-        forced = forced_candidate() if assigned_src else None
-        if forced is not None:
-            u, coeffs = forced
-            target = [Fraction(0)] * (d + 1)
-            for c, w in zip(coeffs, assigned_dst):
-                if c:
-                    for r in range(d + 1):
-                        target[r] += c * lifted[w][r]
-            w = vertex_index.get(tuple(target))
-            if w is None or used[w] or not compatible(u, w):
-                return
-            pushed = push(u, w)
-            descend()
-            pop(u, w, pushed)
-            return
-        u = next(i for i in range(n) if image[i] < 0)
-        for w in range(n):
-            if used[w] or not compatible(u, w):
-                continue
-            pushed = push(u, w)
-            descend()
-            pop(u, w, pushed)
+        for k in range(n):
+            if (
+                not used[k]
+                and colour[k] == colour[i]
+                and all(q[k][image[j]] == q[i][j] for j in range(i))
+            ):
+                used[k] = True
+                image.append(k)
+                descend()
+                image.pop()
+                used[k] = False
 
+    # Images are tried in increasing order, so the list comes out sorted.
     descend()
-    permutations.sort()
 
-    realizer = _AffineRealizer(verts, d)
-    elements = []
-    for perm in permutations:
-        el = realizer.realize(perm)
-        assert el is not None, "search produced an affinely unrealizable permutation"
-        elements.append(el)
-    elements = tuple(elements)
-
-    gen_perms = _greedy_generators(permutations, n)
-    perm_pos = {perm: k for k, perm in enumerate(permutations)}
-    generators = tuple(elements[perm_pos[p]] for p in gen_perms)
+    realizer = _AffineRealizer(verts, space.dim)
+    gen_perms, closure = _greedy_generators(permutations, n)
+    generators = tuple(realizer.realize(p) for p in gen_perms)
+    assert None not in generators, "search produced an unrealizable generator"
+    assert closure == set(permutations), "generators do not close on the search"
     return SymmetryGroup(
-        elements=elements,
         vertex_permutations=tuple(permutations),
         generators=generators,
         generator_permutations=tuple(gen_perms),
+        _realizer=realizer,
     )
 
 
@@ -323,13 +250,14 @@ def _closure(gens, n):
     return seen
 
 def _greedy_generators(perms, n):
+    """A greedy generating sublist of perms and the group it generates."""
     gens: list[tuple[int, ...]] = []
     generated = _closure(gens, n)
     for p in perms:
         if p not in generated:
             gens.append(p)
             generated = _closure(gens, n)
-    return gens
+    return gens, generated
 
 
 def orbits(group: SymmetryGroup, space: StateSpace) -> OrbitPartition:

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from gptlab.boxworld import pr_box_table
 from gptlab.cli import run
-from gptlab.serialize import dumps, table_to_json
+from gptlab.serialize import dumps, space_to_json, table_to_json
+from gptlab.spaces import make_gbit
 
 
 def invoke(capsys, *argv):
@@ -154,6 +157,45 @@ def test_malformed_state_exits_2(capsys):
     )
     assert code == 2
     assert data["error"]["type"] == "InputError"
+
+
+def _json_file(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _gbit_json_with_zero_denominator():
+    data = space_to_json(make_gbit())
+    data["vrep"]["vertices"][0][0] = "1/0"
+    return data
+
+
+BAD_INPUTS = {
+    "state-zero-denominator": lambda tmp: [
+        "decompose", "--space", "gbit", "--state", "1/0,1/2"
+    ],
+    "state-wrong-length": lambda tmp: [
+        "decompose", "--space", "gbit", "--state", "1/2"
+    ],
+    "state-outside": lambda tmp: ["decompose", "--space", "gbit", "--state", "2,1/2"],
+    "space-directory": lambda tmp: ["vertices", "--space", str(tmp)],
+    "space-zero-denominator": lambda tmp: [
+        "vertices", "--space", _json_file(tmp, _gbit_json_with_zero_denominator())
+    ],
+    "table-zero-denominator": lambda tmp: [
+        "chsh", "--table", _json_file(tmp, {"p": ["1/0"] + ["0/1"] * 15})
+    ],
+    "table-directory": lambda tmp: ["chsh", "--table", str(tmp)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_input_error(case, tmp_path, capsys):
+    code, data = invoke(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 2
+    assert data["error"]["type"] == "InputError"
+    assert "Fraction(" not in data["error"]["message"]
 
 
 GOLDEN_GBIT_VERTICES = """\

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from gptlab.errors import InputError
 from gptlab.ratgeo.linalg import (
-    affine_rank,
     dot,
     format_rational,
     inverse,
@@ -19,6 +19,7 @@ from gptlab.ratgeo.linalg import (
     solve,
     vec,
 )
+from gptlab.ratgeo.polytope import affine_dimension
 
 
 def test_parse_and_format_round_trip():
@@ -33,6 +34,12 @@ def test_parse_and_format_round_trip():
 def test_parse_rejects_floats():
     with pytest.raises(ValueError):
         parse_rational("0.5")
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "x", "3/", ""])
+def test_parse_rejects_malformed_with_input_error(text):
+    with pytest.raises(InputError):
+        parse_rational(text)
 
 
 def test_dot_dimension_mismatch():
@@ -71,9 +78,9 @@ def test_inverse_round_trip():
 
 def test_affine_rank():
     square = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)]
-    assert affine_rank(square) == 2
-    assert affine_rank([vec(5, 5)]) == 0
-    assert affine_rank([vec(0, 0), vec(1, 1), vec(2, 2)]) == 1
+    assert affine_dimension(square) == 2
+    assert affine_dimension([vec(5, 5)]) == 0
+    assert affine_dimension([vec(0, 0), vec(1, 1), vec(2, 2)]) == 1
 
 
 def test_primitive_forms():

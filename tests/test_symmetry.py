@@ -1,6 +1,7 @@
 """Symmetry groups, orbits, reversibility and interaction checks."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from gptlab.boxworld import (
     table_from_vector,
 )
 from gptlab.errors import InputError, UnsupportedError
-from gptlab.spaces import AffineMap, make_ball3, make_classical, make_gbit
+from gptlab.ratgeo.linalg import inverse, mat_mul, null_space, rref, transpose
+from gptlab.spaces import (
+    AffineMap,
+    from_vertices,
+    make_ball3,
+    make_classical,
+    make_gbit,
+)
 from gptlab.symmetry import (
     FAIL,
     FINITE_SYMMETRY_GROUP,
@@ -27,42 +35,61 @@ from gptlab.symmetry import (
 )
 
 
-def brute_force_square_symmetries(space):
-    """Oracle: try all 4! vertex permutations, keep the affinely realizable.
+def brute_force_symmetries(space):
+    """Oracle: every vertex permutation that preserves all affine dependencies.
 
-    A permutation is realizable iff the affine map fixed by three affinely
-    independent correspondences sends every vertex to its assigned image.
+    A permutation extends to an affine map iff each dependency
+    sum_i c_i v_i = 0 with sum_i c_i = 0 still holds once every v_i is
+    replaced by v_perm[i].  All n! permutations are tried; only the exact
+    kernel is used, no Gram projector and no realized map.
     """
     verts = space.vertices
-    count = 0
-    for perm in itertools.permutations(range(4)):
-        # Fix the map by the images of (v0, v1, v2): solve M [d1 d2] = [d1' d2'].
-        d1 = tuple(verts[1][k] - verts[0][k] for k in range(2))
-        d2 = tuple(verts[2][k] - verts[0][k] for k in range(2))
-        e1 = tuple(verts[perm[1]][k] - verts[perm[0]][k] for k in range(2))
-        e2 = tuple(verts[perm[2]][k] - verts[perm[0]][k] for k in range(2))
-        det = d1[0] * d2[1] - d1[1] * d2[0]
-        inv = ((d2[1] / det, -d2[0] / det), (-d1[1] / det, d1[0] / det))
-        m = tuple(
-            tuple(e1[r] * inv[0][c] + e2[r] * inv[1][c] for c in range(2))
-            for r in range(2)
+    n, d = len(verts), space.dim
+    lifted_columns = [tuple(v[r] for v in verts) for r in range(d)] + [(1,) * n]
+    dependencies = null_space(lifted_columns, n)
+    return {
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(
+            sum(c * verts[perm[i]][r] for i, c in enumerate(dep)) == 0
+            for dep in dependencies
+            for r in range(d)
         )
-        shift = tuple(
-            verts[perm[0]][r] - sum(m[r][c] * verts[0][c] for c in range(2))
-            for r in range(2)
-        )
-        t = AffineMap(matrix=m, shift=shift)
-        if all(t.apply(verts[i]) == verts[perm[i]] for i in range(4)):
-            count += 1
-    return count
+    }
+
+
+def seeded_polytope(seed):
+    """Hull of 3-7 grid points in 2 or 3 dimensions, some of them flat in 3."""
+    rng = random.Random(seed)
+    dim = 2 + seed % 2
+    grid = list(itertools.product(range(-1, 2), repeat=dim))
+    points = rng.sample(grid, rng.randint(3, 7))
+    if seed % 4 == 3:
+        points = [(x, y, 0) for x, y, _ in points]
+    return from_vertices(points, "seeded-%d" % seed)
 
 
 def test_gbit_group_is_dihedral_order_8(gbit):
     group = affine_automorphisms(gbit)
     assert group.order == 8
-    assert group.order == brute_force_square_symmetries(gbit)
-    perms = set(group.vertex_permutations)
-    assert tuple(range(4)) in perms  # identity
+    assert set(group.vertex_permutations) == brute_force_symmetries(gbit)
+    assert tuple(range(4)) in group.vertex_permutations  # identity
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classical_group_matches_brute_force(n):
+    space = make_classical(n)
+    group = affine_automorphisms(space)
+    assert set(group.vertex_permutations) == brute_force_symmetries(space)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_polytope_group_matches_brute_force(seed):
+    space = seeded_polytope(seed)
+    assert len(space.vertices) <= 7
+    group = affine_automorphisms(space)
+    assert list(group.vertex_permutations) == sorted(group.vertex_permutations)
+    assert set(group.vertex_permutations) == brute_force_symmetries(space)
 
 
 def test_group_axioms_hold_exhaustively(gbit):
@@ -91,9 +118,14 @@ def test_elements_have_affine_inverses(gbit):
         assert inv.compose(el) == AffineMap.identity(2)
 
 
-def test_generators_generate(gbit):
-    group = affine_automorphisms(gbit)
-    n = len(gbit.vertices)
+@pytest.mark.parametrize("name", ["gbit", "boxworld2"])
+def test_generators_generate(name, request):
+    space = request.getfixturevalue(name)
+    group = affine_automorphisms(space)
+    verts = space.vertices
+    n = len(verts)
+    for gen, perm in zip(group.generators, group.generator_permutations):
+        assert all(gen.apply(verts[i]) == verts[perm[i]] for i in range(n))
     generated = {tuple(range(n))}
     frontier = list(generated)
     gen_perms = set(group.generator_permutations)
@@ -107,6 +139,27 @@ def test_generators_generate(gbit):
                     new.append(q)
         frontier = new
     assert generated == set(group.vertex_permutations)
+
+
+def test_boxworld_gram_graph_has_128_automorphisms(boxworld2):
+    # Independent of the backtrack: networkx counts the permutations of the
+    # complete graph coloured by Q = W (W^T W)^-1 W^T (nodes by the diagonal,
+    # edges by the off-diagonal entries) that preserve every colour.
+    nx = pytest.importorskip("networkx")
+    lifted = [tuple(v) + (1,) for v in boxworld2.vertices]
+    _, pivots = rref(lifted)
+    w = tuple(tuple(row[c] for c in pivots) for row in lifted)
+    q = mat_mul(mat_mul(w, inverse(mat_mul(transpose(w), w))), transpose(w))
+    graph = nx.complete_graph(len(w))
+    for i in graph:
+        graph.nodes[i]["q"] = q[i][i]
+    for i, j in graph.edges:
+        graph.edges[i, j]["q"] = q[i][j]
+    same = lambda a, b: a["q"] == b["q"]
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        graph, graph, node_match=same, edge_match=same
+    )
+    assert sum(1 for _ in matcher.isomorphisms_iter()) == 128
 
 
 def test_symmetries_preserve_facets(gbit):
