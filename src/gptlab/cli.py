@@ -365,7 +365,6 @@ def make_parser() -> _Parser:
         for flag, kwargs in flags.items():
             p.add_argument("--" + flag, **kwargs)
         p.add_argument("--out", help="also write the JSON output to this path")
-        p.add_argument("--format", choices=["json"], default="json")
         p.set_defaults(func=func)
         return p
 

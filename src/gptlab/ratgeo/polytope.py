@@ -156,28 +156,28 @@ def affine_dimension(points) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_bounded_nonempty(h: HRep):
-    feas = lp.solve_lp(zeros(h.ambient_dim), lp.MAX, h)
-    if feas.status == lp.INFEASIBLE:
-        raise EmptyError("the H-representation describes an empty polytope")
-    for k in range(h.ambient_dim):
-        direction = tuple(
-            ONE if j == k else ZERO for j in range(h.ambient_dim)
-        )
-        for sense in (lp.MAX, lp.MIN):
-            if lp.solve_lp(direction, sense, h).status == lp.UNBOUNDED:
-                raise UnboundedError(
-                    "polyhedron is unbounded along coordinate %d" % k
-                )
+def _adjacent(zero_sets: list[int], p: int, q: int) -> bool:
+    """Combinatorial adjacency test on bitmask zero (active) sets.
+
+    Members p and q are adjacent iff no third member's zero set contains
+    Z(p) & Z(q).  Valid for the extreme rays of a pointed cone and for the
+    full vertex list of a polytope under any H-representation.
+    """
+    common = zero_sets[p] & zero_sets[q]
+    return not any(
+        (common & ~zs) == 0
+        for r, zs in enumerate(zero_sets)
+        if r != p and r != q
+    )
 
 
-def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector]:
-    """Extreme rays of the pointed cone {z in Q^k : M z <= 0}.
+def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
+    """Extreme rays of the cone {z in Q^k : M z <= 0}, or None if not pointed.
 
-    ``rows`` must have rank k (pointedness).  Uses the double description
+    The cone is pointed iff ``rows`` has rank k.  Uses the double description
     method: start from a simplicial subcone given by k independent rows,
-    insert the remaining rows one at a time, and keep only adjacent-pair
-    combinations (combinatorial adjacency test).
+    insert the remaining rows one at a time, and keep only combinations of
+    adjacent pairs (``_adjacent``).
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i])
     basis_idx: list[int] = []
@@ -189,8 +189,7 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector]:
             if len(basis_rows) == k:
                 break
     if len(basis_rows) < k:
-        raise InputError("cone is not pointed: constraint matrix rank deficient")
-
+        return None
 
     binv = inverse(tuple(basis_rows))
     assert binv is not None
@@ -221,19 +220,13 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector]:
         new_rays, new_zs = [], []
         for p in plus:
             for q in minus:
-                common = zero_sets[p] & zero_sets[q]
-                adjacent = True
-                for r in range(len(rays)):
-                    if r != p and r != q and (common & ~zero_sets[r]) == 0:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if not _adjacent(zero_sets, p, q):
                     continue
                 combo = vsub(
                     vscale(values[p], rays[q]), vscale(values[q], rays[p])
                 )
                 new_rays.append(primitive(combo))
-                new_zs.append(common)
+                new_zs.append(zero_sets[p] & zero_sets[q])
         bit = 1 << len(processed)
         rays = keep_rays + new_rays
         zero_sets = []
@@ -251,23 +244,18 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector]:
 def vertex_enumeration(h: HRep) -> VRep:
     """Exact vertex list of a bounded nonempty H-represented polytope.
 
-    Raises ``EmptyError`` / ``UnboundedError`` when the preconditions fail
-    (boundedness is verified with two LPs per coordinate direction).  Every
-    returned vertex is re-verified extremal via the active-constraint rank
-    test before the canonical VRep is built.
+    Runs double description on the homogenization cone
+    {(x, t) : a.x <= b t, e.x = f t, t >= 0} and reads the verdict from its
+    extreme rays.  A ray with t = 0 next to one with t > 0 is a recession
+    direction: ``UnboundedError`` names it.  If the cone contains a line, or
+    no ray has t > 0, one phase-1 LP decides: ``EmptyError`` if it is
+    infeasible, otherwise ``UnboundedError`` for the line.  Every returned
+    vertex is re-verified extremal via the active-constraint rank test before
+    the canonical VRep is built.
     """
-    _check_bounded_nonempty(h)
     d = h.ambient_dim
-
-    hom_eqs = [tuple(n) + (-o,) for n, o in h.equalities]
-    if hom_eqs:
-        n_basis = null_space(hom_eqs, d + 1)
-    else:
-        n_basis = [
-            tuple(ONE if j == i else ZERO for j in range(d + 1))
-            for i in range(d + 1)
-        ]
-    n_cols = len(n_basis)
+    # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
+    n_basis = null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
 
     hom_ineqs = [tuple(n) + (-o,) for n, o in h.inequalities]
     hom_ineqs.append(tuple(ZERO for _ in range(d)) + (-ONE,))  # t >= 0
@@ -278,23 +266,27 @@ def vertex_enumeration(h: HRep) -> VRep:
         if not is_zero(reduced):
             reduced_rows.append(reduced)
 
-    rays_reduced = _dd_extreme_rays(reduced_rows, n_cols)
+    rays = _dd_extreme_rays(reduced_rows, len(n_basis)) if n_basis else []
+    if rays is not None:
+        rays = [
+            tuple(
+                sum((c * col[j] for c, col in zip(zray, n_basis)), ZERO)
+                for j in range(d + 1)
+            )
+            for zray in rays
+        ]
+    if rays is None or all(y[d] == 0 for y in rays):
+        if lp.solve_lp(zeros(d), lp.MAX, h).status == lp.INFEASIBLE:
+            raise EmptyError("the H-representation describes an empty polytope")
+        raise UnboundedError("polyhedron contains a line")
+    for y in rays:
+        if y[d] == 0:
+            raise UnboundedError(
+                "polyhedron is unbounded along direction (%s)"
+                % ", ".join(map(format_rational, y[:d]))
+            )
 
-    vertices = []
-    for zray in rays_reduced:
-        y = [ZERO] * (d + 1)
-        for coeff, col in zip(zray, n_basis):
-            for j in range(d + 1):
-                y[j] += coeff * col[j]
-        t = y[d]
-        if t == 0:
-            raise UnboundedError("recession ray found despite boundedness check")
-        if t < 0:
-            y = [-val for val in y]
-            t = -t
-        vertices.append(tuple(val / t for val in y[:d]))
-
-    result = VRep.make(d, vertices)
+    result = VRep.make(d, [tuple(val / y[d] for val in y[:d]) for y in rays])
     for v in result.vertices:
         if not _is_extreme_in(h, v):
             raise InputError("double description produced a non-extreme point")
@@ -437,9 +429,11 @@ def _reduce_mod_equalities(normal, offset, equalities):
 def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
     """Edge graph of the polytope, as a sorted neighbor tuple per vertex.
 
-    Vertices i and j are adjacent iff the constraints active at both span a
-    solution space of affine dimension exactly 1 (the segment's line).  The
-    test is exact; it requires v and h to describe the same polytope.
+    Vertices i and j are adjacent iff no third vertex's active set contains
+    the inequalities active at both (``_adjacent``): the smallest face
+    holding i and j then has no other vertex, so it is their edge.  The test
+    is exact; it requires ``v`` to list every vertex of ``h`` and nothing
+    else.  Each vertex is checked to lie in ``h``.
     """
     if v.ambient_dim != h.ambient_dim:
         raise InputError("representation dimension mismatch")
@@ -449,19 +443,14 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
                 "vertex (%s) violates the H-representation"
                 % ", ".join(map(format_rational, x))
             )
-    d = h.ambient_dim
-    eq_normals = [n for n, _ in h.equalities]
-    active_sets = [set(h.active_inequalities(x)) for x in v.vertices]
-    n = len(v.vertices)
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            common = active_sets[i] & active_sets[j]
-            normals = [h.inequalities[c][0] for c in sorted(common)] + eq_normals
-            if rank(normals) == d - 1:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
-    return tuple(tuple(sorted(ns)) for ns in neighbors)
+    zero_sets = [
+        sum(1 << c for c in h.active_inequalities(x)) for x in v.vertices
+    ]
+    n = len(zero_sets)
+    return tuple(
+        tuple(j for j in range(n) if j != i and _adjacent(zero_sets, i, j))
+        for i in range(n)
+    )
 
 
 def adjacency_edges(adj) -> tuple[tuple[int, int], ...]:

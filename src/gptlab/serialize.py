@@ -11,7 +11,13 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .ratgeo import HRep, VRep, format_rational, parse_rational
+from .ratgeo import (
+    HRep,
+    VRep,
+    format_rational,
+    parse_rational,
+    vertex_enumeration,
+)
 from .spaces import BALL3, Effect, POLYTOPAL, StateSpace
 
 
@@ -114,6 +120,11 @@ def space_from_json(data) -> StateSpace:
         raise InputError("unknown state space kind %r" % (kind,))
     v = vrep_from_json(data["vrep"])
     h = hrep_from_json(data["hrep"])
+    if vertex_enumeration(h) != v:
+        raise InputError(
+            "state space %r: its vertices are not the vertices of its "
+            "H-representation" % (label,)
+        )
     return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)
 
 

@@ -1,11 +1,12 @@
 """CLI behavior: schemas, idempotence, error handling."""
 
+import hashlib
 import json
 
 import pytest
 
 from gptlab.boxworld import pr_box_table
-from gptlab.cli import run
+from gptlab.cli import build_full_report, run
 from gptlab.serialize import dumps, space_to_json, table_to_json
 from gptlab.spaces import make_gbit
 
@@ -171,6 +172,13 @@ def _gbit_json_with_zero_denominator():
     return data
 
 
+def _gbit_json_with_triangle_vertices():
+    """Three of the square's vertices against the whole square's H."""
+    data = space_to_json(make_gbit())
+    data["vrep"]["vertices"].pop()
+    return data
+
+
 BAD_INPUTS = {
     "state-zero-denominator": lambda tmp: [
         "decompose", "--space", "gbit", "--state", "1/0,1/2"
@@ -182,6 +190,13 @@ BAD_INPUTS = {
     "space-directory": lambda tmp: ["vertices", "--space", str(tmp)],
     "space-zero-denominator": lambda tmp: [
         "vertices", "--space", _json_file(tmp, _gbit_json_with_zero_denominator())
+    ],
+    "space-vh-mismatch": lambda tmp: [
+        "decompose",
+        "--space",
+        _json_file(tmp, _gbit_json_with_triangle_vertices()),
+        "--state",
+        "1,1",
     ],
     "table-zero-denominator": lambda tmp: [
         "chsh", "--table", _json_file(tmp, {"p": ["1/0"] + ["0/1"] * 15})
@@ -263,3 +278,11 @@ def test_full_report_bundle(capsys):
     assert abs(chsh["quantum_standard_angles"] - 2 * 2 ** 0.5) < 1e-9
     postulates = data["postulates"]["boxworld2"]["results"]
     assert postulates["NoSimultaneousEncoding"]["status"] == "fail"
+
+
+REPORT_SHA256 = "6dd5a6f8a3fb1b8169bcd1403c630b39190da0c743861fd37b0ee5e19141aeb2"
+
+
+def test_report_hashes_to_the_gate():
+    stdout = dumps(build_full_report()) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256

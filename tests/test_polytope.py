@@ -17,6 +17,7 @@ from gptlab.ratgeo import (
     vertex_enumeration,
 )
 from gptlab.ratgeo.linalg import rank, solve, vec
+from gptlab.spaces import make_classical
 
 
 def unit_square_h():
@@ -80,16 +81,43 @@ def test_one_simplex_vertices():
     assert v.vertices == (vec(0, 1), vec(1, 0))
 
 
-def test_unbounded_rejected():
-    h = HRep.make(2, ineqs=[((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0))])
+UNBOUNDED_CASES = {
+    # Rays with t = 0 next to a ray with t > 0: a recession direction.
+    "quadrant": HRep.make(2, ineqs=[((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0))]),
+    # The homogenized cone holds a line; the phase-1 LP is feasible.
+    "slab": HRep.make(2, ineqs=[((F(-1), F(0)), F(0)), ((F(1), F(0)), F(1))]),
+    "line-by-equalities": HRep.make(2, eqs=[((F(1), F(0)), F(0))]),
+}
+
+EMPTY_CASES = {
+    "interval": HRep.make(1, ineqs=[((F(1),), F(0)), ((F(-1),), F(-1))]),
+    # The homogenized cone holds a line; the phase-1 LP is infeasible.
+    "slab": HRep.make(2, ineqs=[((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))]),
+    # No null space: only (x, t) = 0 satisfies the homogenized equalities.
+    "inconsistent-equalities": HRep.make(1, eqs=[((F(1),), F(0)), ((F(1),), F(1))]),
+    # x, y >= 0, x + y <= -1: the homogenized cone is {0}.
+    "below-the-quadrant": HRep.make(
+        2,
+        ineqs=[((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)), ((F(1), F(1)), F(-1))],
+    ),
+    # x, y >= 0, x <= -1: one ray with t = 0 and none with t > 0.
+    "recession-ray-only": HRep.make(
+        2,
+        ineqs=[((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)), ((F(1), F(0)), F(-1))],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_CASES))
+def test_unbounded_rejected(case):
     with pytest.raises(UnboundedError):
-        vertex_enumeration(h)
+        vertex_enumeration(UNBOUNDED_CASES[case])
 
 
-def test_empty_rejected():
-    h = HRep.make(1, ineqs=[((F(1),), F(0)), ((F(-1),), F(-1))])
+@pytest.mark.parametrize("case", sorted(EMPTY_CASES))
+def test_empty_rejected(case):
     with pytest.raises(EmptyError):
-        vertex_enumeration(h)
+        vertex_enumeration(EMPTY_CASES[case])
 
 
 def test_trivially_infeasible_inequality_flagged():
@@ -204,7 +232,8 @@ def test_enumeration_matches_brute_force_oracle():
         checked += 1
 
 
-def test_round_trip_on_random_vreps():
+def random_vreps():
+    """The 40 seeded V-representations of test_round_trip_on_random_vreps."""
     rng = random.Random(2718)
     for _ in range(40):
         dim = rng.randrange(1, 4)
@@ -212,6 +241,66 @@ def test_round_trip_on_random_vreps():
             tuple(F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(dim))
             for _ in range(rng.randrange(1, 7))
         ]
-        v = VRep.from_points(dim, pts)
+        yield VRep.from_points(dim, pts)
+
+
+def test_round_trip_on_random_vreps():
+    for v in random_vreps():
         h = facet_enumeration(v)
         assert vertex_enumeration(h) == v
+
+
+def rank_adjacency(v, h):
+    """Oracle: i ~ j iff the constraints active at both vertices leave a
+    solution space of affine dimension exactly 1 (the segment's line)."""
+    d = h.ambient_dim
+    eq_normals = [n for n, _ in h.equalities]
+    active = [set(h.active_inequalities(x)) for x in v.vertices]
+    n = len(v.vertices)
+    return tuple(
+        tuple(
+            j
+            for j in range(n)
+            if j != i
+            and rank(
+                [h.inequalities[c][0] for c in sorted(active[i] & active[j])]
+                + eq_normals
+            )
+            == d - 1
+        )
+        for i in range(n)
+    )
+
+
+def degenerate_cube_h(dim):
+    """[0, 1]^dim plus redundant inequalities through two opposite corners."""
+    ineqs = []
+    for k in range(dim):
+        e = tuple(F(1) if j == k else F(0) for j in range(dim))
+        ineqs += [(e, F(1)), (tuple(-x for x in e), F(0))]
+    ineqs.append(((F(1),) * dim, F(dim)))
+    ineqs.append(((F(-1),) * dim, F(0)))
+    return HRep.make(dim, ineqs)
+
+
+def adjacency_cases(spaces):
+    for space in spaces:
+        yield space.label + "/input-h", space.v, space.h
+        yield space.label + "/facet-h", space.v, facet_enumeration(space.v)
+    for dim in (2, 3):
+        h = degenerate_cube_h(dim)
+        v = vertex_enumeration(h)
+        yield "cube-%d/input-h" % dim, v, h
+        yield "cube-%d/facet-h" % dim, v, facet_enumeration(v)
+    for k, v in enumerate(random_vreps()):
+        yield "random-%d/facet-h" % k, v, facet_enumeration(v)
+
+
+def test_adjacency_matches_rank_oracle(gbit, boxworld2):
+    spaces = [gbit, boxworld2] + [make_classical(n) for n in (2, 3, 4)]
+    mismatches = [
+        name
+        for name, v, h in adjacency_cases(spaces)
+        if vertex_adjacency(v, h) != rank_adjacency(v, h)
+    ]
+    assert mismatches == []
