@@ -19,7 +19,7 @@ from functools import lru_cache
 from .errors import InputError, NotAVertexError, SignallingError
 from .ratgeo import HRep
 from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, rank
-from .spaces import StateSpace, from_hrep
+from .spaces import POLYTOPAL, StateSpace, from_hrep
 
 HALF = Fraction(1, 2)
 
@@ -142,6 +142,24 @@ def build_ns_hrep() -> HRep:
 def make_boxworld2() -> StateSpace:
     """The two-gbit composite state space (vertices enumerated exactly)."""
     return from_hrep(build_ns_hrep(), "boxworld2")
+
+
+@lru_cache(maxsize=1)
+def _ns_vertex_tables() -> frozenset:
+    """The 16 local deterministic tables and the 8 PR boxes."""
+    bits = itertools.product(range(2), repeat=4)
+    local = [local_deterministic_table(*b).p for b in bits]
+    pr = [pr_box_table(*b).p for b in itertools.product(range(2), repeat=3)]
+    return frozenset(local + pr)
+
+
+def is_boxworld2(space: StateSpace) -> bool:
+    """Whether ``space`` is the no-signalling polytope, whatever its label."""
+    return (
+        space.kind == POLYTOPAL
+        and space.dim == 16
+        and frozenset(space.vertices) == _ns_vertex_tables()
+    )
 
 
 def table_from_vector(v: Vector) -> ProbabilityTable:

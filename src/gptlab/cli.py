@@ -27,6 +27,7 @@ from .boxworld import (
     chsh_objective,
     chsh_value,
     classify_vertex,
+    is_boxworld2,
     make_boxworld2,
     quantum_chsh_table,
     table_from_vector,
@@ -70,30 +71,33 @@ def resolve_space(name: str):
         except ValueError:
             raise InputError("malformed classical space name %r" % name)
         return make_classical(n)
-    try:
-        with open(name) as fh:
-            return serialize.space_from_json(json.load(fh))
-    except FileNotFoundError:
-        raise InputError(
-            "unknown space %r (registered: gbit, classical-N, boxworld2, "
-            "ball3, or a JSON file path)" % name
-        )
-    except OSError as err:
-        raise InputError("cannot read space file %r: %s" % (name, err.strerror))
-    except json.JSONDecodeError as err:
-        raise InputError("space file %r is not valid JSON: %s" % (name, err))
+    missing = (
+        "unknown space %r (registered: gbit, classical-N, boxworld2, "
+        "ball3, or a JSON file path)" % name
+    )
+    return serialize.space_from_json(_read_json(name, "space", missing))
 
 
 def load_table(path: str):
+    missing = "table file %r not found" % path
+    return serialize.table_from_json(_read_json(path, "table", missing))
+
+
+def _read_json(path: str, what: str, missing: str):
+    """The parsed JSON file at ``path``; every way to fail is an InputError."""
     try:
         with open(path) as fh:
-            return serialize.table_from_json(json.load(fh))
+            return json.load(fh)
     except FileNotFoundError:
-        raise InputError("table file %r not found" % path)
+        raise InputError(missing)
     except OSError as err:
-        raise InputError("cannot read table file %r: %s" % (path, err.strerror))
+        raise InputError("cannot read %s file %r: %s" % (what, path, err.strerror))
     except json.JSONDecodeError as err:
-        raise InputError("table file %r is not valid JSON: %s" % (path, err))
+        raise InputError("%s file %r is not valid JSON: %s" % (what, path, err))
+    except (ValueError, RecursionError) as err:
+        # A NUL byte in the path, bytes that are not text, or nesting deeper
+        # than the decoder's recursion limit.
+        raise InputError("cannot read %s file %r: %s" % (what, path, err))
 
 
 def parse_state(text: str):
@@ -129,7 +133,7 @@ def cmd_adjacency(args):
             str(d): degrees.count(d) for d in sorted(set(degrees))
         }
     }
-    if space.label == "boxworld2":
+    if is_boxworld2(space):
         tags = _classification_labels(space)
         local = [i for i, t in enumerate(tags) if t == LOCAL_DETERMINISTIC]
         pr = [i for i, t in enumerate(tags) if t == PR_BOX]
@@ -149,9 +153,11 @@ def cmd_adjacency(args):
 
 
 def cmd_classify(args):
-    if args.table:
+    if args.table is not None:
         cls = classify_vertex(load_table(args.table))
         return {"tag": cls.tag, "detail": list(cls.detail) if isinstance(cls.detail, tuple) else cls.detail}
+    if args.space is None:
+        raise InputError("classify needs --space NAME or --table FILE")
     space = resolve_space(args.space)
     space.require_polytopal()
     tags = _classification_labels(space)
@@ -223,15 +229,13 @@ def cmd_decompose(args):
 
 def cmd_bloch(args):
     if args.unitary:
+        missing = "unitary file %r not found" % args.unitary
+        raw = _read_json(args.unitary, "unitary", missing)
         try:
-            with open(args.unitary) as fh:
-                raw = json.load(fh)
             u = np.array(
                 [[complex(re, im) for re, im in row] for row in raw], dtype=complex
             )
-        except FileNotFoundError:
-            raise InputError("unitary file %r not found" % args.unitary)
-        except (json.JSONDecodeError, TypeError, ValueError) as err:
+        except (TypeError, ValueError) as err:
             raise InputError("malformed unitary file: %s" % err)
         rotation = bloch_mod.unitary_to_rotation(u)
         return {"rotation": rotation.tolist(), "inexact": True}

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boxworld import make_boxworld2, product_table
+from .boxworld import is_boxworld2, make_boxworld2, product_table
 from .errors import InputError
 from .ratgeo import HRep, LPResult, MAX, MIN, OPTIMAL, solve_lp, verify_farkas
 from .ratgeo.linalg import ONE, Vector, ZERO, null_space, zeros
@@ -382,7 +382,7 @@ class PostulateReport:
 
 def _product_vertex_indices(composite: StateSpace) -> tuple[int, ...]:
     """Indices of the locally preparable vertices of a registered composite."""
-    if composite.label == "boxworld2":
+    if is_boxworld2(composite):
         corners = [(ZERO, ZERO), (ZERO, ONE), (ONE, ZERO), (ONE, ONE)]
         products = {
             product_table(wa, wb).p for wa in corners for wb in corners

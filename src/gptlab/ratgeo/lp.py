@@ -1,10 +1,14 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex with Bland's pivoting rule, run entirely on
-``Fraction`` arithmetic.  Bland's rule makes the solver immune to cycling on
-degenerate systems (the no-signalling polytope is highly degenerate) and, in
-combination with fixed column and row orderings, makes every answer
-deterministic: the same input always yields the same witness.
+Two-phase primal simplex with Bland's pivoting rule.  The simplex pivots on
+Python integers over one common denominator, fraction-free in the manner of
+Bareiss (1968) and of the ``lrs`` tableau (Avis, 2000); ``Fraction`` appears
+only at the API boundary, where the input is scaled to integers and the
+point, optimum, multipliers and ray are read back.  Bland's rule makes the
+solver immune to cycling on degenerate systems (the no-signalling polytope
+is highly degenerate) and, in combination with fixed column and row
+orderings, makes every answer deterministic: the same input always yields
+the same witness.
 
 Certificates:
 
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ..errors import InputError
-from .linalg import Vector, ZERO, ONE, dot, is_zero, primitive, zeros
+from .linalg import Vector, ZERO, dot, is_zero, primitive, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -32,6 +37,15 @@ UNBOUNDED = "unbounded"
 
 MAX = "max"
 MIN = "min"
+
+
+def _lcm_of_denominators(values) -> int:
+    return lcm(*(v.denominator for v in values))
+
+
+def _scaled(value, scale: int) -> int:
+    """The integer ``value * scale``, for ``scale`` a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -55,12 +69,23 @@ class LPResult:
 
 
 class _Tableau:
-    """Dense simplex tableau with Bland's rule.
+    """Dense fraction-free simplex tableau with Bland's rule.
 
-    Columns are laid out as [x+ | x- | slacks | artificials]; rows keep their
-    construction order (inequalities first, then equalities).  The objective
-    row stores reduced costs and, in its last entry, minus the objective
-    value of the current basis.
+    Columns are laid out as [x+ | x- | slacks | artificials | rhs]; rows keep
+    their construction order (inequalities first, then equalities).  Every
+    entry is a Python ``int``: the tableau proper is ``rows / det``, where
+    ``det`` is the positive common denominator |det B| of the current basis,
+    and the objective row is ``obj / (det * cost_scale)``, where
+    ``cost_scale`` is the lcm of the cost denominators.  The objective row
+    stores reduced costs and, in its last entry, minus the objective value of
+    the current basis.
+
+    Each input row is multiplied by the lcm ``row_scale[r]`` of its
+    denominators while its artificial keeps coefficient 1, so the artificial
+    of row r stands for ``row_scale[r]`` times the original one; phase 1
+    prices it at ``1 / row_scale[r]``.  Scaling a row or a column by a
+    positive number changes neither a sign nor an exact ratio comparison, so
+    Bland's rule takes the same pivots as on the unscaled rational tableau.
     """
 
     def __init__(self, ineqs, eqs, dim):
@@ -71,87 +96,93 @@ class _Tableau:
         self.n_struct = 2 * dim + self.n_ineq
         self.n = self.n_struct + m
         self.flip = []
+        self.row_scale = []
         rows = []
-        rhs = []
         for r, (normal, offset) in enumerate(list(ineqs) + list(eqs)):
-            sigma = ONE if offset >= 0 else -ONE
+            sigma = 1 if offset >= 0 else -1
+            scale = _lcm_of_denominators(list(normal) + [offset])
             self.flip.append(sigma)
-            row = [ZERO] * self.n
+            self.row_scale.append(scale)
+            row = [0] * (self.n + 1)
             for k in range(dim):
-                row[k] = sigma * normal[k]
-                row[dim + k] = -sigma * normal[k]
+                a = sigma * _scaled(normal[k], scale)
+                row[k] = a
+                row[dim + k] = -a
             if r < self.n_ineq:
-                row[2 * dim + r] = sigma
-            row[self.n_struct + r] = ONE
+                row[2 * dim + r] = sigma * scale
+            row[self.n_struct + r] = 1
+            row[self.n] = sigma * _scaled(offset, scale)
             rows.append(row)
-            rhs.append(sigma * offset)
         self.rows = rows
-        self.rhs = rhs
+        self.det = 1
         self.basis = [self.n_struct + r for r in range(m)]
-        self.row_ids = list(range(m))
-        self.obj = [ZERO] * (self.n + 1)
 
-    def set_costs(self, costs, allow_artificial: bool):
-        """Recompute the reduced-cost row for the given column costs."""
+    def set_costs(self, costs, scale: int, allow_artificial: bool):
+        """Recompute the reduced-cost row for integer column costs over ``scale``."""
         self.allow_artificial = allow_artificial
-        obj = list(costs) + [ZERO]
-        for i, bcol in enumerate(self.basis):
-            cb = costs[bcol]
-            if cb == 0:
-                continue
-            for j in range(self.n):
-                obj[j] -= cb * self.rows[i][j]
-            obj[self.n] -= cb * self.rhs[i]
-        self.obj = obj
         self.costs = list(costs)
+        self.cost_scale = scale
+        obj = [self.det * c for c in costs] + [0]
+        for row, bcol in zip(self.rows, self.basis):
+            cb = costs[bcol]
+            if cb:
+                obj = [z - cb * x for z, x in zip(obj, row)]
+        self.obj = obj
 
     def _pivot(self, r: int, e: int):
-        piv = self.rows[r][e]
-        inv = ONE / piv
-        self.rows[r] = [inv * x for x in self.rows[r]]
-        self.rhs[r] = inv * self.rhs[r]
-        for i in range(self.m):
-            if i != r and self.rows[i][e] != 0:
-                f = self.rows[i][e]
-                self.rows[i] = [x - f * y for x, y in zip(self.rows[i], self.rows[r])]
-                self.rhs[i] -= f * self.rhs[r]
-        if self.obj[e] != 0:
-            f = self.obj[e]
-            for j in range(self.n):
-                self.obj[j] -= f * self.rows[r][j]
-            self.obj[self.n] -= f * self.rhs[r]
+        """Pivot on (r, e); Sylvester's identity makes every division exact."""
+        pivot_row = self.rows[r]
+        p = pivot_row[e]
+        if p < 0:
+            # Keep the denominator positive: negating the pivot row negates
+            # every row that the update below produces.
+            pivot_row = self.rows[r] = [-y for y in pivot_row]
+            p = -p
+        det = self.det
+
+        def eliminate(row):
+            f = row[e]
+            if f:
+                return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+            if p == det:
+                return row
+            return [x * p // det for x in row]
+
+        self.rows = [
+            row if i == r else eliminate(row) for i, row in enumerate(self.rows)
+        ]
+        self.obj = eliminate(self.obj)
+        self.det = p
         self.basis[r] = e
 
     def minimize(self) -> str:
         """Run the simplex to optimality or unboundedness (min problem)."""
+        limit = self.n if self.allow_artificial else self.n_struct
         while True:
-            enter = None
-            for j in range(self.n):
-                if not self.allow_artificial and j >= self.n_struct:
-                    continue
-                if self.obj[j] < 0:
-                    enter = j
-                    break
+            obj = self.obj
+            enter = next((j for j in range(limit) if obj[j] < 0), None)
             if enter is None:
                 return OPTIMAL
             leave = None
-            best = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
+            for i, row in enumerate(self.rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+                    if leave is None:
+                        leave, best_a, best_rhs = i, a, row[self.n]
+                        continue
+                    lhs = row[self.n] * best_a
+                    rhs = best_rhs * a
+                    if lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        leave, best_a, best_rhs = i, a, row[self.n]
             if leave is None:
                 self.unbounded_col = enter
                 return UNBOUNDED
             self._pivot(leave, enter)
 
     def objective_value(self) -> Fraction:
-        return -self.obj[self.n]
+        return Fraction(-self.obj[self.n], self.det * self.cost_scale)
 
     def row_multipliers(self) -> list[Fraction]:
         """Simplex multipliers per original row, read off the artificial columns.
@@ -159,56 +190,61 @@ class _Tableau:
         The artificial column for row r starts as the unit vector e_r, so its
         current entries record the coefficients expressing each tableau row as
         a combination of original rows; contracting with the basic costs gives
-        pi_r = cost_r - reduced_cost_r.  This stays valid after redundant rows
-        are dropped, because the columns themselves are never touched.
+        pi_r = cost_r - reduced_cost_r for the scaled row, and ``row_scale[r]``
+        times that for the original one.  This stays valid after redundant
+        rows are dropped, because the columns themselves are never touched.
         """
+        denom = self.det * self.cost_scale
         pi = []
-        for rid in range(len(self.flip)):
+        for rid, scale in enumerate(self.row_scale):
             col = self.n_struct + rid
-            pi.append(self.costs[col] - self.obj[col])
+            pi.append(
+                Fraction(scale * (self.det * self.costs[col] - self.obj[col]), denom)
+            )
         return pi
 
     def drop_redundant_and_artificials(self):
         """After phase 1, pivot artificials out of the basis; drop rows that
-        turn out to be linearly dependent on the others."""
+        turn out to be linearly dependent on the others.
+
+        A dropped row is zero on every structural column and stays so, so it
+        can never be a pivot row; the kept rows therefore evolve exactly as
+        they would with it, and ``det`` stays their common denominator.
+        """
         keep = []
         for i in range(self.m):
             if self.basis[i] < self.n_struct:
                 keep.append(i)
                 continue
-            enter = None
-            for j in range(self.n_struct):
-                if self.rows[i][j] != 0:
-                    enter = j
-                    break
+            row = self.rows[i]
+            enter = next((j for j in range(self.n_struct) if row[j]), None)
             if enter is None:
                 continue
             self._pivot(i, enter)
             keep.append(i)
         if len(keep) != self.m:
             self.rows = [self.rows[i] for i in keep]
-            self.rhs = [self.rhs[i] for i in keep]
             self.basis = [self.basis[i] for i in keep]
-            self.row_ids = [self.row_ids[i] for i in keep]
             self.m = len(keep)
 
     def solution(self) -> Vector:
         x = [ZERO] * self.dim
-        for i, bcol in enumerate(self.basis):
+        for row, bcol in zip(self.rows, self.basis):
             if bcol < self.dim:
-                x[bcol] += self.rhs[i]
+                x[bcol] += Fraction(row[self.n], self.det)
             elif bcol < 2 * self.dim:
-                x[bcol - self.dim] -= self.rhs[i]
+                x[bcol - self.dim] -= Fraction(row[self.n], self.det)
         return tuple(x)
 
     def ray(self) -> Vector:
+        """The improving ray along the entering column, in primitive form
+        (which drops the positive factor ``det`` of the integer entries)."""
         e = self.unbounded_col
-        xi = [ZERO] * self.n
-        xi[e] = ONE
-        for i, bcol in enumerate(self.basis):
-            xi[bcol] = -self.rows[i][e]
-        d = [xi[k] - xi[self.dim + k] for k in range(self.dim)]
-        return primitive(tuple(d))
+        xi = [0] * self.n
+        xi[e] = self.det
+        for row, bcol in zip(self.rows, self.basis):
+            xi[bcol] = -row[e]
+        return primitive(tuple(xi[k] - xi[self.dim + k] for k in range(self.dim)))
 
 
 def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
@@ -235,9 +271,11 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
 
     tab = _Tableau(ineqs, eqs, dim)
 
-    # Phase 1: minimize the sum of artificials.
-    phase1_costs = [ZERO] * tab.n_struct + [ONE] * tab.m
-    tab.set_costs(phase1_costs, allow_artificial=True)
+    # Phase 1: minimize the sum of the original artificials, each of which
+    # is its scaled column over ``row_scale``.
+    scale = lcm(*tab.row_scale)
+    phase1_costs = [0] * tab.n_struct + [scale // s for s in tab.row_scale]
+    tab.set_costs(phase1_costs, scale, allow_artificial=True)
     status = tab.minimize()
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
     if tab.objective_value() > 0:
@@ -248,11 +286,12 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     tab.drop_redundant_and_artificials()
 
     # Phase 2: minimize -c.x (i.e. maximize c.x).
-    phase2_costs = [ZERO] * tab.n
+    scale = _lcm_of_denominators(c)
+    phase2_costs = [0] * tab.n
     for k in range(dim):
-        phase2_costs[k] = -c[k]
-        phase2_costs[dim + k] = c[k]
-    tab.set_costs(phase2_costs, allow_artificial=False)
+        phase2_costs[k] = -_scaled(c[k], scale)
+        phase2_costs[dim + k] = _scaled(c[k], scale)
+    tab.set_costs(phase2_costs, scale, allow_artificial=False)
     status = tab.minimize()
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, optimum=None, witness=tab.ray())

@@ -114,12 +114,14 @@ def space_from_json(data) -> StateSpace:
         label = data["label"]
     except (KeyError, TypeError) as err:
         raise InputError("malformed state space: %s" % err) from err
+    if not isinstance(label, str):
+        raise InputError("state space label must be a string, got %r" % (label,))
     if kind == BALL3:
         return StateSpace(kind=BALL3, label=label)
     if kind != POLYTOPAL:
         raise InputError("unknown state space kind %r" % (kind,))
-    v = vrep_from_json(data["vrep"])
-    h = hrep_from_json(data["hrep"])
+    v = vrep_from_json(data.get("vrep"))
+    h = hrep_from_json(data.get("hrep"))
     if vertex_enumeration(h) != v:
         raise InputError(
             "state space %r: its vertices are not the vertices of its "

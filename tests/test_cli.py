@@ -1,14 +1,19 @@
 """CLI behavior: schemas, idempotence, error handling."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gptlab.boxworld import pr_box_table
+from gptlab.boxworld import make_boxworld2, pr_box_table
 from gptlab.cli import build_full_report, run
 from gptlab.serialize import dumps, space_to_json, table_to_json
-from gptlab.spaces import make_gbit
+from gptlab.spaces import make_classical, make_gbit
 
 
 def invoke(capsys, *argv):
@@ -161,8 +166,12 @@ def test_malformed_state_exits_2(capsys):
 
 
 def _json_file(tmp_path, data):
+    return _text_file(tmp_path, json.dumps(data))
+
+
+def _text_file(tmp_path, text):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_text(text)
     return str(path)
 
 
@@ -202,6 +211,11 @@ BAD_INPUTS = {
         "chsh", "--table", _json_file(tmp, {"p": ["1/0"] + ["0/1"] * 15})
     ],
     "table-directory": lambda tmp: ["chsh", "--table", str(tmp)],
+    "space-nul-byte": lambda tmp: ["vertices", "--space", "gbit\x00.json"],
+    "space-nested-too-deeply": lambda tmp: [
+        "vertices", "--space", _text_file(tmp, "[" * 100000)
+    ],
+    "unitary-directory": lambda tmp: ["bloch", "--unitary", str(tmp)],
 }
 
 
@@ -211,6 +225,26 @@ def test_bad_input_exits_2_with_input_error(case, tmp_path, capsys):
     assert code == 2
     assert data["error"]["type"] == "InputError"
     assert "Fraction(" not in data["error"]["message"]
+
+
+def test_adjacency_summary_ignores_the_label(tmp_path, capsys):
+    """A square labelled "boxworld2" is summarized as a square."""
+    data = space_to_json(make_gbit())
+    data["label"] = "boxworld2"
+    path = _json_file(tmp_path, data)
+    code, summary = invoke(capsys, "adjacency", "--space", path, "--summary")
+    assert code == 0
+    assert summary == {"degree_histogram": {"2": 4}}
+
+
+def test_adjacency_summary_classifies_a_relabelled_boxworld2(tmp_path, capsys):
+    data = space_to_json(make_boxworld2())
+    data["label"] = "ns"
+    path = _json_file(tmp_path, data)
+    assert run(["adjacency", "--space", path, "--summary"]) == 0
+    relabelled = capsys.readouterr().out
+    assert run(["adjacency", "--space", "boxworld2", "--summary"]) == 0
+    assert relabelled == capsys.readouterr().out
 
 
 GOLDEN_GBIT_VERTICES = """\
@@ -286,3 +320,101 @@ REPORT_SHA256 = "6dd5a6f8a3fb1b8169bcd1403c630b39190da0c743861fd37b0ee5e19141aeb
 def test_report_hashes_to_the_gate():
     stdout = dumps(build_full_report()) + "\n"
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Property: any input gives JSON and exit 0 or 2, never a traceback
+# ---------------------------------------------------------------------------
+
+WELL_FORMED_DOCUMENTS = (
+    space_to_json(make_gbit()),
+    space_to_json(make_classical(3)),
+    {"kind": "ball3", "label": "qubit"},
+    table_to_json(pr_box_table()),
+)
+RATIONAL_TEXTS = ("0", "1", "1/2", "-1/3", "1/0", "0.5", "", "x", " 1/4 ", "1/2/3")
+SPACE_NAMES = (
+    "gbit", "classical-1", "classical-3", "ball3", "classical-", "classical-x",
+    "classical-0", "no-such-space", "", "-",
+)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from(RATIONAL_TEXTS)
+)
+json_keys = st.sampled_from(("kind", "label", "vrep", "hrep", "dim", "p"))
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_keys, inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A well-formed space or table document with one nested node replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(WELL_FORMED_DOCUMENTS)))
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(list(keys)))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            node[key] = draw(json_values)
+            return doc
+        node = child
+
+
+file_contents = (
+    st.sampled_from(WELL_FORMED_DOCUMENTS).map(json.dumps)
+    | mutated_documents().map(json.dumps)
+    | json_values.map(json.dumps)
+    | st.text(max_size=20)
+)
+state_texts = st.lists(st.sampled_from(RATIONAL_TEXTS), max_size=4).map(
+    ",".join
+) | st.text(max_size=8)
+
+
+@st.composite
+def cli_arguments(draw, path):
+    """An argument list whose space, state and file inputs may be malformed."""
+    source = draw(st.sampled_from(("registered", "text", "file")))
+    if source == "registered":
+        name = draw(st.sampled_from(SPACE_NAMES))
+    elif source == "text":
+        name = draw(st.text(max_size=12))
+    else:
+        with open(path, "w") as fh:
+            fh.write(draw(file_contents))
+        name = path
+    commands = [
+        [command, "--space", name]
+        for command in ("build", "vertices", "adjacency", "classify", "symmetries", "orbits")
+    ] + [
+        ["adjacency", "--space", name, "--summary"],
+        ["decompose", "--space", name, "--state", draw(state_texts)],
+        ["chsh", "--table", name],
+        ["classify", "--table", name],
+    ]
+    return draw(st.sampled_from(commands))
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli-property") / "input.json")
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_input_gives_json_and_exit_0_or_2(input_path, data):
+    argv = data.draw(cli_arguments(input_path))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2), argv
+    parsed = json.loads(out.getvalue())
+    assert (code == 2) == ("error" in parsed), (argv, parsed)
+    assert "Traceback" not in err.getvalue()
