@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, NotAVertexError, SignallingError
-from .ratgeo import HRep
-from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, rank
+from .ratgeo import HRep, is_extreme_in
+from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, independent_rows
 from .spaces import POLYTOPAL, StateSpace, from_hrep
 
 HALF = Fraction(1, 2)
@@ -130,12 +130,8 @@ def build_ns_hrep() -> HRep:
             eqs.append((tuple(normal), ZERO))
 
     # Reduce the equality system to an independent subset, kept in input order.
-    independent = []
-    for eq in eqs:
-        trial = independent + [eq]
-        if rank([n + (o,) for n, o in trial]) == len(trial):
-            independent.append(eq)
-    return HRep.make(16, ineqs, independent)
+    independent = independent_rows([n + (o,) for n, o in eqs])
+    return HRep.make(16, ineqs, [eqs[i] for i in independent])
 
 
 @lru_cache(maxsize=1)
@@ -252,16 +248,13 @@ def classify_vertex(t: ProbabilityTable) -> VertexClass:
     """Classify a vertex of the no-signalling polytope.
 
     Raises :class:`NotAVertexError` when the table is not an extreme point
-    of the no-signalling set (checked exactly via the active-constraint
-    rank test).
+    of the no-signalling set (checked exactly by ``is_extreme_in``, the
+    active-constraint rank test that also re-verifies enumerated vertices).
     """
     h = build_ns_hrep()
-    point = t.p
-    if not h.contains(point):
-        raise NotAVertexError("table is not in the no-signalling set")
-    active = [h.inequalities[i][0] for i in h.active_inequalities(point)]
-    active += [n for n, _ in h.equalities]
-    if rank(active) != 16:
+    if not is_extreme_in(h, t.p):
+        if not h.contains(t.p):
+            raise NotAVertexError("table is not in the no-signalling set")
         raise NotAVertexError("table is not an extreme point")
 
     pa, pb = marginals(t)

@@ -160,6 +160,11 @@ def cmd_classify(args):
         raise InputError("classify needs --space NAME or --table FILE")
     space = resolve_space(args.space)
     space.require_polytopal()
+    if space.dim != 16:
+        raise InputError(
+            "classify needs a space of 16-entry probability tables; "
+            "%r has dimension %d" % (space.label, space.dim)
+        )
     tags = _classification_labels(space)
     return {
         "classes": tags,

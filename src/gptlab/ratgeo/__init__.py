@@ -26,6 +26,7 @@ from .polytope import (
     adjacency_edges,
     affine_dimension,
     facet_enumeration,
+    is_extreme_in,
     vertex_adjacency,
     vertex_enumeration,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "adjacency_edges",
     "affine_dimension",
     "facet_enumeration",
+    "is_extreme_in",
     "vertex_adjacency",
     "vertex_enumeration",
 ]

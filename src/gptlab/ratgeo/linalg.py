@@ -84,12 +84,16 @@ def is_zero(a: Vector) -> bool:
 
 
 def mat_vec(m: Matrix, x: Vector) -> Vector:
-    return tuple(dot(row, x) for row in m)
+    """m x, summed over the nonzero entries of x only (vertices are sparse)."""
+    if any(len(row) != len(x) for row in m):
+        raise ValueError("dimension mismatch: matrix rows vs %d" % len(x))
+    support = [(j, v) for j, v in enumerate(x) if v]
+    return tuple(sum((row[j] * v for j, v in support), ZERO) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(mat_vec(bt, row) for row in a)
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -138,6 +142,17 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 def rank(rows) -> int:
     _, pivots = rref(rows)
     return len(pivots)
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the rows that a greedy scan in order keeps.
+
+    The scan keeps a row iff it is not in the span of the rows before it.
+    That is exactly when its column of the transpose is a pivot column of
+    the reduced row echelon form, so one elimination answers for every row.
+    """
+    _, pivots = rref(transpose(rows))
+    return pivots
 
 
 def null_space(rows, ncols: int) -> list[Vector]:

@@ -22,12 +22,14 @@ from .linalg import (
     ZERO,
     dot,
     format_rational,
+    independent_rows,
     inverse,
     is_zero,
     null_space,
     primitive,
     primitive_signed,
     rank,
+    transpose,
     vscale,
     vsub,
     zeros,
@@ -180,18 +182,11 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
     adjacent pairs (``_adjacent``).
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i])
-    basis_idx: list[int] = []
-    basis_rows: list[Vector] = []
-    for i in order:
-        if rank(basis_rows + [rows[i]]) > len(basis_rows):
-            basis_idx.append(i)
-            basis_rows.append(rows[i])
-            if len(basis_rows) == k:
-                break
-    if len(basis_rows) < k:
+    basis_idx = [order[j] for j in independent_rows([rows[i] for i in order])]
+    if len(basis_idx) < k:
         return None
 
-    binv = inverse(tuple(basis_rows))
+    binv = inverse(tuple(rows[i] for i in basis_idx))
     assert binv is not None
     rays = [primitive(tuple(-binv[r][c] for r in range(k))) for c in range(k)]
     processed = list(basis_idx)
@@ -288,12 +283,17 @@ def vertex_enumeration(h: HRep) -> VRep:
 
     result = VRep.make(d, [tuple(val / y[d] for val in y[:d]) for y in rays])
     for v in result.vertices:
-        if not _is_extreme_in(h, v):
+        if not is_extreme_in(h, v):
             raise InputError("double description produced a non-extreme point")
     return result
 
 
-def _is_extreme_in(h: HRep, v: Vector) -> bool:
+def is_extreme_in(h: HRep, v: Vector) -> bool:
+    """Whether v is a vertex of h.
+
+    v must lie in h, and the constraints active at v, equalities included,
+    must have full rank.
+    """
     if not h.contains(v):
         return False
     active = [h.inequalities[i][0] for i in h.active_inequalities(v)]
@@ -321,7 +321,7 @@ def facet_enumeration(v: VRep) -> HRep:
     base = verts[0]
     diffs = [vsub(p, base) for p in verts[1:]]
 
-    hull_normals = null_space(diffs, d) if diffs else null_space([], d)
+    hull_normals = null_space(diffs, d)
     equalities = [
         _canonical_equality(n, dot(n, base)) for n in hull_normals
     ]
@@ -332,16 +332,8 @@ def facet_enumeration(v: VRep) -> HRep:
         return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
 
     # Affinely independent subset: base + k vertices with independent diffs.
-    chosen: list[Vector] = []
-    for p in verts[1:]:
-        candidate = vsub(p, base)
-        if rank(chosen + [candidate]) > len(chosen):
-            chosen.append(candidate)
-            if len(chosen) == k:
-                break
-    bmat_cols = chosen  # each a length-d vector; B = column matrix
-    pivot_rows = _independent_rows(bmat_cols, d, k)
-
+    bmat_cols = [diffs[i] for i in independent_rows(diffs)]  # B = column matrix
+    pivot_rows = independent_rows(transpose(bmat_cols))
 
     b_sub = tuple(
         tuple(bmat_cols[c][r] for c in range(k)) for r in pivot_rows
@@ -381,20 +373,6 @@ def facet_enumeration(v: VRep) -> HRep:
         inequalities=tuple(inequalities),
         equalities=tuple(equalities),
     )
-
-
-def _independent_rows(cols: list[Vector], d: int, k: int) -> list[int]:
-    """First k row indices of the d x k column matrix with full rank."""
-    rows = []
-    picked = []
-    for r in range(d):
-        candidate = tuple(col[r] for col in cols)
-        if rank(rows + [candidate]) > len(rows):
-            rows.append(candidate)
-            picked.append(r)
-            if len(picked) == k:
-                break
-    return picked
 
 
 def _reduce_mod_equalities(normal, offset, equalities):

@@ -35,6 +35,10 @@ from .ratgeo.linalg import (
 POLYTOPAL = "polytopal"
 BALL3 = "ball3"
 
+# Largest classical-N that is built: classical-64 takes seconds, classical-128
+# over a minute, and an unbounded N exhausts memory.
+MAX_CLASSICAL_OUTCOMES = 64
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -98,6 +102,11 @@ def make_classical(n: int) -> StateSpace:
     """Classical n-outcome system: the probability simplex on n entries."""
     if n < 1:
         raise InputError("a classical system needs at least one outcome")
+    if n > MAX_CLASSICAL_OUTCOMES:
+        raise InputError(
+            "classical systems are limited to %d outcomes, got %d"
+            % (MAX_CLASSICAL_OUTCOMES, n)
+        )
     if n == 1:
         v = VRep.make(1, [(ONE,)])
         return StateSpace(

@@ -20,7 +20,6 @@ elements are realized (and verified again) only when they are read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -29,14 +28,12 @@ from .bloch import rotation_path
 from .errors import InputError, UnsupportedError
 from .ratgeo.linalg import (
     ONE,
-    Vector,
+    independent_rows,
     inverse,
     mat_mul,
     mat_vec,
     null_space,
-    rank,
     rref,
-    solve,
     transpose,
     vsub,
 )
@@ -155,77 +152,42 @@ class _AffineRealizer:
     """Builds the canonical ambient affine map for a vertex permutation.
 
     On the affine hull the map is determined by the images of a fixed affine
-    basis of vertices; on the orthogonal complement of the hull's direction
-    space it acts as the identity, which makes the representative canonical.
-    The permutation-independent linear algebra (basis choice, barycentric
-    coordinates of every vertex, the inverse basis matrix) is precomputed.
+    basis of vertices: the first vertex and those whose differences from it
+    a greedy scan keeps independent.  On the orthogonal complement of the
+    hull's direction space it acts as the identity, which makes the
+    representative canonical.  The basis choice and the inverse of the
+    source basis matrix do not depend on the permutation and are computed
+    once.
     """
 
     def __init__(self, verts, d):
         self.verts = verts
-        self.d = d
-        base = 0
-        basis_idx: list[int] = []
-        diffs: list[Vector] = []
-        for i in range(1, len(verts)):
-            candidate = vsub(verts[i], verts[base])
-            if rank(diffs + [candidate]) > len(diffs):
-                basis_idx.append(i)
-                diffs.append(candidate)
-        self.base = base
-        self.basis_idx = basis_idx
-        self.diffs = diffs
-        self.complement = null_space(diffs, d) if diffs else null_space([], d)
-        columns = diffs + self.complement
-        a_mat = tuple(tuple(col[r] for col in columns) for r in range(d))
-        self.a_inv = inverse(a_mat)
+        diffs = [vsub(v, verts[0]) for v in verts[1:]]
+        independent = independent_rows(diffs)
+        self.basis_idx = [1 + i for i in independent]
+        self.complement = null_space(diffs, d)
+        columns = [diffs[i] for i in independent] + self.complement
+        self.a_inv = inverse(transpose(columns))
         assert self.a_inv is not None
-        # Barycentric coordinates of every vertex over [base] + basis_idx.
-        lifted_basis = [
-            tuple(verts[i]) + (ONE,) for i in [base] + basis_idx
-        ]
-        rows = tuple(
-            tuple(col[r] for col in lifted_basis) for r in range(d + 1)
-        )
-        self.barycentric = [
-            solve(rows, tuple(v) + (ONE,)) for v in verts
-        ]
-        assert all(c is not None for c in self.barycentric)
 
     def realize(self, perm) -> AffineMap | None:
         """The affine map for perm, or None if perm is not affinely consistent.
 
-        Consistency is verified on every vertex: the barycentric expansion
-        of each vertex over the affine basis must be preserved by the
-        permutation.
+        The map is built from the images of the basis and then verified on
+        every vertex.  The basis differences span the hull's direction
+        space, so the map sends every vertex to its image exactly when perm
+        preserves every affine dependency among the vertices.
         """
         verts = self.verts
-        d = self.d
-        basis_points = [self.base] + self.basis_idx
-        image_lifted = [
-            tuple(verts[perm[i]]) + (ONE,) for i in basis_points
-        ]
-        for u in range(len(verts)):
-            coeffs = self.barycentric[u]
-            expected = tuple(verts[perm[u]]) + (ONE,)
-            for r in range(d + 1):
-                acc = Fraction(0)
-                for c, img in zip(coeffs, image_lifted):
-                    if c:
-                        acc += c * img[r]
-                if acc != expected[r]:
-                    return None
-        image_diffs = [
-            vsub(verts[perm[i]], verts[perm[self.base]]) for i in self.basis_idx
-        ]
-        image_columns = image_diffs + self.complement
-        b_mat = tuple(tuple(col[r] for col in image_columns) for r in range(d))
-        matrix = mat_mul(b_mat, self.a_inv)
-        shift = vsub(verts[perm[self.base]], mat_vec(matrix, verts[self.base]))
+        image_base = verts[perm[0]]
+        image_columns = [
+            vsub(verts[perm[i]], image_base) for i in self.basis_idx
+        ] + self.complement
+        matrix = mat_mul(transpose(image_columns), self.a_inv)
+        shift = vsub(image_base, mat_vec(matrix, verts[0]))
         candidate = AffineMap(matrix=matrix, shift=shift)
-        for i in basis_points:
-            if candidate.apply(verts[i]) != verts[perm[i]]:
-                return None
+        if any(candidate.apply(v) != verts[perm[u]] for u, v in enumerate(verts)):
+            return None
         return candidate
 
 

@@ -86,7 +86,7 @@ def test_local_vertices_are_exactly_product_images(boxworld2):
 
 def test_classify_rejects_non_vertices():
     uniform = ProbabilityTable(p=(F(1, 4),) * 16)
-    with pytest.raises(NotAVertexError):
+    with pytest.raises(NotAVertexError, match="not an extreme point"):
         classify_vertex(uniform)
     # A table outside the no-signalling set is not a vertex either.
     entries = [F(0)] * 16
@@ -94,7 +94,7 @@ def test_classify_rejects_non_vertices():
     entries[table_index(0, 0, 0, 1)] = F(1)
     entries[table_index(0, 0, 1, 0)] = F(1)
     entries[table_index(1, 1, 1, 1)] = F(1)
-    with pytest.raises(NotAVertexError):
+    with pytest.raises(NotAVertexError, match="not in the no-signalling set"):
         classify_vertex(ProbabilityTable(p=tuple(entries)))
 
 

@@ -4,16 +4,17 @@ import contextlib
 import copy
 import hashlib
 import io
+import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptlab.boxworld import make_boxworld2, pr_box_table
+from gptlab.boxworld import local_deterministic_table, make_boxworld2, pr_box_table
 from gptlab.cli import build_full_report, run
 from gptlab.serialize import dumps, space_to_json, table_to_json
-from gptlab.spaces import make_classical, make_gbit
+from gptlab.spaces import from_vertices, make_classical, make_gbit
 
 
 def invoke(capsys, *argv):
@@ -216,6 +217,9 @@ BAD_INPUTS = {
         "vertices", "--space", _text_file(tmp, "[" * 100000)
     ],
     "unitary-directory": lambda tmp: ["bloch", "--unitary", str(tmp)],
+    "space-classical-too-large": lambda tmp: [
+        "vertices", "--space", "classical-99999999999"
+    ],
 }
 
 
@@ -225,6 +229,29 @@ def test_bad_input_exits_2_with_input_error(case, tmp_path, capsys):
     assert code == 2
     assert data["error"]["type"] == "InputError"
     assert "Fraction(" not in data["error"]["message"]
+
+
+def test_classify_needs_16_entry_tables(capsys):
+    code, data = invoke(capsys, "classify", "--space", "gbit")
+    assert code == 2
+    assert data["error"] == {
+        "type": "InputError",
+        "message": "classify needs a space of 16-entry probability tables; "
+        "'gbit' has dimension 2",
+    }
+
+
+def test_classify_accepts_a_subset_of_the_vertices(tmp_path, capsys):
+    """The local polytope is not boxworld2, but each of its vertices is a
+    no-signalling vertex, so it is classifiable."""
+    local = [
+        local_deterministic_table(*bits).p
+        for bits in itertools.product(range(2), repeat=4)
+    ]
+    path = _json_file(tmp_path, space_to_json(from_vertices(local, "local")))
+    code, data = invoke(capsys, "classify", "--space", path)
+    assert code == 0
+    assert data["counts"] == {"local_deterministic": 16, "pr_box": 0}
 
 
 def test_adjacency_summary_ignores_the_label(tmp_path, capsys):
@@ -335,7 +362,7 @@ WELL_FORMED_DOCUMENTS = (
 RATIONAL_TEXTS = ("0", "1", "1/2", "-1/3", "1/0", "0.5", "", "x", " 1/4 ", "1/2/3")
 SPACE_NAMES = (
     "gbit", "classical-1", "classical-3", "ball3", "classical-", "classical-x",
-    "classical-0", "no-such-space", "", "-",
+    "classical-0", "classical-99999999999", "no-such-space", "", "-",
 )
 json_leaves = (
     st.none()

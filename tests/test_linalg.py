@@ -1,5 +1,6 @@
 """Exact linear algebra unit tests."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,8 +9,10 @@ from gptlab.errors import InputError
 from gptlab.ratgeo.linalg import (
     dot,
     format_rational,
+    independent_rows,
     inverse,
     mat_mul,
+    mat_vec,
     null_space,
     parse_rational,
     primitive,
@@ -17,6 +20,7 @@ from gptlab.ratgeo.linalg import (
     rank,
     rref,
     solve,
+    transpose,
     vec,
 )
 from gptlab.ratgeo.polytope import affine_dimension
@@ -76,6 +80,30 @@ def test_inverse_round_trip():
     assert inverse((vec(1, 2), vec(2, 4))) is None
 
 
+def test_sparse_products_match_dense_dot_products():
+    rng = random.Random(0)
+
+    def sparse_matrix(nrows, ncols):
+        return tuple(
+            tuple(F(rng.choice((0, 0, 0, rng.randint(-4, 4))), rng.randint(1, 3))
+                  for _ in range(ncols))
+            for _ in range(nrows)
+        )
+
+    for _ in range(100):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = sparse_matrix(n, k), sparse_matrix(k, m)
+        x = sparse_matrix(1, k)[0]
+        assert mat_vec(a, x) == tuple(dot(row, x) for row in a)
+        assert mat_mul(a, b) == tuple(
+            tuple(dot(row, col) for col in transpose(b)) for row in a
+        )
+    with pytest.raises(ValueError):
+        mat_vec((vec(1, 0),), vec(1, 0, 0))
+    with pytest.raises(ValueError):
+        mat_mul((vec(1, 0),), (vec(1),))
+
+
 def test_affine_rank():
     square = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)]
     assert affine_dimension(square) == 2
@@ -88,3 +116,50 @@ def test_primitive_forms():
     assert primitive(vec(-2, -4)) == vec(-1, -2)
     assert primitive_signed(vec(-2, -4)) == vec(1, 2)
     assert primitive(vec(0, 0)) == vec(0, 0)
+
+
+def greedy_independent_rows(rows):
+    """Oracle: scan in order, keep a row iff it raises the rank."""
+    kept = []
+    for i, row in enumerate(rows):
+        if rank([rows[j] for j in kept] + [row]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def planted_dependent_rows(rng):
+    """Random rational rows, some replaced by combinations of earlier ones."""
+    ncols = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random()
+        if rows and kind < 0.4:
+            row = [F(0)] * ncols
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                c = F(rng.randint(-3, 3), rng.randint(1, 4))
+                row = [x + c * y for x, y in zip(row, earlier)]
+            rows.append(tuple(row))
+        elif kind < 0.5:
+            rows.append((F(0),) * ncols)
+        else:
+            rows.append(
+                tuple(F(rng.randint(-5, 5), rng.randint(1, 5)) for _ in range(ncols))
+            )
+    return rows
+
+
+def test_independent_rows_matches_greedy_scan():
+    dependent = 0
+    for seed in range(500):
+        rows = planted_dependent_rows(random.Random(seed))
+        kept = greedy_independent_rows(rows)
+        assert independent_rows(rows) == kept, seed
+        dependent += len(kept) < len(rows)
+    assert dependent > 250  # the planted rows are really dropped
+
+
+def test_independent_rows_on_zero_rows_and_no_rows():
+    zero = vec(0, 0, 0)
+    assert independent_rows([zero, zero]) == []
+    assert independent_rows([zero, vec(1, 2, 3), zero, vec(2, 4, 6), vec(0, 0, 1)]) == [1, 4]
+    assert independent_rows([]) == greedy_independent_rows([]) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gptlab.errors import InputError, UnsupportedError
 from gptlab.spaces import (
+    MAX_CLASSICAL_OUTCOMES,
     AffineMap,
     Decomposition,
     Effect,
@@ -38,6 +39,8 @@ def test_classical_spaces():
     assert make_classical(1).vertices == (vec(1),)
     with pytest.raises(InputError):
         make_classical(0)
+    with pytest.raises(InputError, match="limited to %d " % MAX_CLASSICAL_OUTCOMES):
+        make_classical(MAX_CLASSICAL_OUTCOMES + 1)
 
 
 def test_gbit_membership(gbit):

@@ -1,7 +1,9 @@
 """Symmetry groups, orbits, reversibility and interaction checks."""
 
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gptlab.boxworld import (
 )
 from gptlab.errors import InputError, UnsupportedError
 from gptlab.ratgeo.linalg import inverse, mat_mul, null_space, rref, transpose
+from gptlab.serialize import dumps, symmetry_group_to_json
 from gptlab.spaces import (
     AffineMap,
     from_vertices,
@@ -27,6 +30,7 @@ from gptlab.symmetry import (
     INTERACTING,
     NON_INTERACTING,
     PASS,
+    _AffineRealizer,
     affine_automorphisms,
     check_continuous_reversibility,
     check_interaction,
@@ -139,6 +143,56 @@ def test_generators_generate(name, request):
                     new.append(q)
         frontier = new
     assert generated == set(group.vertex_permutations)
+
+
+def test_realizer_rejects_a_non_affine_permutation(gbit):
+    # Swapping two adjacent corners of the square and fixing the other two
+    # moves three affinely independent points consistently; only the
+    # fourth vertex shows that no affine map does it.
+    realizer = _AffineRealizer(gbit.vertices, gbit.dim)
+    assert realizer.realize((1, 0, 2, 3)) is None
+    assert realizer.realize((0, 1, 2, 3)) == AffineMap.identity(2)
+
+
+def test_realizer_rejects_swapping_a_local_vertex_with_a_pr_box(boxworld2):
+    tags = [
+        classify_vertex(table_from_vector(v)).tag for v in boxworld2.vertices
+    ]
+    local, pr = tags.index(LOCAL_DETERMINISTIC), tags.index(PR_BOX)
+    perm = list(range(len(tags)))
+    perm[local], perm[pr] = pr, local
+    realizer = _AffineRealizer(boxworld2.vertices, boxworld2.dim)
+    assert realizer.realize(tuple(perm)) is None
+
+
+def _sha256(elements, permutations):
+    group = SimpleNamespace(elements=elements, vertex_permutations=permutations)
+    return hashlib.sha256(dumps(symmetry_group_to_json(group)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "space, digest",
+    [
+        (make_gbit, "77037682528c2e7266def0c81b26d28717046f79478bd811e3a0e1310cec2202"),
+        (
+            lambda: make_classical(3),
+            "205b763a9a6caeb4f8b63f88a55db8fc714ecb084f63157b4bf4b978f40adc45",
+        ),
+    ],
+    ids=["gbit", "classical-3"],
+)
+def test_realized_group_is_pinned(space, digest):
+    group = affine_automorphisms(space())
+    assert _sha256(group.elements, group.vertex_permutations) == digest
+
+
+def test_realized_boxworld_generators_are_pinned(boxworld2_group):
+    # The generators only: realizing all 128 elements costs seconds.
+    group = boxworld2_group
+    assert (
+        _sha256(group.generators, group.generator_permutations)
+        == "bd7aaf70301bad09d7e347c19590cdcf527c569559cabfd7c158628671660220"
+    )
 
 
 def test_boxworld_gram_graph_has_128_automorphisms(boxworld2):
