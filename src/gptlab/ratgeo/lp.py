@@ -63,10 +63,6 @@ class LPResult:
     witness: Vector
     dual: Vector | None = None
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
 
 class _Tableau:
     """Dense fraction-free simplex tableau with Bland's rule.

@@ -110,38 +110,11 @@ class VRep:
     def make(dim, points) -> "VRep":
         """Canonicalize: exact-duplicate removal and lexicographic sort.
 
-        Callers must pass extreme points only; use ``from_points`` to clean
-        an arbitrary point set.
+        Points are kept as given: a VRep of a polytope lists extreme points
+        only, and ``spaces.from_vertices`` drops the others.
         """
         unique = sorted(set(tuple(p) for p in points))
         return VRep(ambient_dim=dim, vertices=tuple(unique))
-
-    @staticmethod
-    def from_points(dim, points) -> "VRep":
-        """Canonical VRep of conv(points): drops non-extreme points exactly."""
-        unique = sorted(set(tuple(p) for p in points))
-        extreme = [
-            p
-            for i, p in enumerate(unique)
-            if not _in_convex_hull(p, unique[:i] + unique[i + 1:])
-        ]
-        return VRep(ambient_dim=dim, vertices=tuple(extreme))
-
-
-def _in_convex_hull(point: Vector, points: list[Vector]) -> bool:
-    """Exact LP feasibility test: point in conv(points)?"""
-    if not points:
-        return False
-    n = len(points)
-    d = len(point)
-    eqs = []
-    for k in range(d):
-        eqs.append((tuple(p[k] for p in points), point[k]))
-    eqs.append(((ONE,) * n, ONE))
-    ineqs = [(tuple(-ONE if j == i else ZERO for j in range(n)), ZERO) for i in range(n)]
-    h = HRep.make(n, ineqs, eqs)
-    result = lp.solve_lp(zeros(n), lp.MAX, h)
-    return result.status == lp.OPTIMAL
 
 
 def affine_dimension(points) -> int:
@@ -310,8 +283,11 @@ def facet_enumeration(v: VRep) -> HRep:
     """Irredundant H-representation of conv(v.vertices).
 
     Within the affine hull the facets are found as vertices of the polar
-    dual taken around the vertex centroid; the affine hull itself is
-    returned as an exact equality system.  Round trip holds exactly:
+    dual taken around the centroid of the points; the affine hull itself is
+    returned as an exact equality system.  The points need not be extreme:
+    their centroid lies in the relative interior of their hull, and a
+    non-extreme point only adds a redundant dual constraint.  For extreme
+    points the round trip holds exactly:
     ``vertex_enumeration(facet_enumeration(v)) == v``.
     """
     if not v.vertices:

@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedError
-from .ratgeo import HRep, MAX, MIN, VRep, solve_lp, vertex_enumeration, facet_enumeration
+from .ratgeo import (
+    HRep,
+    MAX,
+    MIN,
+    VRep,
+    facet_enumeration,
+    is_extreme_in,
+    solve_lp,
+    vertex_enumeration,
+)
 from .ratgeo.linalg import (
     Matrix,
     ONE,
@@ -25,10 +34,7 @@ from .ratgeo.linalg import (
     inverse,
     mat_mul,
     mat_vec,
-    rank,
-    solve,
     vadd,
-    vsub,
     zeros,
 )
 
@@ -70,13 +76,22 @@ class StateSpace:
 
 
 def from_vertices(points, label: str, dim: int | None = None) -> StateSpace:
-    """Polytopal space from extreme-point candidates (non-extreme are dropped)."""
+    """Polytopal space from extreme-point candidates (non-extreme are dropped).
+
+    One facet enumeration runs over all the distinct points; the vertices
+    are the points that ``is_extreme_in`` accepts against its result.
+    """
     pts = [tuple(p) for p in points]
     if not pts:
         raise InputError("a state space needs at least one state")
     d = dim if dim is not None else len(pts[0])
-    v = VRep.from_points(d, pts)
-    return StateSpace(kind=POLYTOPAL, label=label, v=v, h=facet_enumeration(v))
+    cloud = VRep.make(d, pts)
+    h = facet_enumeration(cloud)
+    v = VRep(
+        ambient_dim=d,
+        vertices=tuple(p for p in cloud.vertices if is_extreme_in(h, p)),
+    )
+    return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)
 
 
 def from_hrep(h: HRep, label: str) -> StateSpace:
@@ -253,11 +268,18 @@ class Decomposition:
 def decompose_state(s: Vector, space: StateSpace) -> tuple[Decomposition, ...]:
     """All convex decompositions of s with affinely independent support.
 
-    Every decomposition of a polytope point refines to one supported on an
-    affinely independent vertex subset (Caratheodory), so this enumeration
-    is complete up to such refinement: it returns at least one decomposition
-    for every point of the polytope, exactly one on a simplex, and at least
-    two whenever distinct minimal decompositions exist.
+    These are exactly the vertices of the weight polytope
+    P_s = {lam : lam >= 0, sum_i lam_i v_i = s, sum_i lam_i = 1}: a point
+    of P_s is a vertex iff its support columns (v_i, 1) are linearly
+    independent, that is iff its support vertices are affinely independent
+    (a basic feasible solution).  Every decomposition of s is a point of
+    P_s, and Caratheodory's reduction (shift the weights along an affine
+    dependency of the support until one reaches zero) walks it to a vertex
+    supported on a subset of its support.  So the list is complete: it is
+    nonempty for every state, has one entry exactly when P_s is a point
+    (always on a simplex), and several otherwise.  P_s is bounded, and it
+    is nonempty once s lies in the space; double description finds its
+    vertices.
     """
     space.require_polytopal()
     s = tuple(s)
@@ -272,31 +294,18 @@ def decompose_state(s: Vector, space: StateSpace) -> tuple[Decomposition, ...]:
             % ", ".join(map(format_rational, s))
         )
     verts = space.vertices
-    lifted = [v + (ONE,) for v in verts]
-    target = s + (ONE,)
-    found: list[Decomposition] = []
-
-    def barycentric(chosen: list[int]) -> tuple[Fraction, ...] | None:
-        cols = [lifted[i] for i in chosen]
-        rows = tuple(tuple(col[r] for col in cols) for r in range(len(target)))
-        return solve(rows, target)
-
-    def extend(start: int, chosen: list[int]):
-        if chosen:
-            coeffs = barycentric(chosen)
-            if coeffs is not None:
-                # s lies in aff(chosen); supersets cannot be minimal.
-                if all(c > 0 for c in coeffs):
-                    found.append(
-                        Decomposition(support=tuple(chosen), weights=coeffs)
-                    )
-                return
-        for i in range(start, len(verts)):
-            candidate = chosen + [i]
-            if rank([vsub(lifted[j], lifted[candidate[0]]) for j in candidate[1:]]) == len(candidate) - 1:
-                extend(i + 1, candidate)
-
-    extend(0, [])
+    n = len(verts)
+    nonnegative = [
+        (tuple(-ONE if j == i else ZERO for j in range(n)), ZERO) for i in range(n)
+    ]
+    reproduce = [(tuple(v[k] for v in verts), s[k]) for k in range(len(s))]
+    weight_polytope = HRep.make(n, nonnegative, reproduce + [((ONE,) * n, ONE)])
+    found = []
+    for lam in vertex_enumeration(weight_polytope).vertices:
+        support = tuple(i for i, w in enumerate(lam) if w != 0)
+        found.append(
+            Decomposition(support=support, weights=tuple(lam[i] for i in support))
+        )
     return tuple(sorted(found, key=lambda dec: dec.support))
 
 

@@ -81,12 +81,6 @@ class OrbitPartition:
 
     classes: tuple[tuple[int, ...], ...]
 
-    def class_of(self, index: int) -> tuple[int, ...]:
-        for cls in self.classes:
-            if index in cls:
-                return cls
-        raise InputError("vertex index %d not covered by the partition" % index)
-
 
 @lru_cache(maxsize=32)
 def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
@@ -223,7 +217,11 @@ def _greedy_generators(perms, n):
 
 
 def orbits(group: SymmetryGroup, space: StateSpace) -> OrbitPartition:
-    """Orbit partition of the vertex indices under the group action."""
+    """Orbit partition of the vertex indices under the group action.
+
+    The orbits are the connected components of the generators' action, so
+    the union-find runs over the generators only.
+    """
     space.require_polytopal()
     n = len(space.vertices)
     if not group.vertex_permutations or any(
@@ -238,7 +236,7 @@ def orbits(group: SymmetryGroup, space: StateSpace) -> OrbitPartition:
             i = parent[i]
         return i
 
-    for perm in group.vertex_permutations:
+    for perm in group.generator_permutations:
         for i, j in enumerate(perm):
             ri, rj = find(i), find(j)
             if ri != rj:

@@ -6,13 +6,20 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gptlab
 from gptlab.boxworld import local_deterministic_table, make_boxworld2, pr_box_table
 from gptlab.cli import build_full_report, run
+from gptlab.ratgeo import vertex_adjacency
+from gptlab.ratgeo.linalg import format_rational
 from gptlab.serialize import dumps, space_to_json, table_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
 
@@ -94,6 +101,32 @@ def test_decompose(capsys):
     )
     assert code == 0
     assert len(data["decompositions"]) == 2
+
+
+def test_decompose_boxworld2_answers(boxworld2):
+    # Half the PR box plus half an adjacent local vertex: a point inside an
+    # edge, so exactly one decomposition.  An exponential search over
+    # vertex subsets never answers here; the timeout turns that into a fail.
+    verts = boxworld2.vertices
+    pr = verts.index(pr_box_table().p)
+    local = vertex_adjacency(boxworld2.v, boxworld2.h)[pr][0]
+    state = ",".join(
+        format_rational((a + b) / 2) for a, b in zip(verts[pr], verts[local])
+    )
+    src = os.path.dirname(os.path.dirname(gptlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptlab.cli", "decompose",
+         "--space", "boxworld2", "--state", state],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    decs = json.loads(proc.stdout)["decompositions"]
+    assert len(decs) == 1
+    assert sum(Fraction(w) for w in decs[0]["weights"]) == 1
 
 
 def test_bloch_vector(capsys):

@@ -16,8 +16,9 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
+from gptlab.ratgeo import lp
 from gptlab.ratgeo.linalg import rank, solve, vec
-from gptlab.spaces import make_classical
+from gptlab.spaces import from_vertices, make_classical
 
 
 def unit_square_h():
@@ -157,9 +158,9 @@ def test_round_trip_square_and_simplices():
         assert vertex_enumeration(facet_enumeration(v)) == v
 
 
-def test_vrep_from_points_drops_interior():
+def test_from_vertices_drops_interior():
     pts = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1), vec(F(1, 2), F(1, 2)), vec(1, 1)]
-    v = VRep.from_points(2, pts)
+    v = from_vertices(pts, "square", 2).v
     assert v.vertices == (vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1))
 
 
@@ -232,8 +233,8 @@ def test_enumeration_matches_brute_force_oracle():
         checked += 1
 
 
-def random_vreps():
-    """The 40 seeded V-representations of test_round_trip_on_random_vreps."""
+def random_point_sets():
+    """The 40 seeded point sets behind random_vreps, as (dim, points)."""
     rng = random.Random(2718)
     for _ in range(40):
         dim = rng.randrange(1, 4)
@@ -241,7 +242,13 @@ def random_vreps():
             tuple(F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(dim))
             for _ in range(rng.randrange(1, 7))
         ]
-        yield VRep.from_points(dim, pts)
+        yield dim, pts
+
+
+def random_vreps():
+    """The 40 seeded V-representations of test_round_trip_on_random_vreps."""
+    for dim, pts in random_point_sets():
+        yield from_vertices(pts, "random", dim).v
 
 
 def test_round_trip_on_random_vreps():
@@ -304,3 +311,65 @@ def test_adjacency_matches_rank_oracle(gbit, boxworld2):
         if vertex_adjacency(v, h) != rank_adjacency(v, h)
     ]
     assert mismatches == []
+
+
+def lp_hull_vertices(dim, points):
+    """Oracle: keep each distinct point that one exact LP cannot write as a
+    convex combination of the other distinct points."""
+    unique = sorted(set(tuple(p) for p in points))
+
+    def in_hull(point, others):
+        if not others:
+            return False
+        n = len(others)
+        eqs = [(tuple(p[k] for p in others), point[k]) for k in range(dim)]
+        eqs.append(((F(1),) * n, F(1)))
+        ineqs = [
+            (tuple(F(-1) if j == i else F(0) for j in range(n)), F(0))
+            for i in range(n)
+        ]
+        h = HRep.make(n, ineqs, eqs)
+        return lp.solve_lp((F(0),) * n, lp.MAX, h).status == lp.OPTIMAL
+
+    return tuple(
+        p for i, p in enumerate(unique) if not in_hull(p, unique[:i] + unique[i + 1:])
+    )
+
+
+def hull_oracle_cases():
+    """Seeded point sets: the random_vreps sets, flat 3-d sets, and sets with
+    interior and duplicate points added."""
+    yield from random_point_sets()
+    rng = random.Random(1618)
+    for _ in range(12):
+        # Points on a random plane (or, from a zero direction, a line) in 3-d.
+        base = tuple(F(rng.randrange(-3, 4)) for _ in range(3))
+        dirs = [tuple(F(rng.randrange(-2, 3)) for _ in range(3)) for _ in range(2)]
+        pts = []
+        for _ in range(rng.randrange(1, 8)):
+            a, b = F(rng.randrange(-4, 5), 2), F(rng.randrange(-4, 5), 3)
+            pts.append(tuple(x + a * u + b * w for x, u, w in zip(base, *dirs)))
+        yield 3, pts
+    for _ in range(12):
+        dim = rng.randrange(2, 4)
+        pts = [
+            tuple(F(rng.randrange(-4, 5)) for _ in range(dim))
+            for _ in range(rng.randrange(2, 8))
+        ]
+        centroid = tuple(sum(col, F(0)) / len(pts) for col in zip(*pts))
+        yield dim, pts + [centroid] + rng.sample(pts, 2)
+
+
+def test_from_vertices_matches_lp_hull_oracle():
+    mismatches = [
+        (dim, pts)
+        for dim, pts in hull_oracle_cases()
+        if from_vertices(pts, "cloud", dim).v.vertices != lp_hull_vertices(dim, pts)
+    ]
+    assert mismatches == []
+
+
+def test_from_vertices_h_ignores_non_extreme_points():
+    for dim, pts in hull_oracle_cases():
+        space = from_vertices(pts, "cloud", dim)
+        assert space.h == facet_enumeration(space.v)

@@ -16,6 +16,7 @@ from gptlab.spaces import (
     Measurement,
     decompose_state,
     effect_range,
+    from_vertices,
     is_reversible_transformation,
     make_ball3,
     make_classical,
@@ -25,7 +26,8 @@ from gptlab.spaces import (
     validate_effect,
     validate_measurement,
 )
-from gptlab.ratgeo.linalg import vec
+from gptlab.ratgeo import affine_dimension, vertex_adjacency
+from gptlab.ratgeo.linalg import rank, solve, vec, vsub
 
 
 def test_gbit_vertices(gbit):
@@ -178,3 +180,133 @@ def test_generic_square_point_has_multiple_decompositions(gbit):
         if all(c not in (0, 1) for c in s):
             # interior points of a non-simplex admit several decompositions
             assert len(decs) >= 2
+
+
+def subset_decompositions(s, space):
+    """Oracle: the former search over affinely independent vertex subsets.
+
+    A subset whose affine hull holds s is a leaf (its supersets are not
+    minimal); it yields a decomposition when all its barycentric
+    coordinates are positive.
+    """
+    lifted = [v + (F(1),) for v in space.vertices]
+    target = tuple(s) + (F(1),)
+    found = []
+
+    def extend(start, chosen):
+        if chosen:
+            rows = tuple(tuple(lifted[i][r] for i in chosen) for r in range(len(target)))
+            coeffs = solve(rows, target)
+            if coeffs is not None:
+                if all(c > 0 for c in coeffs):
+                    found.append(Decomposition(support=tuple(chosen), weights=coeffs))
+                return
+        for i in range(start, len(lifted)):
+            candidate = chosen + [i]
+            diffs = [vsub(lifted[j], lifted[candidate[0]]) for j in candidate[1:]]
+            if rank(diffs) == len(candidate) - 1:
+                extend(i + 1, candidate)
+
+    extend(0, [])
+    return tuple(sorted(found, key=lambda dec: dec.support))
+
+
+def convex_combination(space, chosen, w):
+    """sum_i w_i v_chosen[i] / sum(w), for positive integer weights w."""
+    return tuple(
+        sum((F(wi, sum(w)) * space.vertices[c][k] for wi, c in zip(w, chosen)), F(0))
+        for k in range(space.dim)
+    )
+
+
+def seeded_mixtures(rng, space, count):
+    """count rational mixtures of seeded sets of distinct vertices."""
+    n = len(space.vertices)
+    for _ in range(count):
+        chosen = rng.sample(range(n), rng.randrange(1, n + 1))
+        yield convex_combination(space, chosen, [rng.randrange(1, 6) for _ in chosen])
+
+
+def random_polytopes(seed, dim, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        pts = [
+            tuple(F(rng.randrange(-4, 5)) for _ in range(dim))
+            for _ in range(rng.randrange(dim + 1, dim + 6))
+        ]
+        yield from_vertices(pts, "random-%d" % dim, dim)
+
+
+def oracle_cases():
+    rng = random.Random(4242)
+    spaces = [make_gbit()] + [make_classical(n) for n in range(1, 9)]
+    spaces += list(random_polytopes(77, 2, 10)) + list(random_polytopes(78, 3, 10))
+    for space in spaces:
+        verts = space.vertices
+        centroid = tuple(sum(col, F(0)) / len(verts) for col in zip(*verts))
+        yield space, centroid
+        for s in seeded_mixtures(rng, space, 4):
+            yield space, s
+
+
+def test_decompositions_match_subset_search_oracle():
+    mismatches = [
+        (space.label, s)
+        for space, s in oracle_cases()
+        if decompose_state(s, space) != subset_decompositions(s, space)
+    ]
+    assert mismatches == []
+
+
+def assert_valid_decomposition(dec, s, space):
+    verts = [space.vertices[i] for i in dec.support]
+    assert all(w > 0 for w in dec.weights)
+    assert sum(dec.weights) == 1
+    assert tuple(
+        sum((w * v[k] for w, v in zip(dec.weights, verts)), F(0))
+        for k in range(space.dim)
+    ) == s
+    assert affine_dimension(verts) == len(verts) - 1
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_boxworld_mixture_decompositions_are_valid(boxworld2, size):
+    rng = random.Random(size)
+    for _ in range(3):
+        chosen = rng.sample(range(len(boxworld2.vertices)), size)
+        w = [rng.randrange(1, 6) for _ in chosen]
+        s = convex_combination(boxworld2, chosen, w)
+        decs = decompose_state(s, boxworld2)
+        for dec in decs:
+            assert_valid_decomposition(dec, s, boxworld2)
+        # Distinct vertices are affinely independent in threes, so the
+        # generating mixture is itself one of the decompositions.
+        ordered = sorted(zip(chosen, w))
+        generating = Decomposition(
+            support=tuple(c for c, _ in ordered),
+            weights=tuple(F(wi, sum(w)) for _, wi in ordered),
+        )
+        assert generating in decs
+
+
+def edge_cases(boxworld2):
+    rng = random.Random(99)
+    spaces = [make_gbit(), make_classical(3)] + list(random_polytopes(79, 3, 4))
+    for space in spaces:
+        adj = vertex_adjacency(space.v, space.h)
+        for i, ns in enumerate(adj):
+            for j in ns:
+                if i < j:
+                    yield space, i, j
+    adj = vertex_adjacency(boxworld2.v, boxworld2.h)
+    edges = [(i, j) for i, ns in enumerate(adj) for j in ns if i < j]
+    for i, j in rng.sample(edges, 4):
+        yield boxworld2, i, j
+
+
+def test_edge_midpoint_has_one_decomposition(boxworld2):
+    for space, i, j in edge_cases(boxworld2):
+        s = mixture(F(1, 2), space.vertices[i], space.vertices[j])
+        assert decompose_state(s, space) == (
+            Decomposition(support=(i, j), weights=(F(1, 2), F(1, 2))),
+        ), (space.label, i, j)

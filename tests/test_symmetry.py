@@ -259,6 +259,31 @@ def test_orbits_rejects_mismatched_group(gbit):
         orbits(group, make_classical(3))
 
 
+def orbits_of_all_permutations(group, n):
+    """Oracle: orbits as the classes of i ~ perm[i] over every element."""
+    classes = {i: {i} for i in range(n)}
+    for perm in group.vertex_permutations:
+        for i, j in enumerate(perm):
+            if classes[i] is not classes[j]:
+                merged = classes[i] | classes[j]
+                for k in merged:
+                    classes[k] = merged
+    return tuple(sorted({tuple(sorted(c)) for c in classes.values()}))
+
+
+def test_generator_orbits_match_all_permutations(gbit, boxworld2):
+    spaces = [gbit, boxworld2] + [make_classical(n) for n in range(1, 6)]
+    spaces += [seeded_polytope(seed) for seed in range(20)]
+    trivial = 0
+    for space in spaces:
+        group = affine_automorphisms(space)
+        trivial += not group.generator_permutations
+        assert orbits(group, space).classes == orbits_of_all_permutations(
+            group, len(space.vertices)
+        )
+    assert trivial > 0  # some seeded polytope has only the identity
+
+
 def test_boxworld_group_preserves_classification(boxworld2, boxworld2_group):
     tags = [
         classify_vertex(table_from_vector(v)).tag for v in boxworld2.vertices
