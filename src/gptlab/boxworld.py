@@ -322,21 +322,27 @@ def all_chsh_variants() -> tuple[CHSHVariant, ...]:
     return tuple(variants)
 
 
-def correlator(t: ProbabilityTable, x: int, y: int) -> Fraction:
-    """E(x,y) = sum over outcomes of (-1)^(a xor b) p(a,b|x,y)."""
-    total = ZERO
-    for a in range(2):
-        for b in range(2):
-            term = t.value(a, b, x, y)
-            total += term if (a ^ b) == 0 else -term
+def _chsh_value(p, variant: CHSHVariant):
+    """Sum of sign(x,y) E(x,y) over the 16 entries p, exact or float.
+
+    E(x,y) = sum over outcomes of (-1)^(a xor b) p(a,b|x,y).  The sums start
+    from the integer 0 and run in one fixed order, so Fraction entries give
+    a Fraction and float entries the same float bits on every call.
+    """
+    total = 0
+    for x in range(2):
+        for y in range(2):
+            e = 0
+            for a in range(2):
+                for b in range(2):
+                    term = p[table_index(a, b, x, y)]
+                    e += term if (a ^ b) == 0 else -term
+            total += variant.sign(x, y) * e
     return total
 
 
 def chsh_value(t: ProbabilityTable, variant: CHSHVariant) -> Fraction:
-    return sum(
-        (variant.sign(x, y) * correlator(t, x, y) for x in range(2) for y in range(2)),
-        ZERO,
-    )
+    return _chsh_value(t.p, variant)
 
 
 def chsh_max(t: ProbabilityTable) -> Fraction:
@@ -376,16 +382,4 @@ def quantum_chsh_table(theta_a0, theta_a1, theta_b0, theta_b1):
 
 def chsh_max_float(p) -> float:
     """chsh_max on a float table (same variant family, float arithmetic)."""
-    best = 0.0
-    for variant in all_chsh_variants():
-        total = 0.0
-        for x in range(2):
-            for y in range(2):
-                e = 0.0
-                for a in range(2):
-                    for b in range(2):
-                        sign = 1.0 if (a ^ b) == 0 else -1.0
-                        e += sign * p[table_index(a, b, x, y)]
-                total += variant.sign(x, y) * e
-        best = max(best, abs(total))
-    return best
+    return max(abs(_chsh_value(p, v)) for v in all_chsh_variants())

@@ -2,11 +2,11 @@
 
 A polytope lives either as an ``HRep`` (inequalities ``a.x <= b`` plus
 equalities ``e.x = f``) or a ``VRep`` (canonically ordered vertex list).
-``vertex_enumeration`` converts H to V with the double description method
-run on the homogenization cone; ``facet_enumeration`` converts V to H by
-enumerating the vertices of the polar dual inside the affine hull.  All
-arithmetic is exact, all outputs canonically ordered, so conversions are
-reproducible bit for bit.
+Both conversions run the double description method on a pointed cone:
+``vertex_enumeration`` on the homogenization cone of the inequalities,
+``facet_enumeration`` on the cone of inequalities valid on the points, whose
+extreme rays are the facets.  All arithmetic is exact, all outputs
+canonically ordered, so conversions are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from .linalg import (
     independent_rows,
     inverse,
     is_zero,
+    mat_vec,
     null_space,
     primitive,
     primitive_signed,
     rank,
+    rref,
     transpose,
     vscale,
     vsub,
@@ -127,7 +129,7 @@ def affine_dimension(points) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Double description on the homogenization cone
+# Double description
 # ---------------------------------------------------------------------------
 
 
@@ -174,18 +176,18 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
     remaining = [i for i in order if i not in set(basis_idx)]
     for i in remaining:
         m = rows[i]
+        bit = 1 << len(processed)
         values = [dot(m, ray) for ray in rays]
         keep_rays, keep_zs = [], []
         plus, minus = [], []
         for idx, val in enumerate(values):
-            if val <= 0:
-                keep_rays.append(rays[idx])
-                keep_zs.append(zero_sets[idx])
             if val > 0:
                 plus.append(idx)
-            elif val < 0:
+                continue
+            keep_rays.append(rays[idx])
+            keep_zs.append(zero_sets[idx] | bit if val == 0 else zero_sets[idx])
+            if val < 0:
                 minus.append(idx)
-        new_rays, new_zs = [], []
         for p in plus:
             for q in minus:
                 if not _adjacent(zero_sets, p, q):
@@ -193,18 +195,9 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
                 combo = vsub(
                     vscale(values[p], rays[q]), vscale(values[q], rays[p])
                 )
-                new_rays.append(primitive(combo))
-                new_zs.append(zero_sets[p] & zero_sets[q])
-        bit = 1 << len(processed)
-        rays = keep_rays + new_rays
-        zero_sets = []
-        for idx, ray in enumerate(keep_rays):
-            zs = keep_zs[idx]
-            if dot(m, ray) == 0:
-                zs |= bit
-            zero_sets.append(zs)
-        for zs in new_zs:
-            zero_sets.append(zs | bit)
+                keep_rays.append(primitive(combo))
+                keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
+        rays, zero_sets = keep_rays, keep_zs
         processed.append(i)
     return rays
 
@@ -230,19 +223,14 @@ def vertex_enumeration(h: HRep) -> VRep:
 
     reduced_rows = []
     for row in hom_ineqs:
-        reduced = tuple(dot(row, col) for col in n_basis)
+        reduced = mat_vec(n_basis, row)
         if not is_zero(reduced):
             reduced_rows.append(reduced)
 
     rays = _dd_extreme_rays(reduced_rows, len(n_basis)) if n_basis else []
     if rays is not None:
-        rays = [
-            tuple(
-                sum((c * col[j] for c, col in zip(zray, n_basis)), ZERO)
-                for j in range(d + 1)
-            )
-            for zray in rays
-        ]
+        lift = transpose(n_basis)
+        rays = [mat_vec(lift, zray) for zray in rays]
     if rays is None or all(y[d] == 0 for y in rays):
         if lp.solve_lp(zeros(d), lp.MAX, h).status == lp.INFEASIBLE:
             raise EmptyError("the H-representation describes an empty polytope")
@@ -275,19 +263,22 @@ def is_extreme_in(h: HRep, v: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Facet enumeration via the polar dual
+# Facet enumeration on the cone of valid inequalities
 # ---------------------------------------------------------------------------
 
 
 def facet_enumeration(v: VRep) -> HRep:
     """Irredundant H-representation of conv(v.vertices).
 
-    Within the affine hull the facets are found as vertices of the polar
-    dual taken around the centroid of the points; the affine hull itself is
-    returned as an exact equality system.  The points need not be extreme:
-    their centroid lies in the relative interior of their hull, and a
-    non-extreme point only adds a redundant dual constraint.  For extreme
-    points the round trip holds exactly:
+    The affine hull is returned as an exact equality system.  Within it, the
+    facets are the extreme rays of the cone of valid inequalities
+    {(c, b) : c.p <= b for every point p}, with p read on the hull's
+    coordinate columns (the pivot columns of the point differences, on which
+    the hull projects injectively, so the cone is pointed).  Double
+    description enumerates those rays; each facet is re-verified against the
+    points before the canonical HRep is built.  The points need not be
+    extreme: a non-extreme point only adds a redundant cone constraint.  For
+    extreme points the round trip holds exactly:
     ``vertex_enumeration(facet_enumeration(v)) == v``.
     """
     if not v.vertices:
@@ -297,66 +288,50 @@ def facet_enumeration(v: VRep) -> HRep:
     base = verts[0]
     diffs = [vsub(p, base) for p in verts[1:]]
 
-    hull_normals = null_space(diffs, d)
-    equalities = [
-        _canonical_equality(n, dot(n, base)) for n in hull_normals
-    ]
-    equalities.sort()
-
-    k = d - len(hull_normals)
+    equalities = sorted(
+        _canonical_equality(n, dot(n, base)) for n in null_space(diffs, d)
+    )
+    _, coords = rref(diffs)
+    k = len(coords)
     if k == 0:
         return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
 
-    # Affinely independent subset: base + k vertices with independent diffs.
-    bmat_cols = [diffs[i] for i in independent_rows(diffs)]  # B = column matrix
-    pivot_rows = independent_rows(transpose(bmat_cols))
-
-    b_sub = tuple(
-        tuple(bmat_cols[c][r] for c in range(k)) for r in pivot_rows
-    )
-    b_sub_inv = inverse(b_sub)
-    assert b_sub_inv is not None
-
-    def to_reduced(x: Vector) -> Vector:
-        rel = tuple(x[r] - base[r] for r in pivot_rows)
-        return tuple(dot(row, rel) for row in b_sub_inv)
-
-    reduced = [to_reduced(p) for p in verts]
-    n = len(reduced)
-    centroid = tuple(
-        sum((p[j] for p in reduced), ZERO) / n for j in range(k)
-    )
-    shifted = [vsub(p, centroid) for p in reduced]
-
-    dual_h = HRep.make(k, [(u, ONE) for u in shifted], [])
-    dual_vertices = vertex_enumeration(dual_h).vertices
-
+    cone = [tuple(p[j] for j in coords) + (-ONE,) for p in verts]
+    rays = _dd_extreme_rays(cone, k + 1)
+    assert rays is not None  # p -> p[coords] is injective on the affine hull
     inequalities = []
-    binv_t = tuple(tuple(b_sub_inv[r][c] for r in range(k)) for c in range(k))
-    for y in dual_vertices:
-        # y.(t - centroid) <= 1 with t = B_sub^{-1} (x_R - base_R).
-        coeff_reduced = tuple(dot(row, y) for row in binv_t)
+    for ray in rays:
         normal = [ZERO] * d
-        for pos, r in enumerate(pivot_rows):
-            normal[r] = coeff_reduced[pos]
-        offset = ONE + dot(y, centroid) + dot(tuple(normal), base)
-        inequalities.append(
-            _canonical_inequality(*_reduce_mod_equalities(tuple(normal), offset, equalities))
+        for j, c in zip(coords, ray):
+            normal[j] = c
+        normal, offset = _canonical_inequality(
+            *_reduce_mod_equalities(tuple(normal), ray[k], equalities)
         )
-    inequalities = sorted(set(inequalities))
+        values = [dot(normal, p) for p in verts]
+        tight = [p for p, val in zip(verts, values) if val == offset]
+        if (
+            any(val > offset for val in values)
+            or not tight
+            or affine_dimension(tight) != k - 1
+        ):
+            raise InputError("double description produced a non-facet inequality")
+        inequalities.append((normal, offset))
     return HRep(
         ambient_dim=d,
-        inequalities=tuple(inequalities),
+        inequalities=tuple(sorted(inequalities)),
         equalities=tuple(equalities),
     )
 
 
 def _reduce_mod_equalities(normal, offset, equalities):
-    """Canonical representative of an inequality modulo the affine hull.
+    """An equivalent inequality with zeros at the equalities' first columns.
 
-    Subtracts multiples of the (RREF-like) equality rows so the normal has
-    zeros in the equality pivot columns; the geometric halfspace within the
-    hull is unchanged.
+    Subtracts, row by row, the multiple of each equality that zeroes the
+    normal at that row's first nonzero column; the halfspace within the
+    hull is unchanged.  The rows are not in echelon form, so the result
+    depends on the normal given, not only on the halfspace: it is canonical
+    only for a normal that is zero off the hull's coordinate columns, where
+    a facet fixes the normal up to a positive scale.
     """
     normal = list(normal)
     for eq_normal, eq_offset in equalities:

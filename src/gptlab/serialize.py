@@ -82,10 +82,6 @@ def graph_to_json(edges) -> dict:
     return {"edges": [list(e) for e in normalized]}
 
 
-def table_to_json(t) -> dict:
-    return {"p": vector_to_json(t.p)}
-
-
 def table_from_json(data):
     from .boxworld import ProbabilityTable
 
@@ -135,13 +131,6 @@ def effect_to_json(e: Effect) -> dict:
         "linear": vector_to_json(e.linear),
         "constant": rational_to_json(e.constant),
     }
-
-
-def effect_from_json(data) -> Effect:
-    return Effect(
-        linear=vector_from_json(data["linear"]),
-        constant=rational_from_json(data["constant"]),
-    )
 
 
 def symmetry_group_to_json(group) -> list:

@@ -155,10 +155,6 @@ class Effect:
         return dot(self.linear, tuple(omega)) + self.constant
 
 
-def unit_effect(dim: int) -> Effect:
-    return Effect(linear=zeros(dim), constant=ONE)
-
-
 @dataclass(frozen=True)
 class Measurement:
     """A finite list of effects summing exactly to the unit effect."""

@@ -20,8 +20,10 @@ from gptlab.boxworld import local_deterministic_table, make_boxworld2, pr_box_ta
 from gptlab.cli import build_full_report, run
 from gptlab.ratgeo import vertex_adjacency
 from gptlab.ratgeo.linalg import format_rational
-from gptlab.serialize import dumps, space_to_json, table_to_json
+from gptlab.serialize import dumps, space_to_json, vector_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
+
+PR_BOX_DOCUMENT = {"p": vector_to_json(pr_box_table().p)}
 
 
 def invoke(capsys, *argv):
@@ -57,7 +59,7 @@ def test_adjacency_edges_schema(capsys):
 
 def test_chsh_table_file(tmp_path, capsys):
     table_path = tmp_path / "pr0.json"
-    table_path.write_text(dumps(table_to_json(pr_box_table())))
+    table_path.write_text(dumps(PR_BOX_DOCUMENT))
     code, data = invoke(capsys, "chsh", "--table", str(table_path))
     assert code == 0
     assert data["chsh_max"] == "4/1"
@@ -390,7 +392,7 @@ WELL_FORMED_DOCUMENTS = (
     space_to_json(make_gbit()),
     space_to_json(make_classical(3)),
     {"kind": "ball3", "label": "qubit"},
-    table_to_json(pr_box_table()),
+    PR_BOX_DOCUMENT,
 )
 RATIONAL_TEXTS = ("0", "1", "1/2", "-1/3", "1/0", "0.5", "", "x", " 1/4 ", "1/2/3")
 SPACE_NAMES = (

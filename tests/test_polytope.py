@@ -16,8 +16,23 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
-from gptlab.ratgeo import lp
-from gptlab.ratgeo.linalg import rank, solve, vec
+from gptlab.ratgeo import lp, polytope
+from gptlab.ratgeo.linalg import (
+    dot,
+    independent_rows,
+    inverse,
+    null_space,
+    rank,
+    solve,
+    transpose,
+    vec,
+    vsub,
+)
+from gptlab.ratgeo.polytope import (
+    _canonical_equality,
+    _canonical_inequality,
+    _reduce_mod_equalities,
+)
 from gptlab.spaces import from_vertices, make_classical
 
 
@@ -373,3 +388,105 @@ def test_from_vertices_h_ignores_non_extreme_points():
     for dim, pts in hull_oracle_cases():
         space = from_vertices(pts, "cloud", dim)
         assert space.h == facet_enumeration(space.v)
+
+
+def polar_facet_enumeration(v):
+    """Oracle: the facets as the vertices of the polar dual, taken around the
+    centroid of the points in coordinates of an affinely independent subset,
+    mapped back and reduced modulo the affine hull."""
+    d = v.ambient_dim
+    verts = list(v.vertices)
+    base = verts[0]
+    diffs = [vsub(p, base) for p in verts[1:]]
+    hull_normals = null_space(diffs, d)
+    equalities = sorted(_canonical_equality(n, dot(n, base)) for n in hull_normals)
+    k = d - len(hull_normals)
+    if k == 0:
+        return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
+
+    bmat_cols = [diffs[i] for i in independent_rows(diffs)]
+    pivot_rows = independent_rows(transpose(bmat_cols))
+    b_sub_inv = inverse(
+        tuple(tuple(bmat_cols[c][r] for c in range(k)) for r in pivot_rows)
+    )
+    reduced = [
+        tuple(dot(row, tuple(x[r] - base[r] for r in pivot_rows)) for row in b_sub_inv)
+        for x in verts
+    ]
+    centroid = tuple(sum(col, F(0)) / len(reduced) for col in zip(*reduced))
+    dual_h = HRep.make(k, [(vsub(p, centroid), F(1)) for p in reduced])
+
+    inequalities = set()
+    binv_t = transpose(b_sub_inv)
+    for y in vertex_enumeration(dual_h).vertices:
+        # y.(t - centroid) <= 1 with t = B_sub^{-1} (x_R - base_R).
+        normal = [F(0)] * d
+        for r, row in zip(pivot_rows, binv_t):
+            normal[r] = dot(row, y)
+        offset = 1 + dot(y, centroid) + dot(tuple(normal), base)
+        inequalities.add(
+            _canonical_inequality(*_reduce_mod_equalities(tuple(normal), offset, equalities))
+        )
+    return HRep(
+        ambient_dim=d,
+        inequalities=tuple(sorted(inequalities)),
+        equalities=tuple(equalities),
+    )
+
+
+def flat_point_sets():
+    """Seeded point sets in 4-5 dimensions on affine subspaces of codimension
+    at least 2.  The directions vanish on a random set of columns, so the
+    hull's coordinate columns are not always the leading ones."""
+    rng = random.Random(1414)
+    for _ in range(24):
+        dim = rng.randrange(4, 6)
+        flat = rng.randrange(1, dim - 1)
+        dead = set(rng.sample(range(dim), rng.randrange(0, dim - flat + 1)))
+        base = tuple(F(rng.randrange(-3, 4)) for _ in range(dim))
+        dirs = [
+            tuple(F(0) if j in dead else F(rng.randrange(-3, 4)) for j in range(dim))
+            for _ in range(flat)
+        ]
+        pts = []
+        for _ in range(rng.randrange(flat + 1, flat + 6)):
+            coeffs = [F(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in dirs]
+            pts.append(
+                tuple(x + sum((c * u[j] for c, u in zip(coeffs, dirs)), F(0))
+                      for j, x in enumerate(base))
+            )
+        yield dim, pts
+
+
+def facet_oracle_corpus(name, gbit, boxworld2):
+    if name == "random":
+        return [VRep.make(dim, pts) for dim, pts in random_point_sets()]
+    if name == "cubes":
+        return [vertex_enumeration(degenerate_cube_h(dim)) for dim in (2, 3, 4)]
+    if name == "spaces":
+        return [gbit.v, boxworld2.v] + [make_classical(n).v for n in range(1, 7)]
+    return [VRep.make(dim, pts) for dim, pts in flat_point_sets()]
+
+
+@pytest.mark.parametrize("name", ["random", "cubes", "spaces", "flat"])
+def test_facets_match_polar_dual_oracle(name, gbit, boxworld2):
+    corpus = facet_oracle_corpus(name, gbit, boxworld2)
+    oracle = [polar_facet_enumeration(v) for v in corpus]
+    if name == "flat":
+        assert all(len(h.equalities) >= 2 for h in oracle)
+    assert [facet_enumeration(v) for v in corpus] == oracle
+
+
+@pytest.mark.parametrize(
+    "extra",
+    # x + y <= 2 holds on the square but is tight at (1, 1) alone;
+    # x + y <= 1 fails at (1, 1); 0 <= 1 is tight nowhere.
+    [(F(1), F(1), F(2)), (F(1), F(1), F(1)), (F(0), F(0), F(1))],
+    ids=["valid-non-facet", "violated", "tight-nowhere"],
+)
+def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
+    square = VRep.make(2, [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)])
+    dd = polytope._dd_extreme_rays
+    monkeypatch.setattr(polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [extra])
+    with pytest.raises(InputError):
+        facet_enumeration(square)

@@ -9,7 +9,6 @@ from gptlab.errors import InputError
 from gptlab.ratgeo.linalg import vec
 from gptlab.serialize import (
     dumps,
-    effect_from_json,
     effect_to_json,
     float_table_to_json,
     graph_to_json,
@@ -20,11 +19,23 @@ from gptlab.serialize import (
     space_from_json,
     space_to_json,
     table_from_json,
-    table_to_json,
+    vector_from_json,
+    vector_to_json,
     vrep_from_json,
     vrep_to_json,
 )
 from gptlab.spaces import Effect, make_ball3, make_gbit
+
+
+def table_to_json(t):
+    return {"p": vector_to_json(t.p)}
+
+
+def effect_from_json(data):
+    return Effect(
+        linear=vector_from_json(data["linear"]),
+        constant=rational_from_json(data["constant"]),
+    )
 
 
 def test_rational_strings():

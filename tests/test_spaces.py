@@ -22,7 +22,6 @@ from gptlab.spaces import (
     make_classical,
     make_gbit,
     mixture,
-    unit_effect,
     validate_effect,
     validate_measurement,
 )
@@ -99,6 +98,10 @@ def test_measurement_must_sum_to_unit():
     e = Effect(linear=vec(1, 0), constant=F(0))
     with pytest.raises(InputError):
         Measurement(effects=(e, e))
+
+
+def unit_effect(dim):
+    return Effect(linear=(F(0),) * dim, constant=F(1))
 
 
 def test_unit_effect_measurement():
