@@ -33,6 +33,12 @@ def as_bloch(a) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.shape != (3,):
         raise InputError("a Bloch vector has exactly 3 real components")
+    # Compared before the norm is taken, which NaN would poison and huge
+    # components would overflow.
+    if not np.all(np.abs(v) <= 1 + NORM_TOL):
+        raise InputError(
+            "Bloch components must be numbers in [-1, 1], got %s" % v.tolist()
+        )
     if np.linalg.norm(v) > 1 + NORM_TOL:
         raise InputError(
             "|a| = %.12f > 1: not a quantum state" % np.linalg.norm(v)

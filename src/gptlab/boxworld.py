@@ -313,6 +313,11 @@ class CHSHVariant:
     def sign(self, x: int, y: int) -> int:
         return self.signs[2 * x + y]
 
+    @property
+    def label(self) -> str:
+        """The signs as a string of '+' and '-', e.g. "+++-"."""
+        return "".join("+" if s > 0 else "-" for s in self.signs)
+
 
 def all_chsh_variants() -> tuple[CHSHVariant, ...]:
     variants = []

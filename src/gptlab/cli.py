@@ -37,6 +37,7 @@ from .postulates import REGISTERED_CONFIGS, run_report
 from .ratgeo import (
     MAX,
     adjacency_edges,
+    affine_dimension,
     parse_rational,
     solve_lp,
     vertex_adjacency,
@@ -134,22 +135,30 @@ def cmd_adjacency(args):
         }
     }
     if is_boxworld2(space):
-        tags = _classification_labels(space)
-        local = [i for i, t in enumerate(tags) if t == LOCAL_DETERMINISTIC]
-        pr = [i for i, t in enumerate(tags) if t == PR_BOX]
-        local_deg = {len(adj[i]) for i in local}
-        pr_deg = {len(adj[i]) for i in pr}
-        l2l = {sum(1 for j in adj[i] if tags[j] == LOCAL_DETERMINISTIC) for i in local}
-        l2p = {sum(1 for j in adj[i] if tags[j] == PR_BOX) for i in local}
+        census = _boxworld_census(adj, _classification_labels(space))
         summary.update(
             {
-                "local_degree": local_deg.pop() if len(local_deg) == 1 else None,
-                "local_to_local": l2l.pop() if len(l2l) == 1 else None,
-                "local_to_pr": l2p.pop() if len(l2p) == 1 else None,
-                "pr_degree": pr_deg.pop() if len(pr_deg) == 1 else None,
+                key: next(iter(values)) if len(values) == 1 else None
+                for key, values in census.items()
             }
         )
     return summary
+
+
+def _boxworld_census(adj, tags) -> dict[str, set[int]]:
+    """Degree sets by vertex class: all neighbours, and local or PR ones."""
+    local = [i for i, t in enumerate(tags) if t == LOCAL_DETERMINISTIC]
+    pr = [i for i, t in enumerate(tags) if t == PR_BOX]
+
+    def neighbours(i, tag):
+        return sum(1 for j in adj[i] if tags[j] == tag)
+
+    return {
+        "local_degree": {len(adj[i]) for i in local},
+        "local_to_local": {neighbours(i, LOCAL_DETERMINISTIC) for i in local},
+        "local_to_pr": {neighbours(i, PR_BOX) for i in local},
+        "pr_degree": {len(adj[i]) for i in pr},
+    }
 
 
 def cmd_classify(args):
@@ -200,6 +209,8 @@ def cmd_chsh(args):
             raise InputError("malformed angles %r: %s" % (args.angles, err))
         if len(angles) != 4:
             raise InputError("need exactly 4 angles (thetaA0,thetaA1,thetaB0,thetaB1)")
+        if not all(math.isfinite(angle) for angle in angles):
+            raise InputError("angles must be finite numbers, got %r" % args.angles)
         table = quantum_chsh_table(*angles)
         data = serialize.float_table_to_json(table)
         data["chsh_max"] = chsh_max_float(table)
@@ -208,9 +219,7 @@ def cmd_chsh(args):
         raise InputError("chsh needs --table FILE or --angles LIST")
     t = load_table(args.table)
     values = {
-        "".join("+" if s > 0 else "-" for s in variant.signs): serialize.rational_to_json(
-            chsh_value(t, variant)
-        )
+        variant.label: serialize.rational_to_json(chsh_value(t, variant))
         for variant in all_chsh_variants()
     }
     return {"chsh_max": serialize.rational_to_json(chsh_max(t)), "values": values}
@@ -285,7 +294,7 @@ def build_full_report() -> dict:
 
     ns = build_ns_hrep()
     lp_maxima = {
-        "".join("+" if s > 0 else "-" for s in variant.signs): serialize.rational_to_json(
+        variant.label: serialize.rational_to_json(
             solve_lp(chsh_objective(variant), MAX, ns).optimum
         )
         for variant in all_chsh_variants()
@@ -302,8 +311,6 @@ def build_full_report() -> dict:
         quantum_chsh_table(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
     )
 
-    from .ratgeo import affine_dimension
-
     center = (Fraction(1, 2), Fraction(1, 2))
     decs = decompose_state(center, gbit)
 
@@ -315,14 +322,10 @@ def build_full_report() -> dict:
             "affine_dimension": affine_dimension(bw.vertices),
             "local_vertices": len(local),
             "pr_vertices": len(pr),
-            "local_degree": sorted({len(adj[i]) for i in local}),
-            "local_to_local": sorted(
-                {sum(1 for j in adj[i] if tags[j] == LOCAL_DETERMINISTIC) for i in local}
-            ),
-            "local_to_pr": sorted(
-                {sum(1 for j in adj[i] if tags[j] == PR_BOX) for i in local}
-            ),
-            "pr_degree": sorted({len(adj[i]) for i in pr}),
+            **{
+                key: sorted(values)
+                for key, values in _boxworld_census(adj, tags).items()
+            },
             "pr_neighbors_all_local": all(
                 tags[j] == LOCAL_DETERMINISTIC for i in pr for j in adj[i]
             ),

@@ -16,8 +16,19 @@ from fractions import Fraction
 
 from .boxworld import is_boxworld2, make_boxworld2, product_table
 from .errors import InputError
-from .ratgeo import HRep, LPResult, MAX, MIN, OPTIMAL, solve_lp, verify_farkas
+from .ratgeo import (
+    HRep,
+    LPResult,
+    MAX,
+    MIN,
+    OPTIMAL,
+    affine_dimension,
+    format_rational,
+    solve_lp,
+    verify_farkas,
+)
 from .ratgeo.linalg import ONE, Vector, ZERO, null_space, zeros
+from .serialize import effect_to_json, vector_to_json
 from .spaces import (
     BALL3,
     Effect,
@@ -56,9 +67,8 @@ class TomographyResult:
 
 def linear_dimension(space: StateSpace) -> int:
     """Affine dimension of the state space plus one (its linear span size)."""
-    from .ratgeo import affine_dimension
-
-    space.require_polytopal()
+    if space.kind == BALL3:
+        return space.dim + 1
     return affine_dimension(space.vertices) + 1
 
 
@@ -352,8 +362,6 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
 
     erased = {b: hi == 0 and lo == 0 for b, (hi, lo) in branch_forced.items()}
     status = CONFIRMED if any(erased.values()) else NOT_CONFIRMED
-    from .ratgeo import format_rational
-
     return DisturbanceResult(
         status=status,
         detail={
@@ -397,29 +405,62 @@ def _product_vertex_indices(composite: StateSpace) -> tuple[int, ...]:
 REGISTERED_CONFIGS = ("boxworld2", "classical2", "ball3", "gbit")
 
 
+def _config_spaces(config: str) -> tuple[StateSpace, StateSpace | None]:
+    """The unit system of a registered configuration and its composite, if any."""
+    if config == "boxworld2":
+        return make_gbit(), make_boxworld2()
+    if config == "classical2":
+        return make_classical(2), make_classical(4)
+    if config == "ball3":
+        return make_ball3(), None
+    if config == "gbit":
+        return make_gbit(), None
+    raise InputError(
+        "unknown configuration %r; registered: %s"
+        % (config, ", ".join(REGISTERED_CONFIGS))
+    )
+
+
 def run_report(config: str) -> PostulateReport:
     """Aggregate all postulate checkers for a registered configuration.
 
     ``boxworld2``: two gbits composing to the no-signalling polytope.
     ``classical2``: two classical bits composing to the 4-outcome simplex.
     ``ball3``: the qubit alone.  ``gbit``: the single gbit (no composite).
+    Postulates about the composite read not-applicable without one.
     """
-    if config == "boxworld2":
-        unit = make_gbit()
-        composite = make_boxworld2()
-        return _pair_report(config, unit, composite)
-    if config == "classical2":
-        unit = make_classical(2)
-        composite = make_classical(4)
-        return _pair_report(config, unit, composite)
-    if config == "ball3":
-        return _ball_report()
-    if config == "gbit":
-        return _single_report(config, make_gbit())
-    raise InputError(
-        "unknown configuration %r; registered: %s"
-        % (config, ", ".join(REGISTERED_CONFIGS))
+    unit, composite = _config_spaces(config)
+    if composite is None:
+        tomography = {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"}
+        interaction = dict(tomography)
+    else:
+        tomo = check_tomographic_locality(unit, unit, composite)
+        tomography = {
+            "status": tomo.status,
+            "dim_a": tomo.dim_a,
+            "dim_b": tomo.dim_b,
+            "dim_ab": tomo.dim_ab,
+        }
+        interaction = _interaction_entry(composite)
+    results = (
+        ("ContinuousReversibility", _continuity_entry(unit)),
+        ("TomographicLocality", tomography),
+        (
+            "InformationUnit_Tomography",
+            {
+                "status": PASS,
+                "linear_dimension": linear_dimension(unit),
+                "subject": unit.label,
+            },
+        ),
+        ("InformationUnit_Interaction", interaction),
+        (
+            "InformationUnit_EncodeDecode",
+            {"status": NOT_APPLICABLE, "reason": "UnboundedSearch"},
+        ),
+        ("NoSimultaneousEncoding", _encoding_entry(unit)),
     )
+    return PostulateReport(subject=config, results=results)
 
 
 def _continuity_entry(space: StateSpace) -> dict:
@@ -434,9 +475,24 @@ def _continuity_entry(space: StateSpace) -> dict:
     return entry
 
 
-def _encoding_entry(space: StateSpace) -> dict:
-    from .serialize import effect_to_json, vector_to_json
+def _interaction_entry(composite: StateSpace) -> dict:
+    group = affine_automorphisms(composite)
+    interaction = check_interaction(
+        composite, _product_vertex_indices(composite), group=group
+    )
+    entry = {
+        "status": FAIL if interaction.status == NON_INTERACTING else PASS,
+        "vertex_level_result": interaction.status,
+        "symmetry_group_order": group.order,
+    }
+    if interaction.witness is not None:
+        entry["witness"] = list(interaction.witness)
+    return entry
 
+
+def _encoding_entry(space: StateSpace) -> dict:
+    if space.kind == BALL3:
+        return {"status": NOT_APPLICABLE, "reason": "NonPolytopalOutOfScope"}
     encoding = check_no_simultaneous_encoding(space)
     entry = {"status": encoding.status, "subject": space.label}
     if encoding.witness is not None:
@@ -452,114 +508,3 @@ def _encoding_entry(space: StateSpace) -> dict:
             "disturbance": disturbance.status,
         }
     return entry
-
-
-def _pair_report(config: str, unit: StateSpace, composite: StateSpace) -> PostulateReport:
-    results = []
-    results.append(("ContinuousReversibility", _continuity_entry(unit)))
-
-    tomo = check_tomographic_locality(unit, unit, composite)
-    results.append(
-        (
-            "TomographicLocality",
-            {
-                "status": tomo.status,
-                "dim_a": tomo.dim_a,
-                "dim_b": tomo.dim_b,
-                "dim_ab": tomo.dim_ab,
-            },
-        )
-    )
-
-    results.append(
-        (
-            "InformationUnit_Tomography",
-            {
-                "status": PASS,
-                "linear_dimension": linear_dimension(unit),
-                "subject": unit.label,
-            },
-        )
-    )
-
-    group = affine_automorphisms(composite)
-    interaction = check_interaction(
-        composite, _product_vertex_indices(composite), group=group
-    )
-    interaction_entry = {
-        "status": FAIL if interaction.status == NON_INTERACTING else PASS,
-        "vertex_level_result": interaction.status,
-        "symmetry_group_order": group.order,
-    }
-    if interaction.witness is not None:
-        interaction_entry["witness"] = list(interaction.witness)
-    results.append(("InformationUnit_Interaction", interaction_entry))
-
-    results.append(
-        (
-            "InformationUnit_EncodeDecode",
-            {"status": NOT_APPLICABLE, "reason": "UnboundedSearch"},
-        )
-    )
-
-    results.append(("NoSimultaneousEncoding", _encoding_entry(unit)))
-    return PostulateReport(subject=config, results=tuple(results))
-
-
-def _single_report(config: str, space: StateSpace) -> PostulateReport:
-    results = [
-        ("ContinuousReversibility", _continuity_entry(space)),
-        (
-            "TomographicLocality",
-            {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"},
-        ),
-        (
-            "InformationUnit_Tomography",
-            {
-                "status": PASS,
-                "linear_dimension": linear_dimension(space),
-                "subject": space.label,
-            },
-        ),
-        (
-            "InformationUnit_Interaction",
-            {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"},
-        ),
-        (
-            "InformationUnit_EncodeDecode",
-            {"status": NOT_APPLICABLE, "reason": "UnboundedSearch"},
-        ),
-        ("NoSimultaneousEncoding", _encoding_entry(space)),
-    ]
-    return PostulateReport(subject=config, results=tuple(results))
-
-
-def _ball_report() -> PostulateReport:
-    ball = make_ball3()
-    results = [
-        ("ContinuousReversibility", _continuity_entry(ball)),
-        (
-            "TomographicLocality",
-            {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"},
-        ),
-        (
-            "InformationUnit_Tomography",
-            {"status": PASS, "linear_dimension": 4, "subject": "ball3"},
-        ),
-        (
-            "InformationUnit_Interaction",
-            {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"},
-        ),
-        (
-            "InformationUnit_EncodeDecode",
-            {"status": NOT_APPLICABLE, "reason": "UnboundedSearch"},
-        ),
-        (
-            "NoSimultaneousEncoding",
-            {
-                "status": NOT_APPLICABLE,
-                "reason": "NonPolytopalOutOfScope",
-            },
-        ),
-    ]
-    return PostulateReport(subject="ball3", results=tuple(results))

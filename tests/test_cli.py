@@ -255,6 +255,10 @@ BAD_INPUTS = {
     "space-classical-too-large": lambda tmp: [
         "vertices", "--space", "classical-99999999999"
     ],
+    "chsh-angle-inf": lambda tmp: ["chsh", "--angles", "inf,0,0,0"],
+    "chsh-angle-nan": lambda tmp: ["chsh", "--angles", "nan,0,0,0"],
+    "bloch-vector-nan": lambda tmp: ["bloch", "--vector", "nan,0,0"],
+    "bloch-vector-overflow": lambda tmp: ["bloch", "--vector", "1e308,1e308,0"],
 }
 
 

@@ -1,5 +1,6 @@
 """Postulate checkers: tomographic locality, encoding, disturbance, reports."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from gptlab.postulates import (
     CONFIRMED,
     EncodingWitness,
     NOT_APPLICABLE,
+    REGISTERED_CONFIGS,
     NOT_CONFIRMED,
     check_disturbance,
     check_joint_readout,
@@ -22,7 +24,7 @@ from gptlab.postulates import (
 from gptlab.ratgeo import INFEASIBLE, verify_farkas
 from gptlab.ratgeo.linalg import vec
 from gptlab.serialize import dumps, report_to_json
-from gptlab.spaces import Effect, Measurement, make_classical
+from gptlab.spaces import Effect, Measurement, make_ball3, make_classical
 from gptlab.symmetry import FAIL, PASS
 
 
@@ -30,6 +32,7 @@ def test_linear_dimensions(gbit, classical_bit, boxworld2):
     assert linear_dimension(gbit) == 3
     assert linear_dimension(classical_bit) == 2
     assert linear_dimension(boxworld2) == 9
+    assert linear_dimension(make_ball3()) == 4
 
 
 def test_tomographic_locality_boxworld(gbit, boxworld2):
@@ -167,3 +170,19 @@ def test_report_determinism():
     first = dumps(report_to_json(run_report("boxworld2")))
     second = dumps(report_to_json(run_report("boxworld2")))
     assert first == second
+
+
+# sha256 of `gptlab postulates --config NAME` stdout, one per configuration.
+POSTULATE_REPORT_SHA256 = {
+    "boxworld2": "708684d3b9e5e2e10a2af42e0cd8c1ab788679a3509a1971a502b62aaef7ccd3",
+    "classical2": "0262e68359e5eed3e928719f2e0c69363a37b162f89166a7c8e9f19228f6d844",
+    "ball3": "3feb77022803b3b8bc83c6e3804ab6bd6d73d62c258c0c3dd4aa7f45dab9e3bc",
+    "gbit": "1d7e3f65bf6b9ce82fcf977986ab3c0c58eeeec6a2317ec2b5b3f318972c6360",
+}
+
+
+@pytest.mark.parametrize("config", REGISTERED_CONFIGS)
+def test_postulate_reports_are_pinned(config):
+    stdout = dumps(report_to_json(run_report(config))) + "\n"
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digest == POSTULATE_REPORT_SHA256[config]
