@@ -64,6 +64,10 @@ def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
+    # A unitary's entries have modulus at most 1.  Compared before the
+    # product, which NaN would poison and huge entries would overflow.
+    if not np.all(np.abs(u) <= 1 + tol):
+        return False
     return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol)
 
 

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
-row tuples.  All reductions are plain fraction-pivoted Gaussian elimination,
-so every result is exact and deterministic.  The sizes handled here are tiny
-(ambient dimension at most ~17), so no effort is spent on pivoting for speed.
+row tuples.  Every reduction goes through ``rref``, which scales each row to
+Python integers by the lcm of its denominators, eliminates fraction-free
+(each updated row is divided by the gcd of its entries, in the spirit of
+Bareiss, 1968) and divides by the pivots only when it returns, so every
+result is exact, deterministic and the same ``Fraction`` as plain rational
+elimination would give.  The sizes handled here are tiny (ambient dimension
+at most ~17), so no effort is spent on pivoting for speed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ..errors import InputError
 
@@ -18,6 +22,22 @@ Matrix = tuple[Vector, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def lcm_of_denominators(values) -> int:
+    """The least positive integer that makes every value an integer."""
+    return lcm(*(v.denominator for v in values))
+
+
+def scaled(value, scale: int) -> int:
+    """The integer ``value * scale``, for ``scale`` a multiple of its denominator."""
+    return value.numerator * (scale // value.denominator)
+
+
+def integer_row(values) -> tuple[list[int], int]:
+    """(ints, scale) with ``ints[i] == values[i] * scale``, scale the lcm."""
+    scale = lcm_of_denominators(values)
+    return [scaled(v, scale) for v in values], scale
 
 
 def vec(*entries) -> Vector:
@@ -109,9 +129,14 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
     Returns (reduced nonzero rows, pivot column indices).  Pivots are chosen
     left to right, first nonzero entry in column order, which makes the
-    output canonical for a given row span.
+    output canonical for a given row span.  The elimination runs on each
+    row scaled to integers and divides each updated row by the gcd of its
+    entries, so the entries stay small; the pivot rows are divided by their
+    pivots only on return.  Scaling a row by a nonzero number changes neither
+    which entries are zero nor the row span, so the pivots and the result
+    are those of elimination over the rationals.
     """
-    work = [list(r) for r in rows]
+    work = [integer_row(r)[0] for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -120,23 +145,30 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     for c in range(ncols):
         pivot_row = None
         for i in range(r, len(work)):
-            if work[i][c] != 0:
+            if work[i][c]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = [inv * x for x in work[r]]
+        prow = work[r]
+        p = prow[c]
         for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+            a = work[i][c]
+            if i != r and a:
+                g = gcd(p, a)
+                fp, fa = p // g, a // g
+                row = [fp * x - fa * y for x, y in zip(work[i], prow)]
+                g = gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [row for row in work[:r]], pivots
+    return [
+        [Fraction(x, row[c]) if x else ZERO for x in row]
+        for row, c in zip(work, pivots)
+    ], pivots
 
 
 def rank(rows) -> int:
@@ -204,17 +236,11 @@ def inverse(m: Matrix) -> Matrix | None:
 
 def primitive(v: Vector) -> Vector:
     """Scale by a positive rational to coprime integers (canonical ray form)."""
-    denoms = [x.denominator for x in v]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in v]
-    g = 0
-    for value in ints:
-        g = gcd(g, abs(value))
+    ints, _ = integer_row(v)
+    g = gcd(*ints)
     if g == 0:
         return tuple(ZERO for _ in v)
-    return tuple(Fraction(value, g) for value in ints)
+    return tuple(Fraction(value // g) for value in ints)
 
 
 def primitive_signed(v: Vector) -> Vector:

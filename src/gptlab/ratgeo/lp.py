@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..errors import InputError
-from .linalg import Vector, ZERO, dot, is_zero, primitive, zeros
+from .linalg import Vector, ZERO, dot, integer_row, is_zero, primitive, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -37,15 +37,6 @@ UNBOUNDED = "unbounded"
 
 MAX = "max"
 MIN = "min"
-
-
-def _lcm_of_denominators(values) -> int:
-    return lcm(*(v.denominator for v in values))
-
-
-def _scaled(value, scale: int) -> int:
-    """The integer ``value * scale``, for ``scale`` a multiple of its denominator."""
-    return value.numerator * (scale // value.denominator)
 
 
 @dataclass(frozen=True)
@@ -96,18 +87,18 @@ class _Tableau:
         rows = []
         for r, (normal, offset) in enumerate(list(ineqs) + list(eqs)):
             sigma = 1 if offset >= 0 else -1
-            scale = _lcm_of_denominators(list(normal) + [offset])
+            ints, scale = integer_row(list(normal) + [offset])
             self.flip.append(sigma)
             self.row_scale.append(scale)
             row = [0] * (self.n + 1)
             for k in range(dim):
-                a = sigma * _scaled(normal[k], scale)
+                a = sigma * ints[k]
                 row[k] = a
                 row[dim + k] = -a
             if r < self.n_ineq:
                 row[2 * dim + r] = sigma * scale
             row[self.n_struct + r] = 1
-            row[self.n] = sigma * _scaled(offset, scale)
+            row[self.n] = sigma * ints[dim]
             rows.append(row)
         self.rows = rows
         self.det = 1
@@ -282,11 +273,11 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     tab.drop_redundant_and_artificials()
 
     # Phase 2: minimize -c.x (i.e. maximize c.x).
-    scale = _lcm_of_denominators(c)
+    ints, scale = integer_row(c)
     phase2_costs = [0] * tab.n
     for k in range(dim):
-        phase2_costs[k] = -_scaled(c[k], scale)
-        phase2_costs[dim + k] = _scaled(c[k], scale)
+        phase2_costs[k] = -ints[k]
+        phase2_costs[dim + k] = ints[k]
     tab.set_costs(phase2_costs, scale, allow_artificial=False)
     status = tab.minimize()
     if status == UNBOUNDED:

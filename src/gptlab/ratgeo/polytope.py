@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from ..errors import EmptyError, InputError, UnboundedError
 from . import lp
@@ -23,6 +25,7 @@ from .linalg import (
     dot,
     format_rational,
     independent_rows,
+    integer_row,
     inverse,
     is_zero,
     mat_vec,
@@ -49,6 +52,11 @@ def _canonical_inequality(normal: Vector, offset: Fraction) -> Constraint:
 def _canonical_equality(normal: Vector, offset: Fraction) -> Constraint:
     scaled = primitive_signed(tuple(normal) + (offset,))
     return scaled[:-1], scaled[-1]
+
+
+def _integer_constraint(normal: Vector, offset: Fraction):
+    ints, _ = integer_row(tuple(normal) + (offset,))
+    return ints[:-1], ints[-1]
 
 
 @dataclass(frozen=True)
@@ -83,14 +91,38 @@ class HRep:
         canon_eqs = tuple(_canonical_equality(tuple(n), o) for n, o in eqs)
         return HRep(ambient_dim=dim, inequalities=canon_ineqs, equalities=canon_eqs)
 
+    @cached_property
+    def _integer_constraints(self):
+        """(inequalities, equalities) with each row scaled to ints.
+
+        A positive scale keeps the halfspace and the hyperplane.  Rows built
+        by ``make`` are primitive integers already and keep their values.
+        """
+        return (
+            tuple(_integer_constraint(n, o) for n, o in self.inequalities),
+            tuple(_integer_constraint(n, o) for n, o in self.equalities),
+        )
+
+    def _integer_point(self, x: Vector) -> tuple[list[int], int]:
+        """x as (ints, den) with x = ints / den, den > 0."""
+        if len(x) != self.ambient_dim:
+            raise ValueError(
+                "dimension mismatch: %d vs %d" % (self.ambient_dim, len(x))
+            )
+        return integer_row(x)
+
     def contains(self, x: Vector) -> bool:
-        return all(dot(n, x) <= o for n, o in self.inequalities) and all(
-            dot(n, x) == o for n, o in self.equalities
+        ints, den = self._integer_point(x)
+        ineqs, eqs = self._integer_constraints
+        return all(sum(map(mul, n, ints)) <= o * den for n, o in ineqs) and all(
+            sum(map(mul, n, ints)) == o * den for n, o in eqs
         )
 
     def active_inequalities(self, x: Vector) -> tuple[int, ...]:
+        ints, den = self._integer_point(x)
+        ineqs, _ = self._integer_constraints
         return tuple(
-            i for i, (n, o) in enumerate(self.inequalities) if dot(n, x) == o
+            i for i, (n, o) in enumerate(ineqs) if sum(map(mul, n, ints)) == o * den
         )
 
 

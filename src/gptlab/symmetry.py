@@ -4,7 +4,8 @@ The reversible transformations of a GPT are the affine bijections of its
 state space onto itself.  For a polytope these permute the vertex set, and
 a vertex permutation extends to an affine map exactly when it fixes the
 matrix Q = W (W^T W)^-1 W^T, the exact projector onto the column space of
-the lifted vertex matrix W (rows (v, 1)).  The group is found by a plain
+the lifted vertex matrix W (rows (v, 1)).  Q is scaled by the lcm of its
+denominators and compared as integers.  The group is found by a plain
 backtrack over vertices: a candidate image must carry the same colour (the
 sorted Q row plus the diagonal entry) and agree with Q on every vertex
 already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
@@ -30,10 +31,12 @@ from .ratgeo.linalg import (
     ONE,
     independent_rows,
     inverse,
+    lcm_of_denominators,
     mat_mul,
     mat_vec,
     null_space,
     rref,
+    scaled,
     transpose,
     vsub,
 )
@@ -103,7 +106,15 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     w = tuple(tuple(row[c] for c in pivots) for row in lifted)
     wt = transpose(w)
     q = mat_mul(mat_mul(w, inverse(mat_mul(wt, w))), wt)
-    colour = [(q[i][i], sorted(q[i])) for i in range(n)]
+    # Scaled by the lcm of its denominators, Q compares as ints; each colour
+    # becomes a small int the first time it is seen.
+    scale = lcm_of_denominators(x for row in q for x in row)
+    q = [[scaled(x, scale) for x in row] for row in q]
+    colour_ids: dict = {}
+    colour = [
+        colour_ids.setdefault((q[i][i], tuple(sorted(q[i]))), len(colour_ids))
+        for i in range(n)
+    ]
 
     permutations: list[tuple[int, ...]] = []
     image: list[int] = []

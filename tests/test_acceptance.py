@@ -47,7 +47,7 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
-from gptlab.ratgeo.linalg import rank, solve, vec
+from gptlab.ratgeo.linalg import vec
 from gptlab.spaces import decompose_state, make_ball3, make_classical
 from gptlab.symmetry import (
     FAIL,
@@ -57,7 +57,8 @@ from gptlab.symmetry import (
     check_continuous_reversibility,
     orbits,
 )
-
+from test_linalg import fraction_rank, fraction_solve
+from test_polytope import fraction_contains
 
 
 def announce(number: int, text: str):
@@ -228,10 +229,10 @@ def test_criterion_11_oracle_equivalence():
         for subset in itertools.combinations(range(len(constraints)), d):
             rows = [constraints[i][0] for i in subset]
             rhs = tuple(constraints[i][1] for i in subset)
-            if rank(rows) < d:
+            if fraction_rank(rows) < d:
                 continue
-            x = solve(rows, rhs)
-            if x is not None and h.contains(x):
+            x = fraction_solve(rows, rhs)
+            if x is not None and fraction_contains(h, x):
                 points.add(x)
         return tuple(sorted(points))
 

@@ -259,6 +259,9 @@ BAD_INPUTS = {
     "chsh-angle-nan": lambda tmp: ["chsh", "--angles", "nan,0,0,0"],
     "bloch-vector-nan": lambda tmp: ["bloch", "--vector", "nan,0,0"],
     "bloch-vector-overflow": lambda tmp: ["bloch", "--vector", "1e308,1e308,0"],
+    "bloch-unitary-overflow": lambda tmp: [
+        "bloch", "--unitary", _json_file(tmp, [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]])
+    ],
 }
 
 
@@ -386,6 +389,50 @@ REPORT_SHA256 = "6dd5a6f8a3fb1b8169bcd1403c630b39190da0c743861fd37b0ee5e19141aeb
 def test_report_hashes_to_the_gate():
     stdout = dumps(build_full_report()) + "\n"
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256
+
+
+def _edge_midpoint_state():
+    """Half the PR box plus half its first neighbour, as CLI text."""
+    boxworld2 = make_boxworld2()
+    verts = boxworld2.vertices
+    pr = verts.index(pr_box_table().p)
+    local = vertex_adjacency(boxworld2.v, boxworld2.h)[pr][0]
+    return ",".join(
+        format_rational((a + b) / 2) for a, b in zip(verts[pr], verts[local])
+    )
+
+
+# sha256 of the stdout of each command, recorded before the integer kernel
+# replaced the Fraction elimination, Q and constraint checks beneath them.
+PINNED_OUTPUTS = {
+    "vertices-gbit": "a998db93dd76fb7e7f84904dcf53ce995a29449b114d8b429c71d587ff4e13c3",
+    "vertices-classical-4": "5dcd4a95faa2f3f0a441ae85d97de1e8e8d26ad20bc9e3b62a73ed51a983c9c7",
+    "vertices-boxworld2": "90357470010d72902bf40ab038ed0a8c6cb925a3d3c2195fb53a01c2912a6627",
+    "build-gbit": "7a287fd617435d246ed890abb6150c73a6ef112079546eef775696950c3371f3",
+    "build-classical-4": "721d7cd2773b845583e7b9209baa14f4503be0ecde621bb36a2ea473ba952802",
+    "build-boxworld2": "d1de3a8988d0c603f21b49061e9ddd8071d41be8509daba1f9b6f519dcd4aa0b",
+    "symmetries-gbit": "42733aec8e07025b2d46cefd62d9db55a234272056514f7a1d1293e6fd5d6666",
+    "symmetries-classical-4": "e66e434a1bd51c38300d44849a2e772342071ff856df7dc6c589068185f36a5d",
+    "symmetries-boxworld2": "6b9d5f2aed87fbe84658d31f071207e1cb622190ec14ac5041b6fce7a51e03e9",
+    "orbits-gbit": "79672ef08f3a3f9d83c409d5e70cbb44fb6799ab794189fac42be0e4e197cabb",
+    "orbits-classical-4": "79672ef08f3a3f9d83c409d5e70cbb44fb6799ab794189fac42be0e4e197cabb",
+    "orbits-boxworld2": "948f01c1de54b1b730c3dbac8ad198995121e472fc2a2b6db6aa4272fec3e249",
+    "decompose-boxworld2-edge-midpoint": "5dfa5df3a67d9b237400730a0c40b2d56d0474c43791deff46fd4152250e5c71",
+}
+
+
+def _pinned_argv(case):
+    if case == "decompose-boxworld2-edge-midpoint":
+        return ["decompose", "--space", "boxworld2", "--state", _edge_midpoint_state()]
+    command, space = case.split("-", 1)
+    return [command, "--space", space]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned(case, capsys):
+    assert run(_pinned_argv(case)) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_OUTPUTS[case]
 
 
 # ---------------------------------------------------------------------------

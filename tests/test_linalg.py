@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from gptlab.errors import InputError
+from gptlab.ratgeo import linalg
 from gptlab.ratgeo.linalg import (
     dot,
     format_rational,
+    identity,
     independent_rows,
     inverse,
     mat_mul,
@@ -163,3 +165,130 @@ def test_independent_rows_on_zero_rows_and_no_rows():
     assert independent_rows([zero, zero]) == []
     assert independent_rows([zero, vec(1, 2, 3), zero, vec(2, 4, 6), vec(0, 0, 1)]) == [1, 4]
     assert independent_rows([]) == greedy_independent_rows([]) == []
+
+
+# ---------------------------------------------------------------------------
+# The Fraction oracle for the integer elimination kernel
+# ---------------------------------------------------------------------------
+
+
+def fraction_rref(rows):
+    """Oracle: Gauss-Jordan elimination pivoted on Fractions throughout."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = F(1) / work[r][c]
+        work[r] = [inv * x for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return [row for row in work[:r]], pivots
+
+
+def fraction_rank(rows):
+    return len(fraction_rref(rows)[1])
+
+
+def fraction_solve(a_rows, b):
+    """Oracle for ``solve``: one solution, free variables zero, or None."""
+    if not a_rows:
+        return ()
+    ncols = len(a_rows[0])
+    reduced, pivots = fraction_rref(
+        [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
+    )
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for row, p in zip(reduced, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def random_matrix(rng):
+    """Seeded rational matrices with mixed denominators: planted dependent,
+    zero and random rows, square or not."""
+    kind = rng.random()
+    if kind < 0.5:
+        return planted_dependent_rows(rng)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    if kind < 0.75:
+        ncols = nrows
+    return [
+        tuple(
+            F(rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))),
+              rng.choice((1, 2, 3, 7, 12, 35)))
+            for _ in range(ncols)
+        )
+        for _ in range(nrows)
+    ]
+
+
+def with_fraction_rref(monkeypatch, func, *args):
+    """``func`` run with the oracle elimination in place of the kernel's."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "rref", fraction_rref)
+        return func(*args)
+
+
+def test_kernel_matches_fraction_oracle(monkeypatch):
+    rng = random.Random(8128)
+    deficient = singular = inconsistent = 0
+    for _ in range(600):
+        rows = random_matrix(rng)
+        ncols = len(rows[0])
+        reduced, pivots = rref(rows)
+        assert (reduced, pivots) == fraction_rref(rows), rows
+        assert all(type(x) is F for row in reduced for x in row)
+        assert rank(rows) == fraction_rank(rows) == len(pivots)
+        deficient += len(pivots) < min(len(rows), ncols)
+        assert null_space(rows, ncols) == with_fraction_rref(
+            monkeypatch, null_space, rows, ncols
+        )
+        x0 = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols))
+        for b in (
+            tuple(dot(row, x0) for row in rows),
+            tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in rows),
+        ):
+            x = solve(rows, b)
+            assert x == fraction_solve(rows, b), (rows, b)
+            inconsistent += x is None
+        if len(rows) == ncols:
+            m = tuple(rows)
+            m_inv = inverse(m)
+            assert m_inv == with_fraction_rref(monkeypatch, inverse, m)
+            if m_inv is None:
+                singular += 1
+            else:
+                assert mat_mul(m, m_inv) == identity(ncols)
+    assert deficient > 120 and singular > 30 and inconsistent > 200
+
+
+def test_kernel_matches_fraction_oracle_on_empty_and_zero_matrices(monkeypatch):
+    zero = vec(0, 0, 0)
+    for rows in ([], [()], [(), ()], [zero], [zero, zero, vec(0, F(1, 3), 0)]):
+        assert rref(rows) == fraction_rref(rows)
+        ncols = len(rows[0]) if rows else 3
+        assert null_space(rows, ncols) == with_fraction_rref(
+            monkeypatch, null_space, rows, ncols
+        )
+    assert solve([], ()) == fraction_solve([], ()) == ()
+    assert inverse(()) == with_fraction_rref(monkeypatch, inverse, ()) == ()
+    assert inverse((zero, zero, zero)) is None

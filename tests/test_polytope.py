@@ -22,8 +22,6 @@ from gptlab.ratgeo.linalg import (
     independent_rows,
     inverse,
     null_space,
-    rank,
-    solve,
     transpose,
     vec,
     vsub,
@@ -34,6 +32,7 @@ from gptlab.ratgeo.polytope import (
     _reduce_mod_equalities,
 )
 from gptlab.spaces import from_vertices, make_classical
+from test_linalg import fraction_rank, fraction_solve
 
 
 def unit_square_h():
@@ -58,21 +57,34 @@ def simplex_h(n):
     return HRep.make(n, ineqs, eqs)
 
 
+def fraction_contains(h, x):
+    """Oracle for ``HRep.contains``: Fraction dot products, row by row."""
+    return all(dot(n, x) <= o for n, o in h.inequalities) and all(
+        dot(n, x) == o for n, o in h.equalities
+    )
+
+
+def fraction_active_inequalities(h, x):
+    """Oracle for ``HRep.active_inequalities``."""
+    return tuple(i for i, (n, o) in enumerate(h.inequalities) if dot(n, x) == o)
+
+
 def brute_force_vertices(h):
     """Oracle: intersect all d-subsets of constraint hyperplanes, keep the
-    feasible full-rank intersection points."""
+    feasible full-rank intersection points.  It runs on the Fraction
+    oracles, not on the integer kernel it checks."""
     d = h.ambient_dim
     constraints = list(h.inequalities) + list(h.equalities)
     points = set()
     for subset in itertools.combinations(range(len(constraints)), d):
         rows = [constraints[i][0] for i in subset]
         rhs = tuple(constraints[i][1] for i in subset)
-        if rank(rows) < d:
+        if fraction_rank(rows) < d:
             continue
-        x = solve(rows, rhs)
+        x = fraction_solve(rows, rhs)
         if x is None:
             continue
-        if h.contains(x):
+        if fraction_contains(h, x):
             points.add(x)
     return tuple(sorted(points))
 
@@ -248,6 +260,75 @@ def test_enumeration_matches_brute_force_oracle():
         checked += 1
 
 
+def random_rational(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 7)))
+
+
+def constraint_check_cases():
+    """Seeded HReps, made and direct, with rational points inside, on and
+    outside them, as (h, points).
+
+    The constraints pass through or near a point p0: its equalities hold at
+    p0, some inequalities are tight there and the rest have slack.  The
+    direct HRep holds each row times a random positive rational, so its rows
+    are not primitive and skip canonicalization.
+    """
+    rng = random.Random(1618)
+    for _ in range(150):
+        dim = rng.randint(1, 5)
+        p0 = tuple(random_rational(rng) for _ in range(dim))
+        ineqs = []
+        for _ in range(rng.randint(0, 8)):
+            normal = tuple(random_rational(rng) for _ in range(dim))
+            slack = rng.choice((F(0), F(0), F(rng.randint(1, 5), rng.randint(1, 3))))
+            ineqs.append((normal, dot(normal, p0) + slack))
+        eqs = []
+        for _ in range(rng.randint(0, dim - 1)):
+            normal = tuple(random_rational(rng) for _ in range(dim))
+            eqs.append((normal, dot(normal, p0)))
+        directions = null_space([n for n, _ in eqs], dim)
+        points = [p0, tuple(random_rational(rng) for _ in range(dim))]
+        for _ in range(6):
+            point = list(p0)
+            for direction in directions:
+                t = F(rng.randint(-4, 4), rng.randint(1, 9))
+                point = [x + t * y for x, y in zip(point, direction)]
+            points.append(tuple(point))
+
+        def rescaled(rows):
+            return tuple(
+                (tuple(c * x for x in n), c * o)
+                for n, o in rows
+                for c in [F(rng.randint(1, 12), rng.randint(1, 12))]
+            )
+
+        yield HRep.make(dim, ineqs, eqs), points
+        yield HRep(dim, rescaled(ineqs), rescaled(eqs)), points
+
+
+def test_integer_constraint_checks_match_fraction_oracle():
+    inside = outside = active = 0
+    for h, points in constraint_check_cases():
+        for x in points:
+            got = h.contains(x)
+            assert got == fraction_contains(h, x), (h, x)
+            tight = h.active_inequalities(x)
+            assert tight == fraction_active_inequalities(h, x), (h, x)
+            inside += got
+            outside += not got
+            active += bool(tight)
+    assert inside > 300 and outside > 300 and active > 300
+
+
+def test_constraint_checks_reject_a_wrong_length_point():
+    for h in (unit_square_h(), HRep(2, ()), HRep(2, (), (((F(1), F(2)), F(0)),))):
+        for x in (vec(1), vec(0, 0, 0), ()):
+            with pytest.raises(ValueError):
+                h.contains(x)
+            with pytest.raises(ValueError):
+                h.active_inequalities(x)
+
+
 def random_point_sets():
     """The 40 seeded point sets behind random_vreps, as (dim, points)."""
     rng = random.Random(2718)
@@ -277,14 +358,14 @@ def rank_adjacency(v, h):
     solution space of affine dimension exactly 1 (the segment's line)."""
     d = h.ambient_dim
     eq_normals = [n for n, _ in h.equalities]
-    active = [set(h.active_inequalities(x)) for x in v.vertices]
+    active = [set(fraction_active_inequalities(h, x)) for x in v.vertices]
     n = len(v.vertices)
     return tuple(
         tuple(
             j
             for j in range(n)
             if j != i
-            and rank(
+            and fraction_rank(
                 [h.inequalities[c][0] for c in sorted(active[i] & active[j])]
                 + eq_normals
             )
