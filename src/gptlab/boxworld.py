@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, NotAVertexError, SignallingError
-from .ratgeo import HRep, is_extreme_in
+from .ratgeo import HRep
 from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, independent_rows
 from .spaces import POLYTOPAL, StateSpace, from_hrep
 
@@ -140,21 +140,12 @@ def make_boxworld2() -> StateSpace:
     return from_hrep(build_ns_hrep(), "boxworld2")
 
 
-@lru_cache(maxsize=1)
-def _ns_vertex_tables() -> frozenset:
-    """The 16 local deterministic tables and the 8 PR boxes."""
-    bits = itertools.product(range(2), repeat=4)
-    local = [local_deterministic_table(*b).p for b in bits]
-    pr = [pr_box_table(*b).p for b in itertools.product(range(2), repeat=3)]
-    return frozenset(local + pr)
-
-
 def is_boxworld2(space: StateSpace) -> bool:
     """Whether ``space`` is the no-signalling polytope, whatever its label."""
     return (
         space.kind == POLYTOPAL
         and space.dim == 16
-        and frozenset(space.vertices) == _ns_vertex_tables()
+        and frozenset(space.vertices) == _ns_vertex_classes().keys()
     )
 
 
@@ -244,49 +235,36 @@ class VertexClass:
     detail: tuple[int, ...] | int
 
 
+@lru_cache(maxsize=1)
+def _ns_vertex_classes() -> dict:
+    """Each of the 24 no-signalling vertices, by its entries, with its class.
+
+    The 16 local deterministic tables and the 8 PR boxes are all the
+    vertices of the no-signalling polytope (Barrett, Linden, Massar,
+    Pironio, Popescu & Roberts, PRA 71, 022101, 2005).
+    """
+    classes = {
+        local_deterministic_table(*bits).p: VertexClass(LOCAL_DETERMINISTIC, bits)
+        for bits in itertools.product(range(2), repeat=4)
+    }
+    for r, s, t in itertools.product(range(2), repeat=3):
+        classes[pr_box_table(r, s, t).p] = VertexClass(PR_BOX, r + 2 * s + 4 * t)
+    return classes
+
+
 def classify_vertex(t: ProbabilityTable) -> VertexClass:
     """Classify a vertex of the no-signalling polytope.
 
-    Raises :class:`NotAVertexError` when the table is not an extreme point
-    of the no-signalling set (checked exactly by ``is_extreme_in``, the
-    active-constraint rank test that also re-verifies enumerated vertices).
+    Classification is a lookup among the 24 vertices.  Any other table
+    raises :class:`NotAVertexError`, whose message says whether the table
+    lies in the no-signalling set at all.
     """
-    h = build_ns_hrep()
-    if not is_extreme_in(h, t.p):
-        if not h.contains(t.p):
-            raise NotAVertexError("table is not in the no-signalling set")
-        raise NotAVertexError("table is not an extreme point")
-
-    pa, pb = marginals(t)
-    if all(pa[a][x] in (ZERO, ONE) for a in range(2) for x in range(2)) and all(
-        pb[b][y] in (ZERO, ONE) for b in range(2) for y in range(2)
-    ):
-        a_of = tuple(next(a for a in range(2) if pa[a][x] == 1) for x in range(2))
-        b_of = tuple(next(b for b in range(2) if pb[b][y] == 1) for y in range(2))
-        return VertexClass(tag=LOCAL_DETERMINISTIC, detail=a_of + b_of)
-
-    if not all(v in (ZERO, HALF) for v in t.p):
-        raise NotAVertexError(
-            "vertex is neither deterministic nor of half-integer PR type"
-        )
-    g = {}
-    for x in range(2):
-        for y in range(2):
-            support = {
-                (a ^ b)
-                for a in range(2)
-                for b in range(2)
-                if t.value(a, b, x, y) > 0
-            }
-            if len(support) != 1:
-                raise NotAVertexError("PR-type vertex with inconsistent support")
-            g[(x, y)] = support.pop()
-    tt = g[(0, 0)]
-    r = g[(1, 0)] ^ tt
-    s = g[(0, 1)] ^ tt
-    if g[(1, 1)] != 1 ^ r ^ s ^ tt:
-        raise NotAVertexError("support pattern does not match any PR relabelling")
-    return VertexClass(tag=PR_BOX, detail=r + 2 * s + 4 * tt)
+    cls = _ns_vertex_classes().get(t.p)
+    if cls is not None:
+        return cls
+    if not build_ns_hrep().contains(t.p):
+        raise NotAVertexError("table is not in the no-signalling set")
+    raise NotAVertexError("table is not an extreme point")
 
 
 # ---------------------------------------------------------------------------

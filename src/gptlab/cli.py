@@ -231,13 +231,7 @@ def cmd_decompose(args):
     decs = decompose_state(state, space)
     return {
         "state": serialize.vector_to_json(state),
-        "decompositions": [
-            {
-                "support": list(dec.support),
-                "weights": serialize.vector_to_json(dec.weights),
-            }
-            for dec in decs
-        ],
+        "decompositions": serialize.decompositions_to_json(decs),
     }
 
 
@@ -345,13 +339,7 @@ def build_full_report() -> dict:
             "quantum_standard_angles_inexact": True,
         },
         "decompositions": {
-            "gbit_center": [
-                {
-                    "support": list(dec.support),
-                    "weights": serialize.vector_to_json(dec.weights),
-                }
-                for dec in decs
-            ],
+            "gbit_center": serialize.decompositions_to_json(decs),
             "simplex_interior_count": len(
                 decompose_state((Fraction(1, 4),) * 4, make_classical(4))
             ),
@@ -413,7 +401,9 @@ def run(argv) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        result = args.func(args)
+        text = serialize.dumps(args.func(args))
+        if args.out:
+            _write_out(args.out, text)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except GptlabError as err:
@@ -423,12 +413,20 @@ def run(argv) -> int:
             )
         )
         return 2
-    text = serialize.dumps(result)
     print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     return 0
+
+
+def _write_out(path: str, text: str):
+    """Write the output file; every way to fail is an InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as err:
+        raise InputError("cannot write output file %r: %s" % (path, err.strerror))
+    except ValueError as err:
+        # A NUL byte in the path.
+        raise InputError("cannot write output file %r: %s" % (path, err))
 
 
 def main():

@@ -290,6 +290,26 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     return LPResult(status=OPTIMAL, optimum=value, witness=x, dual=dual)
 
 
+def _combination(constraints, multipliers: Vector):
+    """(normal, offset) of the constraints combined by ``multipliers``.
+
+    None when the count is wrong or an inequality multiplier is negative.
+    """
+    ineqs = constraints.inequalities
+    rows = tuple(ineqs) + tuple(constraints.equalities)
+    if len(multipliers) != len(rows):
+        return None
+    if any(v < 0 for v in multipliers[: len(ineqs)]):
+        return None
+    combined = list(zeros(constraints.ambient_dim))
+    offset = ZERO
+    for coeff, (normal, rhs) in zip(multipliers, rows):
+        for k, a in enumerate(normal):
+            combined[k] += coeff * a
+        offset += coeff * rhs
+    return tuple(combined), offset
+
+
 def verify_farkas(constraints, multipliers: Vector) -> bool:
     """Check a Farkas infeasibility certificate exactly.
 
@@ -299,21 +319,11 @@ def verify_farkas(constraints, multipliers: Vector) -> bool:
     negative: the combination reads ``0.x <= negative``, so no point can
     satisfy the system.
     """
-    ineqs = list(constraints.inequalities)
-    eqs = list(constraints.equalities)
-    if len(multipliers) != len(ineqs) + len(eqs):
+    combination = _combination(constraints, multipliers)
+    if combination is None:
         return False
-    y = multipliers[: len(ineqs)]
-    z = multipliers[len(ineqs):]
-    if any(v < 0 for v in y):
-        return False
-    combined = list(zeros(constraints.ambient_dim))
-    offset = ZERO
-    for coeff, (normal, rhs) in zip(list(y) + list(z), ineqs + eqs):
-        for k, a in enumerate(normal):
-            combined[k] += coeff * a
-        offset += coeff * rhs
-    return is_zero(tuple(combined)) and offset < 0
+    normal, offset = combination
+    return is_zero(normal) and offset < 0
 
 
 def verify_dual(constraints, objective: Vector, sense: str, result: LPResult) -> bool:
@@ -326,30 +336,17 @@ def verify_dual(constraints, objective: Vector, sense: str, result: LPResult) ->
     """
     if result.status != OPTIMAL or result.dual is None:
         return False
-    ineqs = list(constraints.inequalities)
-    eqs = list(constraints.equalities)
-    mult = result.dual
-    if len(mult) != len(ineqs) + len(eqs):
-        return False
-    y = mult[: len(ineqs)]
-    if any(v < 0 for v in y):
-        return False
+    combination = _combination(constraints, result.dual)
     c = objective if sense == MAX else tuple(-x for x in objective)
     target = result.optimum if sense == MAX else -result.optimum
-    combined = list(zeros(constraints.ambient_dim))
-    offset = ZERO
-    for coeff, (normal, rhs) in zip(mult, ineqs + eqs):
-        for k, a in enumerate(normal):
-            combined[k] += coeff * a
-        offset += coeff * rhs
-    if tuple(combined) != tuple(c) or offset != target:
+    if combination != (tuple(c), target):
         return False
     # The primal witness must be feasible and achieve the same value.
     x = result.witness
-    for normal, rhs in ineqs:
+    for normal, rhs in constraints.inequalities:
         if dot(normal, x) > rhs:
             return False
-    for normal, rhs in eqs:
+    for normal, rhs in constraints.equalities:
         if dot(normal, x) != rhs:
             return False
     return dot(objective, x) == result.optimum

@@ -144,6 +144,13 @@ def symmetry_group_to_json(group) -> list:
     ]
 
 
+def decompositions_to_json(decs) -> list:
+    return [
+        {"support": list(dec.support), "weights": vector_to_json(dec.weights)}
+        for dec in decs
+    ]
+
+
 def complex_matrix_to_json(m) -> list:
     """Row-major [[re, im], ...] pairs for a complex matrix."""
     rows = []

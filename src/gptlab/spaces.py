@@ -75,7 +75,7 @@ class StateSpace:
         return self.h.contains(tuple(x))
 
 
-def from_vertices(points, label: str, dim: int | None = None) -> StateSpace:
+def from_vertices(points, label: str) -> StateSpace:
     """Polytopal space from extreme-point candidates (non-extreme are dropped).
 
     One facet enumeration runs over all the distinct points; the vertices
@@ -84,7 +84,7 @@ def from_vertices(points, label: str, dim: int | None = None) -> StateSpace:
     pts = [tuple(p) for p in points]
     if not pts:
         raise InputError("a state space needs at least one state")
-    d = dim if dim is not None else len(pts[0])
+    d = len(pts[0])
     cloud = VRep.make(d, pts)
     h = facet_enumeration(cloud)
     v = VRep(

@@ -12,6 +12,8 @@ from gptlab.boxworld import (
     LOCAL_DETERMINISTIC,
     PR_BOX,
     ProbabilityTable,
+    VertexClass,
+    _ns_vertex_classes,
     all_chsh_variants,
     build_ns_hrep,
     chsh_max,
@@ -28,7 +30,14 @@ from gptlab.boxworld import (
     table_index,
 )
 from gptlab.errors import InputError, NotAVertexError, SignallingError
-from gptlab.ratgeo import MAX, OPTIMAL, affine_dimension, solve_lp, verify_dual
+from gptlab.ratgeo import (
+    MAX,
+    OPTIMAL,
+    affine_dimension,
+    is_extreme_in,
+    solve_lp,
+    verify_dual,
+)
 from gptlab.ratgeo.linalg import rank, vec
 from gptlab.spaces import from_vertices
 
@@ -82,6 +91,49 @@ def test_local_vertices_are_exactly_product_images(boxworld2):
         if classify_vertex(table_from_vector(v)).tag == LOCAL_DETERMINISTIC
     }
     assert products == local
+
+
+def decode_vertex_class(t):
+    """Oracle: decode a vertex's class from its marginals and xor supports.
+
+    Deterministic marginals give the assignment (a(0), a(1), b(0), b(1));
+    otherwise every setting pair must put weight 1/2 on one value g(x, y)
+    of a xor b, and g fixes the PR relabelling r + 2s + 4t.
+    """
+    pa, pb = marginals(t)
+    if all(v in (0, 1) for row in pa + pb for v in row):
+        a_of = tuple(next(a for a in range(2) if pa[a][x] == 1) for x in range(2))
+        b_of = tuple(next(b for b in range(2) if pb[b][y] == 1) for y in range(2))
+        return VertexClass(tag=LOCAL_DETERMINISTIC, detail=a_of + b_of)
+    assert all(v in (0, HALF) for v in t.p)
+    g = {}
+    for x, y in itertools.product(range(2), repeat=2):
+        support = {
+            a ^ b
+            for a, b in itertools.product(range(2), repeat=2)
+            if t.value(a, b, x, y) > 0
+        }
+        assert len(support) == 1
+        g[(x, y)] = support.pop()
+    tt = g[(0, 0)]
+    r = g[(1, 0)] ^ tt
+    s = g[(0, 1)] ^ tt
+    assert g[(1, 1)] == 1 ^ r ^ s ^ tt
+    return VertexClass(tag=PR_BOX, detail=r + 2 * s + 4 * tt)
+
+
+def test_classification_matches_decoder_oracle(boxworld2):
+    for v in boxworld2.vertices:
+        t = table_from_vector(v)
+        assert classify_vertex(t) == decode_vertex_class(t)
+
+
+def test_vertex_table_is_the_enumerated_vertex_set(boxworld2):
+    classes = _ns_vertex_classes()
+    assert set(classes) == set(boxworld2.vertices)
+    assert len(classes) == 24
+    ns = build_ns_hrep()
+    assert all(is_extreme_in(ns, key) for key in classes)
 
 
 def test_classify_rejects_non_vertices():
@@ -210,7 +262,7 @@ def test_chsh_lp_bounds(boxworld2):
         for v in boxworld2.vertices
         if classify_vertex(table_from_vector(v)).tag == LOCAL_DETERMINISTIC
     ]
-    local_space = from_vertices(local, "local-polytope", dim=16)
+    local_space = from_vertices(local, "local-polytope")
     for variant in all_chsh_variants():
         result = solve_lp(chsh_objective(variant), MAX, local_space.h)
         assert result.status == OPTIMAL

@@ -262,6 +262,11 @@ BAD_INPUTS = {
     "bloch-unitary-overflow": lambda tmp: [
         "bloch", "--unitary", _json_file(tmp, [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]])
     ],
+    "out-directory": lambda tmp: ["vertices", "--space", "gbit", "--out", str(tmp)],
+    "out-missing-parent": lambda tmp: [
+        "vertices", "--space", "gbit", "--out", str(tmp / "missing" / "out.json")
+    ],
+    "out-nul-byte": lambda tmp: ["vertices", "--space", "gbit", "--out", "out\x00.json"],
 }
 
 
@@ -402,8 +407,9 @@ def _edge_midpoint_state():
     )
 
 
-# sha256 of the stdout of each command, recorded before the integer kernel
-# replaced the Fraction elimination, Q and constraint checks beneath them.
+# sha256 of the stdout of each command, recorded before a rewrite beneath it:
+# the integer kernel that replaced the Fraction elimination, Q and constraint
+# checks, and for classify-boxworld2 the lookup that replaced the decoder.
 PINNED_OUTPUTS = {
     "vertices-gbit": "a998db93dd76fb7e7f84904dcf53ce995a29449b114d8b429c71d587ff4e13c3",
     "vertices-classical-4": "5dcd4a95faa2f3f0a441ae85d97de1e8e8d26ad20bc9e3b62a73ed51a983c9c7",
@@ -418,6 +424,7 @@ PINNED_OUTPUTS = {
     "orbits-classical-4": "79672ef08f3a3f9d83c409d5e70cbb44fb6799ab794189fac42be0e4e197cabb",
     "orbits-boxworld2": "948f01c1de54b1b730c3dbac8ad198995121e472fc2a2b6db6aa4272fec3e249",
     "decompose-boxworld2-edge-midpoint": "5dfa5df3a67d9b237400730a0c40b2d56d0474c43791deff46fd4152250e5c71",
+    "classify-boxworld2": "9f2c1df26909368d56b0359e9e935de55d8896811165a6cc3f671eea59551299",
 }
 
 

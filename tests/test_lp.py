@@ -149,6 +149,64 @@ def test_duality_on_random_programs():
             assert r == fraction_solve_lp(c, sense, h)
 
 
+def segment(*extra_ineqs):
+    """x + y = 1 with x, y >= 0, rows in a fixed order, plus ``extra_ineqs``."""
+    ineqs = (((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0))) + extra_ineqs
+    return HRep(2, ineqs, (((F(1), F(1)), F(1)),))
+
+
+CONTRADICTION = ((F(1), F(1)), F(0))  # x + y <= 0, which no point of the segment meets
+SLACK = ((F(1), F(1)), F(2))  # x + y <= 2, which every point of the segment meets
+
+
+def _dual(**changes):
+    """verify_dual on a certificate for max x = 1 at (1, 0), with ``changes``.
+
+    The multipliers are 0 and 1 on -x <= 0 and -y <= 0, and 1 on x + y = 1.
+    """
+    cert = dict(c=vec(1, 0), optimum=F(1), witness=vec(1, 0), dual=vec(0, 1, 1))
+    cert.update(changes)
+    result = LPResult(OPTIMAL, cert["optimum"], cert["witness"], cert["dual"])
+    return verify_dual(segment(), cert["c"], MAX, result)
+
+
+def _farkas(multipliers, *extra_ineqs):
+    return verify_farkas(segment(*extra_ineqs), multipliers)
+
+
+# Each certificate breaks one condition and meets all the others.
+BROKEN_CERTIFICATES = {
+    "dual-wrong-length": lambda: _dual(dual=vec(0, 1)),
+    # Claims max x = 0 at (0, 1): the combination and the witness both hold.
+    "dual-negative-inequality-multiplier": lambda: _dual(
+        optimum=F(0), witness=vec(0, 1), dual=vec(-1, 0, 0)
+    ),
+    "dual-perturbed-equality-multiplier": lambda: _dual(dual=vec(0, 1, 2)),
+    "dual-optimum-off-by-one": lambda: _dual(optimum=F(2)),
+    # x + y is 1 on the whole segment; (2, -1) meets x + y = 1 but not y >= 0.
+    "dual-witness-outside": lambda: _dual(
+        c=vec(1, 1), dual=vec(0, 0, 1), witness=vec(2, -1)
+    ),
+    "farkas-wrong-length": lambda: _farkas(vec(0, 0, 1), CONTRADICTION),
+    # Would prove the feasible segment with x + y <= 2 infeasible.
+    "farkas-negative-inequality-multiplier": lambda: _farkas(vec(0, 0, -1, 1), SLACK),
+    "farkas-perturbed-equality-multiplier": lambda: _farkas(
+        vec(0, 0, 1, -2), CONTRADICTION
+    ),
+}
+
+
+def test_unbroken_certificates_accepted():
+    assert _dual()
+    assert _dual(c=vec(1, 1), dual=vec(0, 0, 1))
+    assert _farkas(vec(0, 0, 1, -1), CONTRADICTION)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CERTIFICATES))
+def test_broken_certificates_rejected(case):
+    assert BROKEN_CERTIFICATES[case]() is False
+
+
 def test_farkas_on_random_infeasible_programs():
     rng = random.Random(77)
     found = 0

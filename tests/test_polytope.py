@@ -187,7 +187,7 @@ def test_round_trip_square_and_simplices():
 
 def test_from_vertices_drops_interior():
     pts = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1), vec(F(1, 2), F(1, 2)), vec(1, 1)]
-    v = from_vertices(pts, "square", 2).v
+    v = from_vertices(pts, "square").v
     assert v.vertices == (vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1))
 
 
@@ -344,7 +344,7 @@ def random_point_sets():
 def random_vreps():
     """The 40 seeded V-representations of test_round_trip_on_random_vreps."""
     for dim, pts in random_point_sets():
-        yield from_vertices(pts, "random", dim).v
+        yield from_vertices(pts, "random").v
 
 
 def test_round_trip_on_random_vreps():
@@ -460,14 +460,14 @@ def test_from_vertices_matches_lp_hull_oracle():
     mismatches = [
         (dim, pts)
         for dim, pts in hull_oracle_cases()
-        if from_vertices(pts, "cloud", dim).v.vertices != lp_hull_vertices(dim, pts)
+        if from_vertices(pts, "cloud").v.vertices != lp_hull_vertices(dim, pts)
     ]
     assert mismatches == []
 
 
 def test_from_vertices_h_ignores_non_extreme_points():
     for dim, pts in hull_oracle_cases():
-        space = from_vertices(pts, "cloud", dim)
+        space = from_vertices(pts, "cloud")
         assert space.h == facet_enumeration(space.v)
 
 

@@ -237,7 +237,7 @@ def random_polytopes(seed, dim, count):
             tuple(F(rng.randrange(-4, 5)) for _ in range(dim))
             for _ in range(rng.randrange(dim + 1, dim + 6))
         ]
-        yield from_vertices(pts, "random-%d" % dim, dim)
+        yield from_vertices(pts, "random-%d" % dim)
 
 
 def oracle_cases():
