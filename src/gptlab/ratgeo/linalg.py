@@ -2,11 +2,12 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
 row tuples.  Every reduction goes through ``rref``, which scales each row to
-Python integers by the lcm of its denominators, eliminates fraction-free
-(each updated row is divided by the gcd of its entries, in the spirit of
-Bareiss, 1968) and divides by the pivots only when it returns, so every
-result is exact, deterministic and the same ``Fraction`` as plain rational
-elimination would give.  The sizes handled here are tiny (ambient dimension
+Python integers by the lcm of its denominators, eliminates fraction-free in
+``integer_rref`` (each updated row is divided by the gcd of its entries, in
+the spirit of Bareiss, 1968) and divides by the pivots only when it returns,
+so every result is exact, deterministic and the same ``Fraction`` as plain
+rational elimination would give.  Callers whose rows are ints already call
+``integer_rref`` directly.  The sizes handled here are tiny (ambient dimension
 at most ~17), so no effort is spent on pivoting for speed.
 """
 
@@ -38,6 +39,15 @@ def integer_row(values) -> tuple[list[int], int]:
     """(ints, scale) with ``ints[i] == values[i] * scale``, scale the lcm."""
     scale = lcm_of_denominators(values)
     return [scaled(v, scale) for v in values], scale
+
+
+def integer_rows(rows) -> tuple[list[list[int]], int]:
+    """(ints, scale): every row times one scale, the lcm of all denominators.
+
+    One positive scale for all rows keeps their lexicographic order.
+    """
+    scale = lcm_of_denominators(x for row in rows for x in row)
+    return [[scaled(x, scale) for x in row] for row in rows], scale
 
 
 def vec(*entries) -> Vector:
@@ -87,10 +97,6 @@ def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def zeros(n: int) -> Vector:
     return (ZERO,) * n
 
@@ -129,14 +135,29 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
     Returns (reduced nonzero rows, pivot column indices).  Pivots are chosen
     left to right, first nonzero entry in column order, which makes the
-    output canonical for a given row span.  The elimination runs on each
-    row scaled to integers and divides each updated row by the gcd of its
-    entries, so the entries stay small; the pivot rows are divided by their
+    output canonical for a given row span.  Each row is scaled to integers
+    and reduced by ``integer_rref``; the pivot rows are divided by their
     pivots only on return.  Scaling a row by a nonzero number changes neither
     which entries are zero nor the row span, so the pivots and the result
     are those of elimination over the rationals.
     """
-    work = [integer_row(r)[0] for r in rows]
+    work, pivots = integer_rref([integer_row(r)[0] for r in rows])
+    return [
+        [Fraction(x, row[c]) if x else ZERO for x in row]
+        for row, c in zip(work, pivots)
+    ], pivots
+
+
+def integer_rref(rows) -> tuple[list, list[int]]:
+    """Fraction-free reduced row echelon form of integer rows.
+
+    Returns (nonzero rows, pivot column indices), pivots as in ``rref``.
+    Each returned row is a nonzero integer multiple of the matching row of
+    the rational reduced form: zero in every other row's pivot column.  Each
+    updated row is divided by the gcd of its entries, in the spirit of
+    Bareiss (1968), so the entries stay small.
+    """
+    work = list(rows)
     if not work:
         return [], []
     ncols = len(work[0])
@@ -165,10 +186,7 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         r += 1
         if r == len(work):
             break
-    return [
-        [Fraction(x, row[c]) if x else ZERO for x in row]
-        for row, c in zip(work, pivots)
-    ], pivots
+    return work[:r], pivots
 
 
 def rank(rows) -> int:

@@ -5,8 +5,11 @@ equalities ``e.x = f``) or a ``VRep`` (canonically ordered vertex list).
 Both conversions run the double description method on a pointed cone:
 ``vertex_enumeration`` on the homogenization cone of the inequalities,
 ``facet_enumeration`` on the cone of inequalities valid on the points, whose
-extreme rays are the facets.  All arithmetic is exact, all outputs
-canonically ordered, so conversions are reproducible bit for bit.
+extreme rays are the facets.  The cone's rows are scaled to integers by one
+common lcm, which keeps their order, and its rays stay primitive integer
+vectors; ``Fraction``s are built only for the returned ``VRep`` or ``HRep``.
+All arithmetic is exact, all outputs canonically ordered, so conversions
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import mul
 
 from ..errors import EmptyError, InputError, UnboundedError
@@ -26,16 +30,15 @@ from .linalg import (
     format_rational,
     independent_rows,
     integer_row,
+    integer_rows,
+    integer_rref,
     inverse,
     is_zero,
-    mat_vec,
     null_space,
     primitive,
     primitive_signed,
     rank,
     rref,
-    transpose,
-    vscale,
     vsub,
     zeros,
 )
@@ -180,13 +183,16 @@ def _adjacent(zero_sets: list[int], p: int, q: int) -> bool:
     )
 
 
-def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
+def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
     """Extreme rays of the cone {z in Q^k : M z <= 0}, or None if not pointed.
 
-    The cone is pointed iff ``rows`` has rank k.  Uses the double description
-    method: start from a simplicial subcone given by k independent rows,
-    insert the remaining rows one at a time, and keep only combinations of
-    adjacent pairs (``_adjacent``).
+    ``rows`` are the integer rows of M; the rays are returned as primitive
+    integer tuples (coprime entries), the canonical form of a ray.  The cone
+    is pointed iff ``rows`` has rank k.  Uses the double description method
+    on integers (Fukuda & Prodon, 1996): start from a simplicial subcone
+    given by k independent rows, insert the remaining rows one at a time,
+    and keep only combinations of adjacent pairs (``_adjacent``), each
+    divided by the gcd of its entries.
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i])
     basis_idx = [order[j] for j in independent_rows([rows[i] for i in order])]
@@ -195,13 +201,16 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
 
     binv = inverse(tuple(rows[i] for i in basis_idx))
     assert binv is not None
-    rays = [primitive(tuple(-binv[r][c] for r in range(k))) for c in range(k)]
+    rays = [
+        _primitive_ints(integer_row([-binv[r][c] for r in range(k)])[0])
+        for c in range(k)
+    ]
     processed = list(basis_idx)
     zero_sets = []
     for ray in rays:
         zs = 0
         for pos, i in enumerate(processed):
-            if dot(rows[i], ray) == 0:
+            if sum(map(mul, rows[i], ray)) == 0:
                 zs |= 1 << pos
         zero_sets.append(zs)
 
@@ -209,7 +218,7 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
     for i in remaining:
         m = rows[i]
         bit = 1 << len(processed)
-        values = [dot(m, ray) for ray in rays]
+        values = [sum(map(mul, m, ray)) for ray in rays]
         keep_rays, keep_zs = [], []
         plus, minus = [], []
         for idx, val in enumerate(values):
@@ -224,14 +233,20 @@ def _dd_extreme_rays(rows: list[Vector], k: int) -> list[Vector] | None:
             for q in minus:
                 if not _adjacent(zero_sets, p, q):
                     continue
-                combo = vsub(
-                    vscale(values[p], rays[q]), vscale(values[q], rays[p])
-                )
-                keep_rays.append(primitive(combo))
+                combo = [
+                    values[p] * y - values[q] * x for x, y in zip(rays[p], rays[q])
+                ]
+                keep_rays.append(_primitive_ints(combo))
                 keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
         rays, zero_sets = keep_rays, keep_zs
         processed.append(i)
     return rays
+
+
+def _primitive_ints(ints) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def vertex_enumeration(h: HRep) -> VRep:
@@ -245,24 +260,32 @@ def vertex_enumeration(h: HRep) -> VRep:
     infeasible, otherwise ``UnboundedError`` for the line.  Every returned
     vertex is re-verified extremal via the active-constraint rank test before
     the canonical VRep is built.
+
+    The cone is parametrized by a basis of the equalities' null space, and
+    both the basis and the homogenized rows are scaled to integers by one
+    lcm each, so its rows keep their order and every lifted ray (x, t) is an
+    integer vector ``scale`` times the one the rational basis would give.
     """
     d = h.ambient_dim
     # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
-    n_basis = null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
+    basis, scale = integer_rows(
+        null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
+    )
 
     hom_ineqs = [tuple(n) + (-o,) for n, o in h.inequalities]
     hom_ineqs.append(tuple(ZERO for _ in range(d)) + (-ONE,))  # t >= 0
+    hom_ineqs, _ = integer_rows(hom_ineqs)
 
     reduced_rows = []
     for row in hom_ineqs:
-        reduced = mat_vec(n_basis, row)
-        if not is_zero(reduced):
+        reduced = [sum(map(mul, b, row)) for b in basis]
+        if any(reduced):
             reduced_rows.append(reduced)
 
-    rays = _dd_extreme_rays(reduced_rows, len(n_basis)) if n_basis else []
+    rays = _dd_extreme_rays(reduced_rows, len(basis)) if basis else []
     if rays is not None:
-        lift = transpose(n_basis)
-        rays = [mat_vec(lift, zray) for zray in rays]
+        columns = list(zip(*basis))
+        rays = [[sum(map(mul, col, zray)) for col in columns] for zray in rays]
     if rays is None or all(y[d] == 0 for y in rays):
         if lp.solve_lp(zeros(d), lp.MAX, h).status == lp.INFEASIBLE:
             raise EmptyError("the H-representation describes an empty polytope")
@@ -271,10 +294,10 @@ def vertex_enumeration(h: HRep) -> VRep:
         if y[d] == 0:
             raise UnboundedError(
                 "polyhedron is unbounded along direction (%s)"
-                % ", ".join(map(format_rational, y[:d]))
+                % ", ".join(format_rational(Fraction(x, scale)) for x in y[:d])
             )
 
-    result = VRep.make(d, [tuple(val / y[d] for val in y[:d]) for y in rays])
+    result = VRep.make(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
     for v in result.vertices:
         if not is_extreme_in(h, v):
             raise InputError("double description produced a non-extreme point")
@@ -289,9 +312,14 @@ def is_extreme_in(h: HRep, v: Vector) -> bool:
     """
     if not h.contains(v):
         return False
-    active = [h.inequalities[i][0] for i in h.active_inequalities(v)]
-    active += [n for n, _ in h.equalities]
-    return rank(active) == h.ambient_dim
+    ineqs, eqs = h._integer_constraints
+    active = [ineqs[i][0] for i in h.active_inequalities(v)]
+    active += [n for n, _ in eqs]
+    return _integer_rank(active) == h.ambient_dim
+
+
+def _integer_rank(rows) -> int:
+    return len(integer_rref(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +356,9 @@ def facet_enumeration(v: VRep) -> HRep:
     if k == 0:
         return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
 
-    cone = [tuple(p[j] for j in coords) + (-ONE,) for p in verts]
+    # The points times one lcm: the cone keeps its rays and its row order.
+    points, scale = integer_rows(verts)
+    cone = [[p[j] for j in coords] + [-scale] for p in points]
     rays = _dd_extreme_rays(cone, k + 1)
     assert rays is not None  # p -> p[coords] is injective on the affine hull
     inequalities = []
@@ -339,12 +369,15 @@ def facet_enumeration(v: VRep) -> HRep:
         normal, offset = _canonical_inequality(
             *_reduce_mod_equalities(tuple(normal), ray[k], equalities)
         )
-        values = [dot(normal, p) for p in verts]
-        tight = [p for p, val in zip(verts, values) if val == offset]
+        # A canonical inequality has integer entries.
+        ints = [x.numerator for x in normal]
+        bound = offset.numerator * scale
+        values = [sum(map(mul, ints, p)) for p in points]
+        tight = [p for p, val in zip(points, values) if val == bound]
         if (
-            any(val > offset for val in values)
+            any(val > bound for val in values)
             or not tight
-            or affine_dimension(tight) != k - 1
+            or _integer_rank([vsub(p, tight[0]) for p in tight[1:]]) != k - 1
         ):
             raise InputError("double description produced a non-facet inequality")
         inequalities.append((normal, offset))

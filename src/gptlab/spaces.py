@@ -32,7 +32,6 @@ from .ratgeo.linalg import (
     format_rational,
     identity as identity_matrix,
     inverse,
-    mat_mul,
     mat_vec,
     vadd,
     zeros,
@@ -213,13 +212,6 @@ class AffineMap:
 
     def apply(self, x: Vector) -> Vector:
         return vadd(mat_vec(self.matrix, tuple(x)), self.shift)
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x -> self(other(x))."""
-        return AffineMap(
-            matrix=mat_mul(self.matrix, other.matrix),
-            shift=vadd(mat_vec(self.matrix, other.shift), self.shift),
-        )
 
     def inverse(self) -> "AffineMap | None":
         minv = inverse(self.matrix)

@@ -20,13 +20,17 @@ from gptlab.ratgeo import lp, polytope
 from gptlab.ratgeo.linalg import (
     dot,
     independent_rows,
+    integer_rows,
     inverse,
     null_space,
+    primitive,
+    rref,
     transpose,
     vec,
     vsub,
 )
 from gptlab.ratgeo.polytope import (
+    _adjacent,
     _canonical_equality,
     _canonical_inequality,
     _reduce_mod_equalities,
@@ -140,6 +144,68 @@ EMPTY_CASES = {
 def test_unbounded_rejected(case):
     with pytest.raises(UnboundedError):
         vertex_enumeration(UNBOUNDED_CASES[case])
+
+
+def test_unbounded_direction_is_named_in_input_coordinates():
+    # Fractional rows and an equality: the ray is lifted through a null-space
+    # basis scaled to integers, and the message must undo that scale.
+    h = HRep(
+        3,
+        inequalities=(
+            ((F(-1, 3), F(0), F(0)), F(0)),
+            ((F(0), F(0), F(1, 2)), F(1, 2)),
+            ((F(0), F(0), F(-1)), F(0)),
+        ),
+        equalities=(((F(2), F(1), F(0)), F(1)),),
+    )
+    with pytest.raises(UnboundedError) as err:
+        vertex_enumeration(h)
+    assert str(err.value) == "polyhedron is unbounded along direction (1/2, -1/1, 0/1)"
+
+
+def rational_halfspace_cases():
+    """Seeded bounded (or empty) polyhedra with rational, non-primitive rows,
+    as (dim, inequalities, equalities): a box, random cuts, at most one
+    equality, each row times a random positive rational."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        dim = rng.randrange(1, 5)
+        ineqs = []
+        for k in range(dim):
+            e = tuple(F(1) if j == k else F(0) for j in range(dim))
+            ineqs.append((e, F(rng.randrange(0, 6))))
+            ineqs.append((tuple(-x for x in e), F(rng.randrange(0, 6))))
+        for _ in range(rng.randrange(0, 4)):
+            normal = tuple(random_rational(rng) for _ in range(dim))
+            if any(normal):
+                ineqs.append((normal, random_rational(rng)))
+        eqs = [
+            (tuple(random_rational(rng) for _ in range(dim)), random_rational(rng))
+            for _ in range(rng.randrange(0, 2))
+        ]
+        ineqs = [
+            (tuple(c * x for x in n), c * o)
+            for n, o in ineqs
+            for c in [F(rng.randint(1, 12), rng.randint(1, 12))]
+        ]
+        yield dim, ineqs, eqs
+
+
+def test_direct_hrep_with_rational_rows_matches_make():
+    bounded = fractional = 0
+    for dim, ineqs, eqs in rational_halfspace_cases():
+        direct = HRep(dim, tuple(ineqs), tuple(eqs))
+        made = HRep.make(dim, ineqs, eqs)
+        try:
+            expected = vertex_enumeration(made)
+        except EmptyError:
+            with pytest.raises(EmptyError):
+                vertex_enumeration(direct)
+            continue
+        assert vertex_enumeration(direct) == expected, direct
+        bounded += 1
+        fractional += any(x.denominator > 1 for p in expected.vertices for x in p)
+    assert bounded > 30 and fractional > 15
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_CASES))
@@ -562,7 +628,7 @@ def test_facets_match_polar_dual_oracle(name, gbit, boxworld2):
     "extra",
     # x + y <= 2 holds on the square but is tight at (1, 1) alone;
     # x + y <= 1 fails at (1, 1); 0 <= 1 is tight nowhere.
-    [(F(1), F(1), F(2)), (F(1), F(1), F(1)), (F(0), F(0), F(1))],
+    [(1, 1, 2), (1, 1, 1), (0, 0, 1)],
     ids=["valid-non-facet", "violated", "tight-nowhere"],
 )
 def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
@@ -571,3 +637,95 @@ def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
     monkeypatch.setattr(polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [extra])
     with pytest.raises(InputError):
         facet_enumeration(square)
+
+
+def fraction_dd_extreme_rays(rows, k):
+    """Oracle for ``polytope._dd_extreme_rays``: the same double description
+    on ``Fraction`` rows, each ray scaled by ``primitive``."""
+    order = sorted(range(len(rows)), key=lambda i: rows[i])
+    basis_idx = [order[j] for j in independent_rows([rows[i] for i in order])]
+    if len(basis_idx) < k:
+        return None
+
+    binv = inverse(tuple(rows[i] for i in basis_idx))
+    assert binv is not None
+    rays = [primitive(tuple(-binv[r][c] for r in range(k))) for c in range(k)]
+    processed = list(basis_idx)
+    zero_sets = []
+    for ray in rays:
+        zs = 0
+        for pos, i in enumerate(processed):
+            if dot(rows[i], ray) == 0:
+                zs |= 1 << pos
+        zero_sets.append(zs)
+
+    remaining = [i for i in order if i not in set(basis_idx)]
+    for i in remaining:
+        m = rows[i]
+        bit = 1 << len(processed)
+        values = [dot(m, ray) for ray in rays]
+        keep_rays, keep_zs = [], []
+        plus, minus = [], []
+        for idx, val in enumerate(values):
+            if val > 0:
+                plus.append(idx)
+                continue
+            keep_rays.append(rays[idx])
+            keep_zs.append(zero_sets[idx] | bit if val == 0 else zero_sets[idx])
+            if val < 0:
+                minus.append(idx)
+        for p in plus:
+            for q in minus:
+                if not _adjacent(zero_sets, p, q):
+                    continue
+                combo = vsub(
+                    tuple(values[p] * x for x in rays[q]),
+                    tuple(values[q] * x for x in rays[p]),
+                )
+                keep_rays.append(primitive(combo))
+                keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
+        rays, zero_sets = keep_rays, keep_zs
+        processed.append(i)
+    return rays
+
+
+def homogenization_cone(h):
+    """(rows, k): the Fraction cone ``vertex_enumeration`` runs double
+    description on, in the coordinates of the equalities' null space."""
+    d = h.ambient_dim
+    n_basis = null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
+    hom = [tuple(n) + (-o,) for n, o in h.inequalities]
+    hom.append((F(0),) * d + (F(-1),))
+    rows = [tuple(dot(b, row) for b in n_basis) for row in hom]
+    return [r for r in rows if any(r)], len(n_basis)
+
+
+def valid_inequality_cone(v):
+    """(rows, k): the Fraction cone ``facet_enumeration`` runs double
+    description on, read on the hull's coordinate columns."""
+    base = v.vertices[0]
+    _, coords = rref([vsub(p, base) for p in v.vertices[1:]])
+    rows = [tuple(p[j] for j in coords) + (F(-1),) for p in v.vertices]
+    return rows, len(coords) + 1
+
+
+def dd_oracle_cones():
+    for dim, pts in random_point_sets():
+        yield "random", homogenization_cone(facet_enumeration(VRep.make(dim, pts)))
+    for dim, pts in flat_point_sets():
+        yield "flat", valid_inequality_cone(VRep.make(dim, pts))
+    for dim in (2, 3, 4):
+        yield "cube", homogenization_cone(degenerate_cube_h(dim))
+
+
+def test_integer_dd_matches_fraction_oracle():
+    counts = {}
+    for kind, (rows, k) in dd_oracle_cones():
+        ints, _ = integer_rows(rows)
+        rays = polytope._dd_extreme_rays(ints, k)
+        assert all(type(x) is int for ray in rays for x in ray)
+        # Equal as ordered lists: the first ray with t = 0 names the
+        # unbounded direction.
+        assert [tuple(map(F, ray)) for ray in rays] == fraction_dd_extreme_rays(rows, k)
+        counts[kind] = counts.get(kind, 0) + 1
+    assert counts == {"random": 40, "flat": 24, "cube": 3}
