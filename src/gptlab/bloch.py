@@ -60,15 +60,15 @@ def bloch_eigenvalues(a) -> tuple[float, float]:
     return 0.5 * (1 + r), 0.5 * (1 - r)
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u) -> bool:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         return False
     # A unitary's entries have modulus at most 1.  Compared before the
     # product, which NaN would poison and huge entries would overflow.
-    if not np.all(np.abs(u) <= 1 + tol):
+    if not np.all(np.abs(u) <= 1 + UNITARY_TOL):
         return False
-    return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= tol)
+    return bool(np.max(np.abs(u @ u.conj().T - np.eye(2))) <= UNITARY_TOL)
 
 
 def unitary_to_rotation(u) -> np.ndarray:

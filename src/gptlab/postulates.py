@@ -477,9 +477,7 @@ def _continuity_entry(space: StateSpace) -> dict:
 
 def _interaction_entry(composite: StateSpace) -> dict:
     group = affine_automorphisms(composite)
-    interaction = check_interaction(
-        composite, _product_vertex_indices(composite), group=group
-    )
+    interaction = check_interaction(composite, _product_vertex_indices(composite))
     entry = {
         "status": FAIL if interaction.status == NON_INTERACTING else PASS,
         "vertex_level_result": interaction.status,

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
-row tuples.  Every reduction goes through ``rref``, which scales each row to
-Python integers by the lcm of its denominators, eliminates fraction-free in
-``integer_rref`` (each updated row is divided by the gcd of its entries, in
-the spirit of Bareiss, 1968) and divides by the pivots only when it returns,
-so every result is exact, deterministic and the same ``Fraction`` as plain
-rational elimination would give.  Callers whose rows are ints already call
-``integer_rref`` directly.  The sizes handled here are tiny (ambient dimension
-at most ~17), so no effort is spent on pivoting for speed.
+row tuples.  Every reduction scales each row to Python integers by the lcm
+of its denominators and eliminates fraction-free in ``integer_rref`` (each
+updated row is divided by the gcd of its entries, in the spirit of Bareiss,
+1968); ``rref`` divides by the pivots and ``null_space`` by their lcm only
+when it returns, so every result is exact, deterministic and the same
+``Fraction`` as plain rational elimination would give.  Callers whose rows
+are ints already call ``integer_rref`` and ``integer_null_space`` directly.
+The sizes handled here are tiny (ambient dimension at most ~17), so no
+effort is spent on pivoting for speed.
 """
 
 from __future__ import annotations
@@ -207,17 +208,23 @@ def independent_rows(rows) -> list[int]:
 
 def null_space(rows, ncols: int) -> list[Vector]:
     """Canonical basis of {x : Rx = 0}, one vector per free column."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    reduced = integer_rref([integer_row(r)[0] for r in rows])
+    basis, scale = integer_null_space(*reduced, ncols)
+    return [tuple(Fraction(x, scale) for x in v) for v in basis]
+
+
+def integer_null_space(reduced, pivots, ncols: int) -> tuple[list[list[int]], int]:
+    """(basis, scale): ``null_space`` times ``scale``, the lcm of the pivots,
+    from the (rows, pivots) that ``integer_rref`` returns."""
+    scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = scale
         for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(v)
+    return basis, scale
 
 
 def solve(a_rows, b: Vector) -> Vector | None:

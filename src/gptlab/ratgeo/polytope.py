@@ -5,11 +5,12 @@ equalities ``e.x = f``) or a ``VRep`` (canonically ordered vertex list).
 Both conversions run the double description method on a pointed cone:
 ``vertex_enumeration`` on the homogenization cone of the inequalities,
 ``facet_enumeration`` on the cone of inequalities valid on the points, whose
-extreme rays are the facets.  The cone's rows are scaled to integers by one
-common lcm, which keeps their order, and its rays stay primitive integer
-vectors; ``Fraction``s are built only for the returned ``VRep`` or ``HRep``.
-All arithmetic is exact, all outputs canonically ordered, so conversions
-are reproducible bit for bit.
+extreme rays are the facets.  Everything in between runs on integers: the
+cone's rows (scaled by one common lcm, which keeps their order), its
+primitive rays, the null spaces and the ``HRep.slacks`` that every point
+test reads.  ``Fraction``s are built only for the returned ``VRep`` or
+``HRep``; all outputs are canonically ordered, so conversions are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,19 +27,16 @@ from .linalg import (
     ONE,
     Vector,
     ZERO,
-    dot,
     format_rational,
     independent_rows,
+    integer_null_space,
     integer_row,
     integer_rows,
     integer_rref,
     inverse,
     is_zero,
-    null_space,
     primitive,
     primitive_signed,
-    rank,
-    rref,
     vsub,
     zeros,
 )
@@ -106,27 +104,31 @@ class HRep:
             tuple(_integer_constraint(n, o) for n, o in self.equalities),
         )
 
-    def _integer_point(self, x: Vector) -> tuple[list[int], int]:
-        """x as (ints, den) with x = ints / den, den > 0."""
+    def slacks(self, x: Vector) -> tuple[list[int], list[int]]:
+        """(b.den - a.x per inequality, f.den - e.x per equality) as ints on
+        ``_integer_constraints``, den the lcm of x's denominators: each is a
+        positive multiple of the rational slack, with its sign and zeros."""
         if len(x) != self.ambient_dim:
             raise ValueError(
                 "dimension mismatch: %d vs %d" % (self.ambient_dim, len(x))
             )
-        return integer_row(x)
+        ints, den = integer_row(x)
+        return tuple(
+            [o * den - sum(map(mul, n, ints)) for n, o in rows]
+            for rows in self._integer_constraints
+        )
 
     def contains(self, x: Vector) -> bool:
-        ints, den = self._integer_point(x)
-        ineqs, eqs = self._integer_constraints
-        return all(sum(map(mul, n, ints)) <= o * den for n, o in ineqs) and all(
-            sum(map(mul, n, ints)) == o * den for n, o in eqs
-        )
+        return _holds(self.slacks(x))
 
     def active_inequalities(self, x: Vector) -> tuple[int, ...]:
-        ints, den = self._integer_point(x)
-        ineqs, _ = self._integer_constraints
-        return tuple(
-            i for i, (n, o) in enumerate(ineqs) if sum(map(mul, n, ints)) == o * den
-        )
+        return tuple(i for i, s in enumerate(self.slacks(x)[0]) if s == 0)
+
+
+def _holds(slacks) -> bool:
+    """Whether a point with these ``HRep.slacks`` lies in the polyhedron."""
+    ineq, eq = slacks
+    return all(s >= 0 for s in ineq) and not any(eq)
 
 
 @dataclass(frozen=True)
@@ -159,8 +161,12 @@ def affine_dimension(points) -> int:
     pts = [tuple(p) for p in points]
     if not pts:
         raise InputError("affine_dimension of an empty point list")
-    base = pts[0]
-    return rank([vsub(p, base) for p in pts[1:]])
+    return _affine_rank(integer_rows(pts)[0])
+
+
+def _affine_rank(points) -> int:
+    """Rank of the differences of integer points from the first one."""
+    return len(integer_rref([vsub(p, points[0]) for p in points[1:]])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +267,22 @@ def vertex_enumeration(h: HRep) -> VRep:
     vertex is re-verified extremal via the active-constraint rank test before
     the canonical VRep is built.
 
-    The cone is parametrized by a basis of the equalities' null space, and
-    both the basis and the homogenized rows are scaled to integers by one
-    lcm each, so its rows keep their order and every lifted ray (x, t) is an
-    integer vector ``scale`` times the one the rational basis would give.
+    The cone is parametrized by ``integer_null_space`` of the equalities,
+    the canonical basis times one positive ``scale``, and the homogenized
+    rows are scaled to integers by one common lcm, so its rows keep their
+    order and every lifted ray (x, t) is ``scale`` times the rational one.
     """
     d = h.ambient_dim
     # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
-    basis, scale = integer_rows(
-        null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
-    )
+    eqs = integer_rref([list(n) + [-o] for n, o in h._integer_constraints[1]])
+    basis, scale = integer_null_space(*eqs, d + 1)
 
     hom_ineqs = [tuple(n) + (-o,) for n, o in h.inequalities]
     hom_ineqs.append(tuple(ZERO for _ in range(d)) + (-ONE,))  # t >= 0
     hom_ineqs, _ = integer_rows(hom_ineqs)
 
-    reduced_rows = []
-    for row in hom_ineqs:
-        reduced = [sum(map(mul, b, row)) for b in basis]
-        if any(reduced):
-            reduced_rows.append(reduced)
+    reduced_rows = [[sum(map(mul, b, row)) for b in basis] for row in hom_ineqs]
+    reduced_rows = [row for row in reduced_rows if any(row)]
 
     rays = _dd_extreme_rays(reduced_rows, len(basis)) if basis else []
     if rays is not None:
@@ -310,16 +312,13 @@ def is_extreme_in(h: HRep, v: Vector) -> bool:
     v must lie in h, and the constraints active at v, equalities included,
     must have full rank.
     """
-    if not h.contains(v):
+    slacks = h.slacks(v)
+    if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints
-    active = [ineqs[i][0] for i in h.active_inequalities(v)]
+    active = [n for (n, _), s in zip(ineqs, slacks[0]) if s == 0]
     active += [n for n, _ in eqs]
-    return _integer_rank(active) == h.ambient_dim
-
-
-def _integer_rank(rows) -> int:
-    return len(integer_rref(rows)[1])
+    return len(integer_rref(active)[1]) == h.ambient_dim
 
 
 # ---------------------------------------------------------------------------
@@ -344,75 +343,68 @@ def facet_enumeration(v: VRep) -> HRep:
     if not v.vertices:
         raise InputError("facet enumeration of an empty vertex list")
     d = v.ambient_dim
-    verts = list(v.vertices)
-    base = verts[0]
-    diffs = [vsub(p, base) for p in verts[1:]]
-
+    # The points times one lcm: the cone keeps its rays and its row order.
+    points, scale = integer_rows(v.vertices)
+    base = points[0]
+    reduced, coords = integer_rref([vsub(p, base) for p in points[1:]])
+    normals, _ = integer_null_space(reduced, coords, d)
+    # The hyperplane n.x = n.(base / scale), times scale.
     equalities = sorted(
-        _canonical_equality(n, dot(n, base)) for n in null_space(diffs, d)
+        _primitive_signed_ints([x * scale for x in n] + [sum(map(mul, n, base))])
+        for n in normals
     )
-    _, coords = rref(diffs)
     k = len(coords)
     if k == 0:
-        return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
+        return HRep(d, (), _fraction_constraints(equalities))
 
-    # The points times one lcm: the cone keeps its rays and its row order.
-    points, scale = integer_rows(verts)
     cone = [[p[j] for j in coords] + [-scale] for p in points]
     rays = _dd_extreme_rays(cone, k + 1)
     assert rays is not None  # p -> p[coords] is injective on the affine hull
     inequalities = []
     for ray in rays:
-        normal = [ZERO] * d
+        row = [0] * d + [ray[k]]
         for j, c in zip(coords, ray):
-            normal[j] = c
-        normal, offset = _canonical_inequality(
-            *_reduce_mod_equalities(tuple(normal), ray[k], equalities)
-        )
-        # A canonical inequality has integer entries.
-        ints = [x.numerator for x in normal]
-        bound = offset.numerator * scale
-        values = [sum(map(mul, ints, p)) for p in points]
+            row[j] = c
+        row = _primitive_ints(_reduce_mod_equalities(row, equalities))
+        bound = row[d] * scale
+        values = [sum(map(mul, row, p)) for p in points]
         tight = [p for p, val in zip(points, values) if val == bound]
-        if (
-            any(val > bound for val in values)
-            or not tight
-            or _integer_rank([vsub(p, tight[0]) for p in tight[1:]]) != k - 1
-        ):
+        if max(values) > bound or not tight or _affine_rank(tight) != k - 1:
             raise InputError("double description produced a non-facet inequality")
-        inequalities.append((normal, offset))
+        inequalities.append(row)
     return HRep(
         ambient_dim=d,
-        inequalities=tuple(sorted(inequalities)),
-        equalities=tuple(equalities),
+        inequalities=_fraction_constraints(sorted(inequalities)),
+        equalities=_fraction_constraints(equalities),
     )
 
 
-def _reduce_mod_equalities(normal, offset, equalities):
-    """An equivalent inequality with zeros at the equalities' first columns.
+def _primitive_signed_ints(ints) -> tuple[int, ...]:
+    """``_primitive_ints`` with the first nonzero entry positive."""
+    p = _primitive_ints(ints)
+    return p if next(x for x in p if x) > 0 else tuple(-x for x in p)
 
-    Subtracts, row by row, the multiple of each equality that zeroes the
-    normal at that row's first nonzero column; the halfspace within the
-    hull is unchanged.  The rows are not in echelon form, so the result
-    depends on the normal given, not only on the halfspace: it is canonical
-    only for a normal that is zero off the hull's coordinate columns, where
-    a facet fixes the normal up to a positive scale.
+
+def _reduce_mod_equalities(row, equalities):
+    """An equivalent integer inequality row with zeros at the equalities'
+    first columns.
+
+    Each canonical equality in turn zeroes the row at its first nonzero
+    entry, which is positive: the row is multiplied by it, so the halfspace
+    within the hull and the primitive result are those of rational
+    elimination.  The equalities are not in echelon form, so the result is
+    canonical only for a normal that is zero off the hull's coordinate
+    columns, where a facet fixes the normal up to a positive scale.
     """
-    normal = list(normal)
-    for eq_normal, eq_offset in equalities:
-        pivot = None
-        for j, val in enumerate(eq_normal):
-            if val != 0:
-                pivot = j
-                break
-        if pivot is None:
-            continue
-        factor = normal[pivot] / eq_normal[pivot]
-        if factor != 0:
-            for j in range(len(normal)):
-                normal[j] -= factor * eq_normal[j]
-            offset -= factor * eq_offset
-    return tuple(normal), offset
+    for eq in equalities:
+        pivot = next(j for j, x in enumerate(eq) if x)
+        row = [eq[pivot] * x - row[pivot] * y for x, y in zip(row, eq)]
+    return row
+
+
+def _fraction_constraints(rows) -> tuple[Constraint, ...]:
+    """Integer rows (normal, offset) as ``Fraction`` constraints."""
+    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +423,15 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
     """
     if v.ambient_dim != h.ambient_dim:
         raise InputError("representation dimension mismatch")
+    zero_sets = []
     for x in v.vertices:
-        if not h.contains(x):
+        slacks = h.slacks(x)
+        if not _holds(slacks):
             raise InputError(
                 "vertex (%s) violates the H-representation"
                 % ", ".join(map(format_rational, x))
             )
-    zero_sets = [
-        sum(1 << c for c in h.active_inequalities(x)) for x in v.vertices
-    ]
+        zero_sets.append(sum(1 << c for c, s in enumerate(slacks[0]) if s == 0))
     n = len(zero_sets)
     return tuple(
         tuple(j for j in range(n) if j != i and _adjacent(zero_sets, i, j))

@@ -28,7 +28,7 @@ def rational_to_json(value: Fraction) -> str:
 def rational_from_json(text) -> Fraction:
     if isinstance(text, str):
         return parse_rational(text)
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     raise InputError("exact rationals must be 'n/d' strings, got %r" % (text,))
 
@@ -41,6 +41,13 @@ def vector_from_json(data) -> tuple:
     return tuple(rational_from_json(x) for x in data)
 
 
+def _dim_from_json(value) -> int:
+    """A JSON integer; a float, a string or a bool is malformed."""
+    if type(value) is not int:
+        raise TypeError("dim must be an integer, got %r" % (value,))
+    return value
+
+
 def hrep_to_json(h: HRep) -> dict:
     return {
         "dim": h.ambient_dim,
@@ -51,7 +58,7 @@ def hrep_to_json(h: HRep) -> dict:
 
 def hrep_from_json(data) -> HRep:
     try:
-        dim = int(data["dim"])
+        dim = _dim_from_json(data["dim"])
         ineqs = [
             (vector_from_json(n), rational_from_json(o)) for n, o in data["ineqs"]
         ]
@@ -70,7 +77,7 @@ def vrep_to_json(v: VRep) -> dict:
 
 def vrep_from_json(data) -> VRep:
     try:
-        dim = int(data["dim"])
+        dim = _dim_from_json(data["dim"])
         vertices = [vector_from_json(x) for x in data["vertices"]]
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("malformed V-representation: %s" % err) from err

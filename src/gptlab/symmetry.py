@@ -347,11 +347,7 @@ class InteractionResult:
     witness: tuple[int, int, int] | None = None  # (element, vertex, image)
 
 
-def check_interaction(
-    space_ab: StateSpace,
-    product_vertices,
-    group: SymmetryGroup | None = None,
-) -> InteractionResult:
+def check_interaction(space_ab: StateSpace, product_vertices) -> InteractionResult:
     """Decide whether any reversible transformation leaves the locally
     preparable vertex set (at the vertex level).
 
@@ -368,9 +364,7 @@ def check_interaction(
         )
     if any(not 0 <= i < n for i in product_set):
         raise InputError("product vertex index out of range")
-    if group is None:
-        group = affine_automorphisms(space_ab)
-    for k, perm in enumerate(group.vertex_permutations):
+    for k, perm in enumerate(affine_automorphisms(space_ab).vertex_permutations):
         for i in sorted(product_set):
             if perm[i] not in product_set:
                 return InteractionResult(status=INTERACTING, witness=(k, i, perm[i]))

@@ -115,20 +115,66 @@ def test_decompose_boxworld2_answers(boxworld2):
     state = ",".join(
         format_rational((a + b) / 2) for a, b in zip(verts[pr], verts[local])
     )
-    src = os.path.dirname(os.path.dirname(gptlab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [src, env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "gptlab.cli", "decompose",
          "--space", "boxworld2", "--state", state],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     decs = json.loads(proc.stdout)["decompositions"]
     assert len(decs) == 1
     assert sum(Fraction(w) for w in decs[0]["weights"]) == 1
+
+
+def _fresh_interpreter_env():
+    """The environment with this checkout's gptlab first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(gptlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    return env
+
+
+# Every module a cold ``import gptlab.cli`` loads outside the standard
+# library, numpy's own aside.
+CLI_IMPORTS = [
+    "gptlab",
+    "gptlab.bloch",
+    "gptlab.boxworld",
+    "gptlab.cli",
+    "gptlab.errors",
+    "gptlab.postulates",
+    "gptlab.ratgeo",
+    "gptlab.ratgeo.linalg",
+    "gptlab.ratgeo.lp",
+    "gptlab.ratgeo.polytope",
+    "gptlab.serialize",
+    "gptlab.spaces",
+    "gptlab.symmetry",
+    "numpy",
+]
+
+
+def test_cli_import_loads_only_numpy_and_gptlab():
+    """Every command starts with this import, so a heavy module it pulls in
+    slows them all."""
+    code = (
+        "import json, sys; before = set(sys.modules); import gptlab.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        name
+        for name in json.loads(proc.stdout)
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and not name.startswith("numpy.")
+    ]
+    assert loaded == CLI_IMPORTS
 
 
 def test_bloch_vector(capsys):
@@ -217,6 +263,17 @@ def _gbit_json_with_zero_denominator():
     return data
 
 
+def _gbit_json_with(rep, path, value):
+    """The gbit space's JSON with the entry at ``path`` in ``rep`` replaced."""
+    data = space_to_json(make_gbit())
+    *keys, last = path
+    target = data[rep]
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return data
+
+
 def _gbit_json_with_triangle_vertices():
     """Three of the square's vertices against the whole square's H."""
     data = space_to_json(make_gbit())
@@ -267,6 +324,17 @@ BAD_INPUTS = {
         "vertices", "--space", "gbit", "--out", str(tmp / "missing" / "out.json")
     ],
     "out-nul-byte": lambda tmp: ["vertices", "--space", "gbit", "--out", "out\x00.json"],
+    "dim-float": lambda tmp: [
+        "vertices", "--space", _json_file(tmp, _gbit_json_with("vrep", ["dim"], 2.9))
+    ],
+    "dim-string": lambda tmp: [
+        "vertices", "--space", _json_file(tmp, _gbit_json_with("hrep", ["dim"], "2"))
+    ],
+    "entry-bool": lambda tmp: [
+        "vertices",
+        "--space",
+        _json_file(tmp, _gbit_json_with("vrep", ["vertices", 1, 1], True)),
+    ],
 }
 
 

@@ -12,6 +12,9 @@ from gptlab.ratgeo.linalg import (
     format_rational,
     identity,
     independent_rows,
+    integer_null_space,
+    integer_row,
+    integer_rref,
     inverse,
     mat_mul,
     mat_vec,
@@ -222,6 +225,22 @@ def fraction_solve(a_rows, b):
     return tuple(x)
 
 
+def fraction_null_space(rows, ncols):
+    """Oracle for ``null_space``: 1 at each free column, minus the reduced
+    entry at each pivot column."""
+    reduced, pivots = fraction_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
 def random_matrix(rng):
     """Seeded rational matrices with mixed denominators: planted dependent,
     zero and random rows, square or not."""
@@ -259,9 +278,13 @@ def test_kernel_matches_fraction_oracle(monkeypatch):
         assert all(type(x) is F for row in reduced for x in row)
         assert rank(rows) == fraction_rank(rows) == len(pivots)
         deficient += len(pivots) < min(len(rows), ncols)
-        assert null_space(rows, ncols) == with_fraction_rref(
-            monkeypatch, null_space, rows, ncols
+        assert null_space(rows, ncols) == fraction_null_space(rows, ncols)
+        # null_space divides this basis by its scale.
+        basis, scale = integer_null_space(
+            *integer_rref([integer_row(r)[0] for r in rows]), ncols
         )
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int for v in basis for x in v)
         x0 = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols))
         for b in (
             tuple(dot(row, x0) for row in rows),
@@ -286,9 +309,7 @@ def test_kernel_matches_fraction_oracle_on_empty_and_zero_matrices(monkeypatch):
     for rows in ([], [()], [(), ()], [zero], [zero, zero, vec(0, F(1, 3), 0)]):
         assert rref(rows) == fraction_rref(rows)
         ncols = len(rows[0]) if rows else 3
-        assert null_space(rows, ncols) == with_fraction_rref(
-            monkeypatch, null_space, rows, ncols
-        )
+        assert null_space(rows, ncols) == fraction_null_space(rows, ncols)
     assert solve([], ()) == fraction_solve([], ()) == ()
     assert inverse(()) == with_fraction_rref(monkeypatch, inverse, ()) == ()
     assert inverse((zero, zero, zero)) is None

@@ -1,5 +1,6 @@
 """Polytope conversion tests, including the brute-force enumeration oracle."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -29,12 +30,8 @@ from gptlab.ratgeo.linalg import (
     vec,
     vsub,
 )
-from gptlab.ratgeo.polytope import (
-    _adjacent,
-    _canonical_equality,
-    _canonical_inequality,
-    _reduce_mod_equalities,
-)
+from gptlab.ratgeo.polytope import _adjacent, _canonical_equality, _canonical_inequality
+from gptlab.serialize import dumps, hrep_to_json
 from gptlab.spaces import from_vertices, make_classical
 from test_linalg import fraction_rank, fraction_solve
 
@@ -572,13 +569,36 @@ def polar_facet_enumeration(v):
             normal[r] = dot(row, y)
         offset = 1 + dot(y, centroid) + dot(tuple(normal), base)
         inequalities.add(
-            _canonical_inequality(*_reduce_mod_equalities(tuple(normal), offset, equalities))
+            _canonical_inequality(
+                *fraction_reduce_mod_equalities(tuple(normal), offset, equalities)
+            )
         )
     return HRep(
         ambient_dim=d,
         inequalities=tuple(sorted(inequalities)),
         equalities=tuple(equalities),
     )
+
+
+def fraction_reduce_mod_equalities(normal, offset, equalities):
+    """Oracle for ``polytope._reduce_mod_equalities``, on ``Fraction``
+    constraints: subtracts, row by row, the multiple of each equality that
+    zeroes the normal at that row's first nonzero column."""
+    normal = list(normal)
+    for eq_normal, eq_offset in equalities:
+        pivot = None
+        for j, val in enumerate(eq_normal):
+            if val != 0:
+                pivot = j
+                break
+        if pivot is None:
+            continue
+        factor = normal[pivot] / eq_normal[pivot]
+        if factor != 0:
+            for j in range(len(normal)):
+                normal[j] -= factor * eq_normal[j]
+            offset -= factor * eq_offset
+    return tuple(normal), offset
 
 
 def flat_point_sets():
@@ -622,6 +642,22 @@ def test_facets_match_polar_dual_oracle(name, gbit, boxworld2):
     if name == "flat":
         assert all(len(h.equalities) >= 2 for h in oracle)
     assert [facet_enumeration(v) for v in corpus] == oracle
+
+
+# sha256 of serialize.dumps of the hrep_to_json of every facet_enumeration
+# over the four facet_oracle_corpus sets, recorded before the enumeration
+# moved to integers; the flat sets exercise the equalities.
+FACETS_SHA256 = "5676411189d5a87a7064b1fd0ead8f6d360c560e223404d604efbf961f6f1271"
+
+
+def test_facet_enumeration_bytes_are_pinned(gbit, boxworld2):
+    hreps = [
+        hrep_to_json(facet_enumeration(v))
+        for name in ("random", "cubes", "spaces", "flat")
+        for v in facet_oracle_corpus(name, gbit, boxworld2)
+    ]
+    assert len(hreps) == 75
+    assert hashlib.sha256(dumps(hreps).encode()).hexdigest() == FACETS_SHA256
 
 
 @pytest.mark.parametrize(

@@ -351,13 +351,13 @@ def test_continuous_reversibility_point_space_passes():
     assert check_continuous_reversibility(make_classical(1)).status == PASS
 
 
-def test_interaction_boxworld_non_interacting(boxworld2, boxworld2_group):
+def test_interaction_boxworld_non_interacting(boxworld2):
     local = [
         i
         for i, v in enumerate(boxworld2.vertices)
         if classify_vertex(table_from_vector(v)).tag == LOCAL_DETERMINISTIC
     ]
-    result = check_interaction(boxworld2, local, group=boxworld2_group)
+    result = check_interaction(boxworld2, local)
     assert result.status == NON_INTERACTING
 
 
