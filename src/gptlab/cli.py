@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -430,7 +431,15 @@ def _write_out(path: str, text: str):
 
 
 def main():
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # Flush inside the try, so a reader that has gone away is seen here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ updated row is divided by the gcd of its entries, in the spirit of Bareiss,
 1968); ``rref`` divides by the pivots and ``null_space`` by their lcm only
 when it returns, so every result is exact, deterministic and the same
 ``Fraction`` as plain rational elimination would give.  Callers whose rows
-are ints already call ``integer_rref`` and ``integer_null_space`` directly.
+are ints already call ``integer_rref``, ``integer_null_space`` and
+``integer_inverse`` directly.
 The sizes handled here are tiny (ambient dimension at most ~17), so no
 effort is spent on pivoting for speed.
 """
@@ -257,6 +258,26 @@ def inverse(m: Matrix) -> Matrix | None:
     if pivots[:n] != list(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def integer_inverse(m) -> tuple[list[list[int]], int] | None:
+    """(inv, den) with ``inv == m^-1 * den`` for a square integer matrix m,
+    den the least positive such integer, or None if m is singular.
+
+    Read off ``integer_rref([m | I])``: each row is its pivot times the
+    matching row of the rational inverse.  Every row there has coprime
+    entries (an input row holds a unit vector, an updated one is divided by
+    its gcd), so each pivot is the lcm of its row's denominators up to sign,
+    and their lcm is the least common denominator.
+    """
+    n = len(m)
+    augmented = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    reduced, pivots = integer_rref(augmented)
+    if pivots[:n] != list(range(n)):
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(reduced)))
+    inv = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
+    return inv, den
 
 
 def primitive(v: Vector) -> Vector:

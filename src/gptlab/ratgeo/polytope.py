@@ -9,7 +9,8 @@ extreme rays are the facets.  Everything in between runs on integers: the
 cone's rows (scaled by one common lcm, which keeps their order), its
 primitive rays, the null spaces and the ``HRep.slacks`` that every point
 test reads.  ``Fraction``s are built only for the returned ``VRep`` or
-``HRep``; all outputs are canonically ordered, so conversions are
+``HRep``, and a facet-enumerated ``HRep`` keeps its integer rows for those
+slacks; all outputs are canonically ordered, so conversions are
 reproducible bit for bit.
 """
 
@@ -91,6 +92,23 @@ class HRep:
         )
         canon_eqs = tuple(_canonical_equality(tuple(n), o) for n, o in eqs)
         return HRep(ambient_dim=dim, inequalities=canon_ineqs, equalities=canon_eqs)
+
+    @staticmethod
+    def _from_integer_rows(dim, inequalities, equalities=()) -> "HRep":
+        """The HRep of integer rows (normal..., offset), built in ``Fraction``s,
+        with ``_integer_constraints`` seeded by the rows themselves: every
+        denominator is 1, so a rebuild would give the same ints."""
+        rows = (inequalities, equalities)
+        h = HRep(
+            dim,
+            *(tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rs)
+              for rs in rows),
+        )
+        # Where cached_property keeps its value; frozen guards only setattr.
+        h.__dict__["_integer_constraints"] = tuple(
+            tuple((list(r[:-1]), r[-1]) for r in rs) for rs in rows
+        )
+        return h
 
     @cached_property
     def _integer_constraints(self):
@@ -355,7 +373,7 @@ def facet_enumeration(v: VRep) -> HRep:
     )
     k = len(coords)
     if k == 0:
-        return HRep(d, (), _fraction_constraints(equalities))
+        return HRep._from_integer_rows(d, (), equalities)
 
     cone = [[p[j] for j in coords] + [-scale] for p in points]
     rays = _dd_extreme_rays(cone, k + 1)
@@ -372,11 +390,7 @@ def facet_enumeration(v: VRep) -> HRep:
         if max(values) > bound or not tight or _affine_rank(tight) != k - 1:
             raise InputError("double description produced a non-facet inequality")
         inequalities.append(row)
-    return HRep(
-        ambient_dim=d,
-        inequalities=_fraction_constraints(sorted(inequalities)),
-        equalities=_fraction_constraints(equalities),
-    )
+    return HRep._from_integer_rows(d, sorted(inequalities), equalities)
 
 
 def _primitive_signed_ints(ints) -> tuple[int, ...]:
@@ -400,11 +414,6 @@ def _reduce_mod_equalities(row, equalities):
         pivot = next(j for j, x in enumerate(eq) if x)
         row = [eq[pivot] * x - row[pivot] * y for x, y in zip(row, eq)]
     return row
-
-
-def _fraction_constraints(rows) -> tuple[Constraint, ...]:
-    """Integer rows (normal, offset) as ``Fraction`` constraints."""
-    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
 
 
 # ---------------------------------------------------------------------------

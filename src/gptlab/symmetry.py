@@ -4,10 +4,12 @@ The reversible transformations of a GPT are the affine bijections of its
 state space onto itself.  For a polytope these permute the vertex set, and
 a vertex permutation extends to an affine map exactly when it fixes the
 matrix Q = W (W^T W)^-1 W^T, the exact projector onto the column space of
-the lifted vertex matrix W (rows (v, 1)).  Q is scaled by the lcm of its
-denominators and compared as integers.  The group is found by a plain
-backtrack over vertices: a candidate image must carry the same colour (the
-sorted Q row plus the diagonal entry) and agree with Q on every vertex
+the lifted vertex matrix W (rows (v, 1)).  Q is computed on integers, as
+W (W^T W)^-1 W^T with W scaled to ints by one lcm and (W^T W)^-1 held as
+ints over one denominator: that is Q times a positive integer, which keeps
+every equality and order that the search reads.  The group is found by a
+plain backtrack over vertices: a candidate image must carry the same colour
+(the sorted Q row plus the diagonal entry) and agree with Q on every vertex
 already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
 *Computing symmetry groups of polyhedra*, LMS J. Comput. Math. 17, 2014.)
 
@@ -15,30 +17,27 @@ The search is certified independently of Q: every generator is realized
 as an explicit affine map and verified on all vertices, and the closure of
 the generators must equal the permutation set, so every element is a
 product of verified affine automorphisms.  The affine maps of the other
-elements are realized (and verified again) only when they are read.
+elements are realized (and verified again) only when they are read.  The
+realizer, too, forms and verifies each map on integers and builds
+``Fraction``s only for a map that passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
 from .bloch import rotation_path
 from .errors import InputError, UnsupportedError
 from .ratgeo.linalg import (
-    ONE,
-    independent_rows,
-    inverse,
-    lcm_of_denominators,
-    mat_mul,
-    mat_vec,
-    null_space,
-    rref,
-    scaled,
-    transpose,
-    vsub,
+    integer_inverse,
+    integer_null_space,
+    integer_rows,
+    integer_rref,
 )
 from .spaces import AffineMap, BALL3, StateSpace
 
@@ -101,15 +100,8 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
             % (MAX_VERTICES, n)
         )
 
-    lifted = [tuple(v) + (ONE,) for v in verts]
-    _, pivots = rref(lifted)
-    w = tuple(tuple(row[c] for c in pivots) for row in lifted)
-    wt = transpose(w)
-    q = mat_mul(mat_mul(w, inverse(mat_mul(wt, w))), wt)
-    # Scaled by the lcm of its denominators, Q compares as ints; each colour
-    # becomes a small int the first time it is seen.
-    scale = lcm_of_denominators(x for row in q for x in row)
-    q = [[scaled(x, scale) for x in row] for row in q]
+    q = _gram_projector(verts)
+    # Each colour becomes a small int the first time it is seen.
     colour_ids: dict = {}
     colour = [
         colour_ids.setdefault((q[i][i], tuple(sorted(q[i]))), len(colour_ids))
@@ -153,6 +145,22 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     )
 
 
+def _gram_projector(verts) -> list[list[int]]:
+    """Q = W (W^T W)^-1 W^T times a positive integer, as int rows.
+
+    W is the lifted vertex matrix on its pivot columns, scaled to ints by one
+    lcm, which leaves Q unchanged; (W^T W)^-1 is held as ints over one
+    denominator D, so the product is Q times D.
+    """
+    lifted, _ = integer_rows([tuple(v) + (1,) for v in verts])
+    _, pivots = integer_rref(lifted)
+    w = [[row[c] for c in pivots] for row in lifted]
+    wt = list(zip(*w))
+    gram_inv, _ = integer_inverse([[sum(map(mul, a, b)) for b in wt] for a in wt])
+    wg = [[sum(map(mul, row, col)) for col in zip(*gram_inv)] for row in w]
+    return [[sum(map(mul, a, b)) for b in w] for a in wg]
+
+
 class _AffineRealizer:
     """Builds the canonical ambient affine map for a vertex permutation.
 
@@ -160,40 +168,59 @@ class _AffineRealizer:
     basis of vertices: the first vertex and those whose differences from it
     a greedy scan keeps independent.  On the orthogonal complement of the
     hull's direction space it acts as the identity, which makes the
-    representative canonical.  The basis choice and the inverse of the
-    source basis matrix do not depend on the permutation and are computed
-    once.
+    representative canonical.  Everything runs on integers: the vertices
+    times one lcm L, the basis read off the pivots of the transposed
+    differences, the complement from ``integer_null_space``, and the inverse
+    of the source basis matrix A as ints over one denominator D.  The basis
+    and A^-1 D do not depend on the permutation and are computed once.
     """
 
     def __init__(self, verts, d):
-        self.verts = verts
-        diffs = [vsub(v, verts[0]) for v in verts[1:]]
-        independent = independent_rows(diffs)
+        self.points, self.scale = integer_rows(verts)
+        base = self.points[0]
+        diffs = [[x - y for x, y in zip(p, base)] for p in self.points[1:]]
+        # A difference is kept iff its column of the transpose is a pivot.
+        _, independent = integer_rref(list(zip(*diffs)))
         self.basis_idx = [1 + i for i in independent]
-        self.complement = null_space(diffs, d)
+        self.complement, _ = integer_null_space(*integer_rref(diffs), d)
         columns = [diffs[i] for i in independent] + self.complement
-        self.a_inv = inverse(transpose(columns))
-        assert self.a_inv is not None
+        inverse = integer_inverse(list(zip(*columns)))
+        assert inverse is not None
+        a_inv, self.den = inverse
+        self.a_inv_columns = list(zip(*a_inv))
+        self.supports = [[(j, x) for j, x in enumerate(v) if x] for v in diffs]
 
     def realize(self, perm) -> AffineMap | None:
         """The affine map for perm, or None if perm is not affinely consistent.
 
-        The map is built from the images of the basis and then verified on
-        every vertex.  The basis differences span the hull's direction
-        space, so the map sends every vertex to its image exactly when perm
-        preserves every affine dependency among the vertices.
+        M D = T (A^-1 D) is built from the images T of the basis and then
+        verified on every vertex u, M D (V_u - V_0) == (V_perm(u) -
+        V_perm(0)) D on ints.  The basis differences span the hull's
+        direction space, so the map sends every vertex to its image exactly
+        when perm preserves every affine dependency among the vertices.  The
+        matrix is M D over D, the shift V_perm(0) - M V_0 is an int vector
+        over D L.
         """
-        verts = self.verts
-        image_base = verts[perm[0]]
-        image_columns = [
-            vsub(verts[perm[i]], image_base) for i in self.basis_idx
-        ] + self.complement
-        matrix = mat_mul(transpose(image_columns), self.a_inv)
-        shift = vsub(image_base, mat_vec(matrix, verts[0]))
-        candidate = AffineMap(matrix=matrix, shift=shift)
-        if any(candidate.apply(v) != verts[perm[u]] for u, v in enumerate(verts)):
-            return None
-        return candidate
+        points, den = self.points, self.den
+        image_base = points[perm[0]]
+        images = [[x - y for x, y in zip(points[k], image_base)] for k in perm]
+        columns = [images[i] for i in self.basis_idx] + self.complement
+        md = [
+            [sum(map(mul, row, col)) for col in self.a_inv_columns]
+            for row in zip(*columns)
+        ]
+        for support, image in zip(self.supports, images[1:]):
+            for row, y in zip(md, image):
+                if sum(row[j] * x for j, x in support) != y * den:
+                    return None
+        shift_den = den * self.scale
+        return AffineMap(
+            matrix=tuple(tuple(Fraction(x, den) for x in row) for row in md),
+            shift=tuple(
+                Fraction(y * den - sum(map(mul, row, points[0])), shift_den)
+                for row, y in zip(md, image_base)
+            ),
+        )
 
 
 def _compose_perm(p, q):

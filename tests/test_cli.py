@@ -126,6 +126,19 @@ def test_decompose_boxworld2_answers(boxworld2):
     assert sum(Fraction(w) for w in decs[0]["weights"]) == 1
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # The reader closes the pipe before the first write, so every write fails.
+    with subprocess.Popen(
+        [sys.executable, "-m", "gptlab.cli", "symmetries", "--space", "gbit"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_fresh_interpreter_env(),
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "Error" not in stderr, stderr
+
+
 def _fresh_interpreter_env():
     """The environment with this checkout's gptlab first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(gptlab.__file__))

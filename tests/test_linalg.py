@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,7 @@ from gptlab.ratgeo.linalg import (
     format_rational,
     identity,
     independent_rows,
+    integer_inverse,
     integer_null_space,
     integer_row,
     integer_rref,
@@ -302,6 +304,29 @@ def test_kernel_matches_fraction_oracle(monkeypatch):
             else:
                 assert mat_mul(m, m_inv) == identity(ncols)
     assert deficient > 120 and singular > 30 and inconsistent > 200
+
+
+def test_integer_inverse_is_the_inverse_over_its_least_denominator():
+    rng = random.Random(4096)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = [[rng.choice((0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[n // 2])]
+        oracle = inverse(tuple(tuple(map(F, row)) for row in m))
+        got = integer_inverse(m)
+        if oracle is None:
+            assert got is None
+            singular += 1
+            continue
+        inv, den = got
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for row in inv for x in row)
+        assert [[F(x, den) for x in row] for row in inv] == [list(r) for r in oracle]
+        assert gcd(den, *(x for row in inv for x in row)) == 1
+    assert singular > 50
+    assert integer_inverse([]) == ([], 1)
 
 
 def test_kernel_matches_fraction_oracle_on_empty_and_zero_matrices(monkeypatch):

@@ -765,3 +765,17 @@ def test_integer_dd_matches_fraction_oracle():
         assert [tuple(map(F, ray)) for ray in rays] == fraction_dd_extreme_rays(rows, k)
         counts[kind] = counts.get(kind, 0) + 1
     assert counts == {"random": 40, "flat": 24, "cube": 3}
+
+
+def test_facet_enumeration_seeds_the_integer_constraints(gbit, boxworld2):
+    vreps = [VRep.make(dim, pts) for dim, pts in random_point_sets()]
+    vreps += [gbit.v, boxworld2.v] + [make_classical(n).v for n in range(1, 7)]
+    for v in vreps:
+        h = facet_enumeration(v)
+        seeded = h.__dict__["_integer_constraints"]
+        assert seeded == (
+            tuple(polytope._integer_constraint(n, o) for n, o in h.inequalities),
+            tuple(polytope._integer_constraint(n, o) for n, o in h.equalities),
+        )
+        assert h == HRep(h.ambient_dim, h.inequalities, h.equalities)
+        assert repr(h) == repr(HRep(h.ambient_dim, h.inequalities, h.equalities))

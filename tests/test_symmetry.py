@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,20 @@ from gptlab.boxworld import (
     LOCAL_DETERMINISTIC,
     PR_BOX,
     classify_vertex,
+    make_boxworld2,
     table_from_vector,
 )
 from gptlab.errors import InputError, UnsupportedError
-from gptlab.ratgeo.linalg import inverse, mat_mul, null_space, rref, transpose
+from gptlab.ratgeo.linalg import (
+    independent_rows,
+    inverse,
+    mat_mul,
+    mat_vec,
+    null_space,
+    rref,
+    transpose,
+    vsub,
+)
 from gptlab.serialize import dumps, symmetry_group_to_json
 from gptlab.spaces import (
     AffineMap,
@@ -31,6 +42,7 @@ from gptlab.symmetry import (
     NON_INTERACTING,
     PASS,
     _AffineRealizer,
+    _gram_projector,
     affine_automorphisms,
     check_continuous_reversibility,
     check_interaction,
@@ -72,6 +84,71 @@ def seeded_polytope(seed):
     if seed % 4 == 3:
         points = [(x, y, 0) for x, y, _ in points]
     return from_vertices(points, "seeded-%d" % seed)
+
+
+def fraction_realize(verts, d, perm):
+    """Oracle: the canonical affine map for perm in ``Fraction``s, or None.
+
+    The map sends the first vertex and those whose differences from it a
+    greedy scan keeps independent to their images, and fixes the complement
+    of the hull's direction space; it is then checked on every vertex.
+    """
+    diffs = [vsub(v, verts[0]) for v in verts[1:]]
+    independent = independent_rows(diffs)
+    complement = null_space(diffs, d)
+    a_inv = inverse(transpose([diffs[i] for i in independent] + complement))
+    image_base = verts[perm[0]]
+    image_columns = [
+        vsub(verts[perm[1 + i]], image_base) for i in independent
+    ] + complement
+    matrix = mat_mul(transpose(image_columns), a_inv)
+    shift = vsub(image_base, mat_vec(matrix, verts[0]))
+    candidate = AffineMap(matrix=matrix, shift=shift)
+    if any(candidate.apply(v) != verts[perm[u]] for u, v in enumerate(verts)):
+        return None
+    return candidate
+
+
+def fraction_gram_projector(verts):
+    """Oracle: Q = W (W^T W)^-1 W^T in ``Fraction``s, W the lifted vertices
+    (rows (v, 1)) on their pivot columns."""
+    lifted = [tuple(v) + (1,) for v in verts]
+    _, pivots = rref(lifted)
+    w = tuple(tuple(row[c] for c in pivots) for row in lifted)
+    return mat_mul(mat_mul(w, inverse(mat_mul(transpose(w), w))), transpose(w))
+
+
+ORACLE_SPACES = [make_gbit, make_boxworld2] + [
+    (lambda n=n: make_classical(n)) for n in range(1, 7)
+] + [(lambda seed=seed: seeded_polytope(seed)) for seed in range(20)]
+ORACLE_IDS = ["gbit", "boxworld2"] + ["classical-%d" % n for n in range(1, 7)] + [
+    "seeded-%d" % seed for seed in range(20)
+]
+
+
+@pytest.mark.parametrize("make_space", ORACLE_SPACES, ids=ORACLE_IDS)
+def test_integer_realizer_matches_fraction_oracle(make_space):
+    space = make_space()
+    verts, d = space.vertices, space.dim
+    group = affine_automorphisms(space)
+    for perm, element in zip(group.vertex_permutations, group.elements):
+        assert element == fraction_realize(verts, d, perm)
+    if len(verts) <= 8:
+        # Transpositions exercise the reject path as well.
+        realizer = _AffineRealizer(verts, d)
+        for i, j in itertools.combinations(range(len(verts)), 2):
+            perm = list(range(len(verts)))
+            perm[i], perm[j] = j, i
+            assert realizer.realize(perm) == fraction_realize(verts, d, perm)
+
+
+@pytest.mark.parametrize("make_space", ORACLE_SPACES, ids=ORACLE_IDS)
+def test_integer_gram_projector_is_a_positive_multiple_of_q(make_space):
+    verts = make_space().vertices
+    q, oracle = _gram_projector(verts), fraction_gram_projector(verts)
+    factor = Fraction(q[0][0]) / oracle[0][0]
+    assert factor > 0 and factor.denominator == 1
+    assert q == [[factor * x for x in row] for row in oracle]
 
 
 def test_gbit_group_is_dihedral_order_8(gbit):
@@ -188,11 +265,14 @@ def test_realized_group_is_pinned(space, digest):
 
 
 def test_realized_boxworld_generators_are_pinned(boxworld2_group):
-    # The generators only: realizing all 128 elements costs seconds.
     group = boxworld2_group
     assert (
         _sha256(group.generators, group.generator_permutations)
         == "bd7aaf70301bad09d7e347c19590cdcf527c569559cabfd7c158628671660220"
+    )
+    assert (
+        _sha256(group.elements, group.vertex_permutations)
+        == "55babd3a996964645cdd486213cf25fad6fbd85dd5b9321e4ef393637d6df557"
     )
 
 
@@ -201,11 +281,8 @@ def test_boxworld_gram_graph_has_128_automorphisms(boxworld2):
     # complete graph coloured by Q = W (W^T W)^-1 W^T (nodes by the diagonal,
     # edges by the off-diagonal entries) that preserve every colour.
     nx = pytest.importorskip("networkx")
-    lifted = [tuple(v) + (1,) for v in boxworld2.vertices]
-    _, pivots = rref(lifted)
-    w = tuple(tuple(row[c] for c in pivots) for row in lifted)
-    q = mat_mul(mat_mul(w, inverse(mat_mul(transpose(w), w))), transpose(w))
-    graph = nx.complete_graph(len(w))
+    q = fraction_gram_projector(boxworld2.vertices)
+    graph = nx.complete_graph(len(q))
     for i in graph:
         graph.nodes[i]["q"] = q[i][i]
     for i, j in graph.edges:
