@@ -7,9 +7,11 @@ updated row is divided by the gcd of its entries, in the spirit of Bareiss,
 1968); ``rref`` divides by the pivots and ``null_space`` by their lcm only
 when it returns, so every result is exact, deterministic and the same
 ``Fraction`` as plain rational elimination would give.  Callers whose rows
-are ints already call ``integer_rref``, ``integer_null_space`` and
-``integer_inverse`` directly.
-The sizes handled here are tiny (ambient dimension at most ~17), so no
+are ints already call ``integer_rref``, ``integer_null_space``,
+``integer_inverse``, ``primitive_ints`` and ``primitive_signed_ints``
+directly.
+The sizes handled here are small (ambient dimension at most 64, the largest
+built-in space; a weight polytope has one coordinate per vertex), so no
 effort is spent on pivoting for speed.
 """
 
@@ -202,9 +204,11 @@ def independent_rows(rows) -> list[int]:
     The scan keeps a row iff it is not in the span of the rows before it.
     That is exactly when its column of the transpose is a pivot column of
     the reduced row echelon form, so one elimination answers for every row.
+    Each column is scaled to ints by the lcm of its denominators, which
+    keeps the row space of the transpose and so its pivots; int rows pass
+    through unchanged.
     """
-    _, pivots = rref(transpose(rows))
-    return pivots
+    return integer_rref([integer_row(col)[0] for col in zip(*rows)])[1]
 
 
 def null_space(rows, ncols: int) -> list[Vector]:
@@ -282,19 +286,17 @@ def integer_inverse(m) -> tuple[list[list[int]], int] | None:
 
 def primitive(v: Vector) -> Vector:
     """Scale by a positive rational to coprime integers (canonical ray form)."""
-    ints, _ = integer_row(v)
+    return tuple(map(Fraction, primitive_ints(integer_row(v)[0])))
+
+
+def primitive_ints(ints) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries; zero stays zero."""
     g = gcd(*ints)
-    if g == 0:
-        return tuple(ZERO for _ in v)
-    return tuple(Fraction(value // g) for value in ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def primitive_signed(v: Vector) -> Vector:
-    """Primitive form with the first nonzero entry positive (for equalities)."""
-    p = primitive(v)
-    for x in p:
-        if x != 0:
-            if x < 0:
-                return tuple(-y for y in p)
-            break
-    return p
+def primitive_signed_ints(ints) -> tuple[int, ...]:
+    """``primitive_ints`` with the first nonzero entry positive (the
+    canonical form of an equality); zero stays zero."""
+    p = primitive_ints(ints)
+    return tuple(-x for x in p) if next((x for x in p if x), 0) < 0 else p

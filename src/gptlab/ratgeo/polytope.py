@@ -5,10 +5,11 @@ equalities ``e.x = f``) or a ``VRep`` (canonically ordered vertex list).
 Both conversions run the double description method on a pointed cone:
 ``vertex_enumeration`` on the homogenization cone of the inequalities,
 ``facet_enumeration`` on the cone of inequalities valid on the points, whose
-extreme rays are the facets.  Everything in between runs on integers: the
-cone's rows (scaled by one common lcm, which keeps their order), its
-primitive rays, the null spaces and the ``HRep.slacks`` that every point
-test reads.  ``Fraction``s are built only for the returned ``VRep`` or
+extreme rays are the facets.  Everything from ``HRep.make``'s canonical rows
+to the re-verification of every output runs on integers: the cone's rows
+(scaled by one common lcm, which keeps their order), DD's initial simplex,
+its primitive rays, the null spaces and the slacks that every point test
+reads.  ``Fraction``s are built only for the returned ``VRep`` or
 ``HRep``, and a facet-enumerated ``HRep`` keeps its integer rows for those
 slacks; all outputs are canonically ordered, so conversions are
 reproducible bit for bit.
@@ -19,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from operator import mul
 
 from ..errors import EmptyError, InputError, UnboundedError
@@ -30,14 +30,14 @@ from .linalg import (
     ZERO,
     format_rational,
     independent_rows,
+    integer_inverse,
     integer_null_space,
     integer_row,
     integer_rows,
     integer_rref,
-    inverse,
     is_zero,
-    primitive,
-    primitive_signed,
+    primitive_ints,
+    primitive_signed_ints,
     vsub,
     zeros,
 )
@@ -45,20 +45,14 @@ from .linalg import (
 Constraint = tuple[Vector, Fraction]
 
 
-def _canonical_inequality(normal: Vector, offset: Fraction) -> Constraint:
-    """Scale to primitive integers; positive scaling keeps the direction."""
-    scaled = primitive(tuple(normal) + (offset,))
-    return scaled[:-1], scaled[-1]
-
-
-def _canonical_equality(normal: Vector, offset: Fraction) -> Constraint:
-    scaled = primitive_signed(tuple(normal) + (offset,))
-    return scaled[:-1], scaled[-1]
-
-
 def _integer_constraint(normal: Vector, offset: Fraction):
     ints, _ = integer_row(tuple(normal) + (offset,))
     return ints[:-1], ints[-1]
+
+
+def _fraction_constraints(rows) -> tuple[Constraint, ...]:
+    """The ``Fraction`` constraints of integer rows (normal..., offset)."""
+    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,15 @@ class HRep:
 
     @staticmethod
     def make(dim, ineqs=(), eqs=()) -> "HRep":
-        """Build with canonicalized constraints from (normal, offset) pairs."""
-        canon_ineqs = tuple(
-            _canonical_inequality(tuple(n), o) for n, o in ineqs
-        )
-        canon_eqs = tuple(_canonical_equality(tuple(n), o) for n, o in eqs)
-        return HRep(ambient_dim=dim, inequalities=canon_ineqs, equalities=canon_eqs)
+        """Build from (normal, offset) pairs, each row (normal..., offset)
+        scaled to coprime ints, an equality's with its first nonzero entry
+        positive.  ``_integer_constraints`` is not seeded: most never read it."""
+        def rows(pairs, canonical):
+            return _fraction_constraints(
+                canonical(integer_row(tuple(n) + (o,))[0]) for n, o in pairs
+            )
+
+        return HRep(dim, rows(ineqs, primitive_ints), rows(eqs, primitive_signed_ints))
 
     @staticmethod
     def _from_integer_rows(dim, inequalities, equalities=()) -> "HRep":
@@ -99,11 +96,7 @@ class HRep:
         with ``_integer_constraints`` seeded by the rows themselves: every
         denominator is 1, so a rebuild would give the same ints."""
         rows = (inequalities, equalities)
-        h = HRep(
-            dim,
-            *(tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rs)
-              for rs in rows),
-        )
+        h = HRep(dim, *map(_fraction_constraints, rows))
         # Where cached_property keeps its value; frozen guards only setattr.
         h.__dict__["_integer_constraints"] = tuple(
             tuple((list(r[:-1]), r[-1]) for r in rs) for rs in rows
@@ -130,7 +123,11 @@ class HRep:
             raise ValueError(
                 "dimension mismatch: %d vs %d" % (self.ambient_dim, len(x))
             )
-        ints, den = integer_row(x)
+        return self._slacks(*integer_row(x))
+
+    def _slacks(self, ints, den: int) -> tuple[list[int], list[int]]:
+        """``slacks`` of the point ints / den, den > 0: each slack times a
+        positive int."""
         return tuple(
             [o * den - sum(map(mul, n, ints)) for n, o in rows]
             for rows in self._integer_constraints
@@ -213,22 +210,18 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
     ``rows`` are the integer rows of M; the rays are returned as primitive
     integer tuples (coprime entries), the canonical form of a ray.  The cone
     is pointed iff ``rows`` has rank k.  Uses the double description method
-    on integers (Fukuda & Prodon, 1996): start from a simplicial subcone
-    given by k independent rows, insert the remaining rows one at a time,
-    and keep only combinations of adjacent pairs (``_adjacent``), each
-    divided by the gcd of its entries.
+    on integers (Fukuda & Prodon, 1996): start from the simplicial subcone
+    of k independent rows B, whose rays are the columns of -B^-1 (from
+    ``integer_inverse``), insert the remaining rows one at a time, and keep
+    only combinations of adjacent pairs (``_adjacent``), each primitive.
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i])
     basis_idx = [order[j] for j in independent_rows([rows[i] for i in order])]
     if len(basis_idx) < k:
         return None
 
-    binv = inverse(tuple(rows[i] for i in basis_idx))
-    assert binv is not None
-    rays = [
-        _primitive_ints(integer_row([-binv[r][c] for r in range(k)])[0])
-        for c in range(k)
-    ]
+    binv, _ = integer_inverse([rows[i] for i in basis_idx])
+    rays = [primitive_ints([-row[c] for row in binv]) for c in range(k)]
     processed = list(basis_idx)
     zero_sets = []
     for ray in rays:
@@ -260,17 +253,11 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
                 combo = [
                     values[p] * y - values[q] * x for x, y in zip(rays[p], rays[q])
                 ]
-                keep_rays.append(_primitive_ints(combo))
+                keep_rays.append(primitive_ints(combo))
                 keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
         rays, zero_sets = keep_rays, keep_zs
         processed.append(i)
     return rays
-
-
-def _primitive_ints(ints) -> tuple[int, ...]:
-    """A nonzero integer vector divided by the gcd of its entries."""
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
 
 
 def vertex_enumeration(h: HRep) -> VRep:
@@ -281,9 +268,9 @@ def vertex_enumeration(h: HRep) -> VRep:
     extreme rays.  A ray with t = 0 next to one with t > 0 is a recession
     direction: ``UnboundedError`` names it.  If the cone contains a line, or
     no ray has t > 0, one phase-1 LP decides: ``EmptyError`` if it is
-    infeasible, otherwise ``UnboundedError`` for the line.  Every returned
-    vertex is re-verified extremal via the active-constraint rank test before
-    the canonical VRep is built.
+    infeasible, otherwise ``UnboundedError`` for the line.  Every vertex is
+    re-verified extremal via the active-constraint rank test (``_is_extreme``)
+    on its integer ray, before any ``Fraction`` is built.
 
     The cone is parametrized by ``integer_null_space`` of the equalities,
     the canonical basis times one positive ``scale``, and the homogenized
@@ -317,11 +304,10 @@ def vertex_enumeration(h: HRep) -> VRep:
                 % ", ".join(format_rational(Fraction(x, scale)) for x in y[:d])
             )
 
-    result = VRep.make(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
-    for v in result.vertices:
-        if not is_extreme_in(h, v):
+    for y in rays:
+        if not _is_extreme(h, h._slacks(y[:d], y[d])):
             raise InputError("double description produced a non-extreme point")
-    return result
+    return VRep.make(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
 
 
 def is_extreme_in(h: HRep, v: Vector) -> bool:
@@ -330,7 +316,11 @@ def is_extreme_in(h: HRep, v: Vector) -> bool:
     v must lie in h, and the constraints active at v, equalities included,
     must have full rank.
     """
-    slacks = h.slacks(v)
+    return _is_extreme(h, h.slacks(v))
+
+
+def _is_extreme(h: HRep, slacks) -> bool:
+    """``is_extreme_in`` for the point with these ``HRep.slacks``."""
     if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints
@@ -368,7 +358,7 @@ def facet_enumeration(v: VRep) -> HRep:
     normals, _ = integer_null_space(reduced, coords, d)
     # The hyperplane n.x = n.(base / scale), times scale.
     equalities = sorted(
-        _primitive_signed_ints([x * scale for x in n] + [sum(map(mul, n, base))])
+        primitive_signed_ints([x * scale for x in n] + [sum(map(mul, n, base))])
         for n in normals
     )
     k = len(coords)
@@ -383,7 +373,7 @@ def facet_enumeration(v: VRep) -> HRep:
         row = [0] * d + [ray[k]]
         for j, c in zip(coords, ray):
             row[j] = c
-        row = _primitive_ints(_reduce_mod_equalities(row, equalities))
+        row = primitive_ints(_reduce_mod_equalities(row, equalities))
         bound = row[d] * scale
         values = [sum(map(mul, row, p)) for p in points]
         tight = [p for p, val in zip(points, values) if val == bound]
@@ -391,12 +381,6 @@ def facet_enumeration(v: VRep) -> HRep:
             raise InputError("double description produced a non-facet inequality")
         inequalities.append(row)
     return HRep._from_integer_rows(d, sorted(inequalities), equalities)
-
-
-def _primitive_signed_ints(ints) -> tuple[int, ...]:
-    """``_primitive_ints`` with the first nonzero entry positive."""
-    p = _primitive_ints(ints)
-    return p if next(x for x in p if x) > 0 else tuple(-x for x in p)
 
 
 def _reduce_mod_equalities(row, equalities):

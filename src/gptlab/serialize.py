@@ -18,7 +18,7 @@ from .ratgeo import (
     parse_rational,
     vertex_enumeration,
 )
-from .spaces import BALL3, Effect, POLYTOPAL, StateSpace
+from .spaces import BALL3, Effect, MAX_CLASSICAL_OUTCOMES, POLYTOPAL, StateSpace
 
 
 def rational_to_json(value: Fraction) -> str:
@@ -42,9 +42,14 @@ def vector_from_json(data) -> tuple:
 
 
 def _dim_from_json(value) -> int:
-    """A JSON integer; a float, a string or a bool is malformed."""
+    """A JSON integer up to the largest built-in dim (``classical-64``); a
+    float, a string or a bool is malformed.  Vertex enumeration's basis of
+    an empty H-representation alone costs (dim + 1)^2 ints."""
     if type(value) is not int:
         raise TypeError("dim must be an integer, got %r" % (value,))
+    if value > MAX_CLASSICAL_OUTCOMES:
+        raise ValueError(
+            "dim must be at most %d, got %d" % (MAX_CLASSICAL_OUTCOMES, value))
     return value
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from .bloch import rotation_path
 from .errors import InputError, UnsupportedError
 from .ratgeo.linalg import (
+    independent_rows,
     integer_inverse,
     integer_null_space,
     integer_rows,
@@ -169,18 +170,17 @@ class _AffineRealizer:
     a greedy scan keeps independent.  On the orthogonal complement of the
     hull's direction space it acts as the identity, which makes the
     representative canonical.  Everything runs on integers: the vertices
-    times one lcm L, the basis read off the pivots of the transposed
-    differences, the complement from ``integer_null_space``, and the inverse
-    of the source basis matrix A as ints over one denominator D.  The basis
-    and A^-1 D do not depend on the permutation and are computed once.
+    times one lcm L, the basis from ``independent_rows`` of the differences,
+    the complement from ``integer_null_space``, and the inverse of the
+    source basis matrix A as ints over one denominator D.  The basis and
+    A^-1 D do not depend on the permutation and are computed once.
     """
 
     def __init__(self, verts, d):
         self.points, self.scale = integer_rows(verts)
         base = self.points[0]
         diffs = [[x - y for x, y in zip(p, base)] for p in self.points[1:]]
-        # A difference is kept iff its column of the transpose is a pivot.
-        _, independent = integer_rref(list(zip(*diffs)))
+        independent = independent_rows(diffs)
         self.basis_idx = [1 + i for i in independent]
         self.complement, _ = integer_null_space(*integer_rref(diffs), d)
         columns = [diffs[i] for i in independent] + self.complement

@@ -343,6 +343,16 @@ BAD_INPUTS = {
     "dim-string": lambda tmp: [
         "vertices", "--space", _json_file(tmp, _gbit_json_with("hrep", ["dim"], "2"))
     ],
+    "dim-65": lambda tmp: [
+        "build",
+        "--space",
+        _json_file(tmp, {
+            "kind": "polytopal",
+            "label": "big",
+            "vrep": {"dim": 65, "vertices": []},
+            "hrep": {"dim": 65, "ineqs": [], "eqs": []},
+        }),
+    ],
     "entry-bool": lambda tmp: [
         "vertices",
         "--space",

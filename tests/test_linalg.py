@@ -23,7 +23,8 @@ from gptlab.ratgeo.linalg import (
     null_space,
     parse_rational,
     primitive,
-    primitive_signed,
+    primitive_ints,
+    primitive_signed_ints,
     rank,
     rref,
     solve,
@@ -118,11 +119,37 @@ def test_affine_rank():
     assert affine_dimension([vec(0, 0), vec(1, 1), vec(2, 2)]) == 1
 
 
+def fraction_primitive(v):
+    """Oracle: the former ``Fraction`` ``linalg.primitive``, scaled to
+    coprime integers by a positive rational."""
+    ints, _ = integer_row(v)
+    g = gcd(*ints)
+    if g == 0:
+        return tuple(F(0) for _ in v)
+    return tuple(F(value // g) for value in ints)
+
+
+def fraction_primitive_signed(v):
+    """Oracle: the former ``linalg.primitive_signed``, ``fraction_primitive``
+    with the first nonzero entry positive (for equalities)."""
+    p = fraction_primitive(v)
+    for x in p:
+        if x != 0:
+            if x < 0:
+                return tuple(-y for y in p)
+            break
+    return p
+
+
 def test_primitive_forms():
     assert primitive(vec(F(1, 2), F(1, 3))) == vec(3, 2)
     assert primitive(vec(-2, -4)) == vec(-1, -2)
-    assert primitive_signed(vec(-2, -4)) == vec(1, 2)
+    assert fraction_primitive_signed(vec(-2, -4)) == vec(1, 2)
     assert primitive(vec(0, 0)) == vec(0, 0)
+    assert primitive_ints([-2, -4]) == (-1, -2)
+    assert primitive_signed_ints([0, -2, 4]) == (0, 1, -2)
+    assert primitive_ints([0, 0]) == primitive_signed_ints([0, 0]) == (0, 0)
+    assert primitive_ints([]) == primitive_signed_ints([]) == ()
 
 
 def greedy_independent_rows(rows):
@@ -158,10 +185,20 @@ def planted_dependent_rows(rng):
 def test_independent_rows_matches_greedy_scan():
     dependent = 0
     for seed in range(500):
-        rows = planted_dependent_rows(random.Random(seed))
+        rng = random.Random(seed)
+        rows = planted_dependent_rows(rng)
         kept = greedy_independent_rows(rows)
         assert independent_rows(rows) == kept, seed
         dependent += len(kept) < len(rows)
+        # The same rows as ints, and with each column times its own rational:
+        # neither scaling changes which rows a greedy scan keeps.
+        ints = [integer_row(r)[0] for r in rows]
+        assert all(type(x) is int for r in ints for x in r)
+        factors = [F(rng.randint(1, 7), rng.randint(1, 7)) for _ in rows[0]]
+        mixed = [tuple(x * c for x, c in zip(r, factors)) for r in rows]
+        for variant in (ints, mixed):
+            assert independent_rows(variant) == greedy_independent_rows(variant)
+            assert independent_rows(variant) == kept, seed
     assert dependent > 250  # the planted rows are really dropped
 
 

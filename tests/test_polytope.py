@@ -30,10 +30,15 @@ from gptlab.ratgeo.linalg import (
     vec,
     vsub,
 )
-from gptlab.ratgeo.polytope import _adjacent, _canonical_equality, _canonical_inequality
+from gptlab.ratgeo.polytope import _adjacent
 from gptlab.serialize import dumps, hrep_to_json
 from gptlab.spaces import from_vertices, make_classical
-from test_linalg import fraction_rank, fraction_solve
+from test_linalg import (
+    fraction_primitive,
+    fraction_primitive_signed,
+    fraction_rank,
+    fraction_solve,
+)
 
 
 def unit_square_h():
@@ -158,6 +163,57 @@ def test_unbounded_direction_is_named_in_input_coordinates():
     with pytest.raises(UnboundedError) as err:
         vertex_enumeration(h)
     assert str(err.value) == "polyhedron is unbounded along direction (1/2, -1/1, 0/1)"
+
+
+def fraction_canonical_inequality(normal, offset):
+    """Oracle: the former ``polytope._canonical_inequality``, the row scaled
+    to primitive integers; positive scaling keeps the direction."""
+    scaled = fraction_primitive(tuple(normal) + (offset,))
+    return scaled[:-1], scaled[-1]
+
+
+def fraction_canonical_equality(normal, offset):
+    """Oracle: the former ``polytope._canonical_equality``."""
+    scaled = fraction_primitive_signed(tuple(normal) + (offset,))
+    return scaled[:-1], scaled[-1]
+
+
+def canonical_form_cases():
+    """(dim, inequalities, equalities) for ``HRep.make``: seeded rational
+    rows, seeded int rows with negative leading entries, and zero rows."""
+    for dim, ineqs, eqs in rational_halfspace_cases():
+        yield dim, ineqs, eqs
+    rng = random.Random(5151)
+
+    def int_rows(dim, count):
+        rows = [
+            (tuple(rng.randint(-9, 9) for _ in range(dim)), rng.randint(-9, 9))
+            for _ in range(count)
+        ]
+        # 0.x <= b with b < 0 is rejected as trivially infeasible.
+        return [(n, o) for n, o in rows if any(n) or o >= 0]
+
+    for _ in range(40):
+        dim = rng.randrange(1, 5)
+        yield dim, int_rows(dim, rng.randrange(0, 5)), int_rows(dim, rng.randrange(0, 3))
+    yield 2, [((-4, 6), -2), ((-3, 0), F(3, 2))], [((-6, 4), 2), ((0, F(-1, 2)), 1)]
+    yield 3, [((0, 0, 0), 0), ((0, 0, 0), 5), ((0, F(0), 0), F(5, 3))], [
+        ((0, 0, 0), 0),
+        ((F(0), F(0), F(0)), F(0)),
+    ]
+
+
+def test_make_matches_fraction_canonical_oracle():
+    for dim, ineqs, eqs in canonical_form_cases():
+        made = HRep.make(dim, ineqs, eqs)
+        oracle = HRep(
+            dim,
+            tuple(fraction_canonical_inequality(n, o) for n, o in ineqs),
+            tuple(fraction_canonical_equality(n, o) for n, o in eqs),
+        )
+        assert made == oracle
+        assert repr(made) == repr(oracle)
+        assert "_integer_constraints" not in made.__dict__
 
 
 def rational_halfspace_cases():
@@ -543,7 +599,9 @@ def polar_facet_enumeration(v):
     base = verts[0]
     diffs = [vsub(p, base) for p in verts[1:]]
     hull_normals = null_space(diffs, d)
-    equalities = sorted(_canonical_equality(n, dot(n, base)) for n in hull_normals)
+    equalities = sorted(
+        fraction_canonical_equality(n, dot(n, base)) for n in hull_normals
+    )
     k = d - len(hull_normals)
     if k == 0:
         return HRep(ambient_dim=d, inequalities=(), equalities=tuple(equalities))
@@ -569,7 +627,7 @@ def polar_facet_enumeration(v):
             normal[r] = dot(row, y)
         offset = 1 + dot(y, centroid) + dot(tuple(normal), base)
         inequalities.add(
-            _canonical_inequality(
+            fraction_canonical_inequality(
                 *fraction_reduce_mod_equalities(tuple(normal), offset, equalities)
             )
         )
@@ -673,6 +731,27 @@ def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
     monkeypatch.setattr(polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [extra])
     with pytest.raises(InputError):
         facet_enumeration(square)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    # The sum of two vertex rays is a point on the segment between them;
+    # (2, 0, 1) is the point (2, 0), which fails x <= 1.
+    ["sum-of-two-rays", "violating"],
+)
+def test_vertex_enumeration_rejects_a_non_extreme_ray(monkeypatch, extra):
+    dd = polytope._dd_extreme_rays
+
+    def with_extra(rows, k):
+        rays = dd(rows, k)
+        if extra == "violating":
+            return rays + [(2, 0, 1)]
+        return rays + [tuple(x + y for x, y in zip(rays[0], rays[1]))]
+
+    monkeypatch.setattr(polytope, "_dd_extreme_rays", with_extra)
+    with pytest.raises(InputError) as err:
+        vertex_enumeration(unit_square_h())
+    assert str(err.value) == "double description produced a non-extreme point"
 
 
 def fraction_dd_extreme_rays(rows, k):

@@ -24,7 +24,7 @@ from gptlab.serialize import (
     vrep_from_json,
     vrep_to_json,
 )
-from gptlab.spaces import Effect, make_ball3, make_gbit
+from gptlab.spaces import MAX_CLASSICAL_OUTCOMES, Effect, make_ball3, make_gbit
 
 
 def table_to_json(t):
@@ -97,6 +97,13 @@ def test_dumps_is_deterministic(gbit):
     a = dumps(space_to_json(gbit))
     b = dumps(space_to_json(make_gbit()))
     assert a == b
+
+
+def test_dim_is_capped_at_the_largest_built_in_space():
+    h = hrep_from_json({"dim": MAX_CLASSICAL_OUTCOMES, "ineqs": [], "eqs": []})
+    assert h.ambient_dim == 64
+    with pytest.raises(InputError, match="dim must be at most 64, got 65"):
+        hrep_from_json({"dim": 65, "ineqs": [], "eqs": []})
 
 
 def test_malformed_inputs_raise_input_error():

@@ -307,9 +307,9 @@ def test_symmetries_preserve_facets(gbit):
                 sum(normal[r] * inv.matrix[r][c] for r in range(2)) for c in range(2)
             )
             new_offset = offset + sum(n * s for n, s in zip(new_normal, el.shift))
-            from gptlab.ratgeo.polytope import _canonical_inequality
+            from test_polytope import fraction_canonical_inequality
 
-            mapped.add(_canonical_inequality(new_normal, new_offset))
+            mapped.add(fraction_canonical_inequality(new_normal, new_offset))
         assert mapped == ineqs
 
 
