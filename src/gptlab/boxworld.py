@@ -334,12 +334,12 @@ def chsh_max(t: ProbabilityTable) -> Fraction:
 
 
 def chsh_objective(variant: CHSHVariant) -> Vector:
-    """The CHSH expression as a linear objective over the 16 raw coordinates."""
-    c = [ZERO] * 16
-    for a, b, x, y in itertools.product(range(2), repeat=4):
-        sign = 1 if (a ^ b) == 0 else -1
-        c[table_index(a, b, x, y)] = Fraction(variant.sign(x, y) * sign)
-    return tuple(c)
+    """The CHSH expression as a linear objective over the 16 raw coordinates:
+    its value on each unit table."""
+    return tuple(
+        Fraction(_chsh_value([int(i == j) for j in range(16)], variant))
+        for i in range(16)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def _boxworld_census(adj, tags) -> dict[str, set[int]]:
 def cmd_classify(args):
     if args.table is not None:
         cls = classify_vertex(load_table(args.table))
-        return {"tag": cls.tag, "detail": list(cls.detail) if isinstance(cls.detail, tuple) else cls.detail}
+        return {"tag": cls.tag, "detail": cls.detail}
     if args.space is None:
         raise InputError("classify needs --space NAME or --table FILE")
     space = resolve_space(args.space)

@@ -18,6 +18,7 @@ from .boxworld import is_boxworld2, make_boxworld2, product_table
 from .errors import InputError
 from .ratgeo import (
     HRep,
+    INFEASIBLE,
     LPResult,
     MAX,
     MIN,
@@ -27,7 +28,15 @@ from .ratgeo import (
     solve_lp,
     verify_farkas,
 )
-from .ratgeo.linalg import ONE, Vector, ZERO, null_space, zeros
+from .ratgeo.linalg import (
+    ONE,
+    Vector,
+    ZERO,
+    integer_null_space,
+    integer_rows,
+    integer_rref,
+    zeros,
+)
 from .serialize import effect_to_json, vector_to_json
 from .spaces import (
     BALL3,
@@ -250,7 +259,7 @@ def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult
     """
     system = joint_readout_system(witness, space)
     result = solve_lp(zeros(system.ambient_dim), MAX, system)
-    if result.status == "infeasible":
+    if result.status == INFEASIBLE:
         assert verify_farkas(system, result.witness)
     return result
 
@@ -317,12 +326,14 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
             row[k * block + j] = read_effect.linear[j]
         eqs.append((tuple(row), Fraction(b) - read_effect.constant))
     # Affinity of each measurement branch: every affine dependency among the
-    # input states must be satisfied by the unnormalized branch outputs.
-    lifted_inputs = [tuple(w) + (ONE,) for w in witness.states]
-    input_matrix = [
-        tuple(lifted_inputs[i][r] for i in range(4)) for r in range(d + 1)
-    ]
-    dependencies = null_space(input_matrix, 4)
+    # input states must be satisfied by the unnormalized branch outputs.  Each
+    # dependency is an int multiple of the rational one, which HRep.make's
+    # primitive rows drop.  The lam_k of either branch sum to 0, since the
+    # verified witness reads e(w_k) = b_k exactly: no normalization row.
+    input_matrix = list(zip(*(tuple(w) + (ONE,) for w in witness.states)))
+    dependencies, _ = integer_null_space(
+        *integer_rref(integer_rows(input_matrix)[0]), 4
+    )
     for lam in dependencies:
         for branch in range(2):
             members = [
@@ -333,14 +344,6 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
                 for k in members:
                     row[k * block + j] = lam[k]
                 eqs.append((tuple(row), ZERO))
-            if sum((lam[k] for k in members), ZERO) != 0:
-                # Normalization row of the dependency fails outright: no
-                # affine branch map exists, which cannot happen for valid
-                # witnesses (readout probabilities are affine themselves).
-                return DisturbanceResult(
-                    status=NOT_CONFIRMED,
-                    detail={"reason": "inconsistent branch normalization"},
-                )
     system = HRep.make(nvars, ineqs, eqs)
 
     branch_forced = {}

@@ -4,12 +4,12 @@ Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
 row tuples.  Every reduction scales each row to Python integers by the lcm
 of its denominators and eliminates fraction-free in ``integer_rref`` (each
 updated row is divided by the gcd of its entries, in the spirit of Bareiss,
-1968); ``rref`` divides by the pivots and ``null_space`` by their lcm only
-when it returns, so every result is exact, deterministic and the same
-``Fraction`` as plain rational elimination would give.  Callers whose rows
-are ints already call ``integer_rref``, ``integer_null_space``,
-``integer_inverse``, ``primitive_ints`` and ``primitive_signed_ints``
-directly.
+1968), so every result is exact and deterministic.  Product code calls the
+integer cores ``integer_rref``, ``integer_null_space``, ``integer_inverse``,
+``primitive_ints`` and ``primitive_signed_ints`` and builds ``Fraction``s
+only at its API.  ``rref``, ``solve``, ``inverse``, ``mat_mul`` and
+``transpose`` give the same answers in ``Fraction``s; no product code calls
+them, and they stay while ``perfbench/tracing.py`` patches them by name.
 The sizes handled here are small (ambient dimension at most 64, the largest
 built-in space; a weight polytope has one coordinate per vertex), so no
 effort is spent on pivoting for speed.
@@ -193,11 +193,6 @@ def integer_rref(rows) -> tuple[list, list[int]]:
     return work[:r], pivots
 
 
-def rank(rows) -> int:
-    _, pivots = rref(rows)
-    return len(pivots)
-
-
 def independent_rows(rows) -> list[int]:
     """Indices of the rows that a greedy scan in order keeps.
 
@@ -211,16 +206,10 @@ def independent_rows(rows) -> list[int]:
     return integer_rref([integer_row(col)[0] for col in zip(*rows)])[1]
 
 
-def null_space(rows, ncols: int) -> list[Vector]:
-    """Canonical basis of {x : Rx = 0}, one vector per free column."""
-    reduced = integer_rref([integer_row(r)[0] for r in rows])
-    basis, scale = integer_null_space(*reduced, ncols)
-    return [tuple(Fraction(x, scale) for x in v) for v in basis]
-
-
 def integer_null_space(reduced, pivots, ncols: int) -> tuple[list[list[int]], int]:
-    """(basis, scale): ``null_space`` times ``scale``, the lcm of the pivots,
-    from the (rows, pivots) that ``integer_rref`` returns."""
+    """(basis, scale): the canonical basis of {x : Rx = 0}, one vector per
+    free column, times ``scale``, the lcm of the pivots, from the (rows,
+    pivots) that ``integer_rref`` returns."""
     scale = lcm(*(row[p] for row, p in zip(reduced, pivots)))
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
@@ -282,11 +271,6 @@ def integer_inverse(m) -> tuple[list[list[int]], int] | None:
     den = lcm(*(row[i] for i, row in enumerate(reduced)))
     inv = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(reduced)]
     return inv, den
-
-
-def primitive(v: Vector) -> Vector:
-    """Scale by a positive rational to coprime integers (canonical ray form)."""
-    return tuple(map(Fraction, primitive_ints(integer_row(v)[0])))
 
 
 def primitive_ints(ints) -> tuple[int, ...]:

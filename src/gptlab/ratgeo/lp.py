@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..errors import InputError
-from .linalg import Vector, ZERO, dot, integer_row, is_zero, primitive, zeros
+from .linalg import Vector, ZERO, dot, integer_row, is_zero, primitive_ints, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -231,7 +231,8 @@ class _Tableau:
         xi[e] = self.det
         for row, bcol in zip(self.rows, self.basis):
             xi[bcol] = -row[e]
-        return primitive(tuple(xi[k] - xi[self.dim + k] for k in range(self.dim)))
+        ray = primitive_ints([xi[k] - xi[self.dim + k] for k in range(self.dim)])
+        return tuple(map(Fraction, ray))
 
 
 def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:

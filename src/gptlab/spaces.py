@@ -31,7 +31,8 @@ from .ratgeo.linalg import (
     dot,
     format_rational,
     identity as identity_matrix,
-    inverse,
+    integer_inverse,
+    integer_rows,
     mat_vec,
     vadd,
     zeros,
@@ -214,9 +215,17 @@ class AffineMap:
         return vadd(mat_vec(self.matrix, tuple(x)), self.shift)
 
     def inverse(self) -> "AffineMap | None":
-        minv = inverse(self.matrix)
-        if minv is None:
+        """The inverse map, or None if the matrix is singular: M = A / s for
+        the lcm-scaled int matrix A, so M^-1 = s A^-1 (``integer_inverse``)."""
+        n = len(self.matrix)
+        if any(len(row) != n for row in self.matrix):
+            raise ValueError("inverse requires a square matrix")
+        ints, scale = integer_rows(self.matrix)
+        result = integer_inverse(ints)
+        if result is None:
             return None
+        inv, den = result
+        minv = tuple(tuple(Fraction(x * scale, den) for x in row) for row in inv)
         return AffineMap(
             matrix=minv, shift=tuple(-x for x in mat_vec(minv, self.shift))
         )

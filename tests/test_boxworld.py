@@ -38,8 +38,9 @@ from gptlab.ratgeo import (
     solve_lp,
     verify_dual,
 )
-from gptlab.ratgeo.linalg import rank, vec
+from gptlab.ratgeo.linalg import vec
 from gptlab.spaces import from_vertices
+from test_linalg import fraction_null_space, fraction_rank
 
 
 HALF = F(1, 2)
@@ -369,14 +370,12 @@ def test_ns_hrep_rank_structure(boxworld2):
     # 16 - 9 = 7 independent homogeneous functionals vanish on all of them;
     # together with one inhomogeneous normalization the affine hull needs
     # an equality system of rank 8.
-    assert rank(list(boxworld2.vertices)) == 9
+    assert fraction_rank(list(boxworld2.vertices)) == 9
     eq_normals = [n for n, _ in build_ns_hrep().equalities]
-    assert rank(eq_normals) == 8
+    assert fraction_rank(eq_normals) == 8
     # Homogeneous annihilators: functionals (n, o) in the row space of the
     # equality system with o = 0 form a rank-7 subspace.
-    from gptlab.ratgeo.linalg import null_space
-
-    annihilators = null_space(list(boxworld2.vertices), 16)
+    annihilators = fraction_null_space(list(boxworld2.vertices), 16)
     assert len(annihilators) == 7
     for n in annihilators:
         assert all(

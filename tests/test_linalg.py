@@ -1,5 +1,7 @@
 """Exact linear algebra unit tests."""
 
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -20,12 +22,9 @@ from gptlab.ratgeo.linalg import (
     inverse,
     mat_mul,
     mat_vec,
-    null_space,
     parse_rational,
-    primitive,
     primitive_ints,
     primitive_signed_ints,
-    rank,
     rref,
     solve,
     transpose,
@@ -66,11 +65,18 @@ def test_rref_canonical():
     assert reduced == [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
 
 
+def integer_kernel(rows, ncols):
+    """(pivots, null-space basis in Fractions) from the integer cores."""
+    reduced, pivots = integer_rref([integer_row(r)[0] for r in rows])
+    basis, scale = integer_null_space(reduced, pivots, ncols)
+    return pivots, [tuple(F(x, scale) for x in v) for v in basis]
+
+
 def test_rank_and_null_space():
     rows = [vec(1, 1, 0), vec(0, 0, 1)]
-    assert rank(rows) == 2
-    basis = null_space(rows, 3)
-    assert len(basis) == 1
+    pivots, basis = integer_kernel(rows, 3)
+    assert len(pivots) == fraction_rank(rows) == 2
+    assert basis == fraction_null_space(rows, 3)
     (v,) = basis
     assert dot(rows[0], v) == 0 and dot(rows[1], v) == 0
 
@@ -142,10 +148,13 @@ def fraction_primitive_signed(v):
 
 
 def test_primitive_forms():
-    assert primitive(vec(F(1, 2), F(1, 3))) == vec(3, 2)
-    assert primitive(vec(-2, -4)) == vec(-1, -2)
+    for v, expected in (
+        (vec(F(1, 2), F(1, 3)), (3, 2)),
+        (vec(-2, -4), (-1, -2)),
+        (vec(0, 0), (0, 0)),
+    ):
+        assert primitive_ints(integer_row(v)[0]) == fraction_primitive(v) == expected
     assert fraction_primitive_signed(vec(-2, -4)) == vec(1, 2)
-    assert primitive(vec(0, 0)) == vec(0, 0)
     assert primitive_ints([-2, -4]) == (-1, -2)
     assert primitive_signed_ints([0, -2, 4]) == (0, 1, -2)
     assert primitive_ints([0, 0]) == primitive_signed_ints([0, 0]) == (0, 0)
@@ -156,7 +165,7 @@ def greedy_independent_rows(rows):
     """Oracle: scan in order, keep a row iff it raises the rank."""
     kept = []
     for i, row in enumerate(rows):
-        if rank([rows[j] for j in kept] + [row]) > len(kept):
+        if fraction_rank([rows[j] for j in kept] + [row]) > len(kept):
             kept.append(i)
     return kept
 
@@ -315,10 +324,9 @@ def test_kernel_matches_fraction_oracle(monkeypatch):
         reduced, pivots = rref(rows)
         assert (reduced, pivots) == fraction_rref(rows), rows
         assert all(type(x) is F for row in reduced for x in row)
-        assert rank(rows) == fraction_rank(rows) == len(pivots)
+        assert fraction_rank(rows) == len(pivots)
         deficient += len(pivots) < min(len(rows), ncols)
-        assert null_space(rows, ncols) == fraction_null_space(rows, ncols)
-        # null_space divides this basis by its scale.
+        assert integer_kernel(rows, ncols) == (pivots, fraction_null_space(rows, ncols))
         basis, scale = integer_null_space(
             *integer_rref([integer_row(r)[0] for r in rows]), ncols
         )
@@ -371,7 +379,49 @@ def test_kernel_matches_fraction_oracle_on_empty_and_zero_matrices(monkeypatch):
     for rows in ([], [()], [(), ()], [zero], [zero, zero, vec(0, F(1, 3), 0)]):
         assert rref(rows) == fraction_rref(rows)
         ncols = len(rows[0]) if rows else 3
-        assert null_space(rows, ncols) == fraction_null_space(rows, ncols)
+        assert integer_kernel(rows, ncols)[1] == fraction_null_space(rows, ncols)
     assert solve([], ()) == fraction_solve([], ()) == ()
     assert inverse(()) == with_fraction_rref(monkeypatch, inverse, ()) == ()
     assert inverse((zero, zero, zero)) is None
+
+
+RATIONAL_ROUTINES = {"rref", "solve", "inverse", "mat_mul", "transpose"}
+
+
+def rational_routine_uses(node):
+    """The rational routines that one AST node imports from gptlab or reads
+    off a name ``linalg``."""
+    if isinstance(node, ast.ImportFrom) and (
+        node.level or (node.module or "").startswith("gptlab")
+    ):
+        return {alias.name for alias in node.names} & RATIONAL_ROUTINES
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.value.id == "linalg" and node.attr in RATIONAL_ROUTINES:
+            return {node.attr}
+    return set()
+
+
+def test_no_module_but_linalg_uses_the_rational_routines():
+    """Product code runs on the integer cores: ``rref``, ``solve``,
+    ``inverse``, ``mat_mul`` and ``transpose`` are used only inside
+    ``linalg`` (and by the tests and the benchmark tracer)."""
+    linalg_path = pathlib.Path(linalg.__file__)
+    modules = sorted(linalg_path.parents[1].rglob("*.py"))
+    assert {"spaces.py", "symmetry.py", "polytope.py"} <= {p.name for p in modules}
+    uses = [
+        (path.name, node.lineno, name)
+        for path in modules
+        if path != linalg_path
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for name in sorted(rational_routine_uses(node))
+    ]
+    assert uses == []
+    # The scan sees both forms of use, and not numpy's.
+    for source, expected in (
+        ("from .ratgeo.linalg import inverse, vec", {"inverse"}),
+        ("from gptlab.ratgeo import rref", {"rref"}),
+        ("linalg.mat_mul(a, b)", {"mat_mul"}),
+        ("from numpy.linalg import solve; np.linalg.solve(a, b)", set()),
+    ):
+        found = set().union(*map(rational_routine_uses, ast.walk(ast.parse(source))))
+        assert found == expected, source

@@ -19,7 +19,8 @@ from gptlab.ratgeo import (
     verify_dual,
     verify_farkas,
 )
-from gptlab.ratgeo.linalg import ONE, ZERO, dot, primitive, vec, zeros
+from gptlab.ratgeo.linalg import ONE, ZERO, dot, vec, zeros
+from test_linalg import fraction_primitive
 
 
 def box_1d():
@@ -346,7 +347,7 @@ def fraction_solve_lp(objective, sense, constraints):
         for i, bcol in enumerate(tab.basis):
             xi[bcol] = -tab.rows[i][e]
         ray = tuple(xi[k] - xi[dim + k] for k in range(dim))
-        return LPResult(status=UNBOUNDED, optimum=None, witness=primitive(ray))
+        return LPResult(status=UNBOUNDED, optimum=None, witness=fraction_primitive(ray))
     x = [ZERO] * dim
     for i, bcol in enumerate(tab.basis):
         if bcol < dim:

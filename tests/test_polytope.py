@@ -23,8 +23,6 @@ from gptlab.ratgeo.linalg import (
     independent_rows,
     integer_rows,
     inverse,
-    null_space,
-    primitive,
     rref,
     transpose,
     vec,
@@ -34,6 +32,7 @@ from gptlab.ratgeo.polytope import _adjacent
 from gptlab.serialize import dumps, hrep_to_json
 from gptlab.spaces import from_vertices, make_classical
 from test_linalg import (
+    fraction_null_space,
     fraction_primitive,
     fraction_primitive_signed,
     fraction_rank,
@@ -405,7 +404,7 @@ def constraint_check_cases():
         for _ in range(rng.randint(0, dim - 1)):
             normal = tuple(random_rational(rng) for _ in range(dim))
             eqs.append((normal, dot(normal, p0)))
-        directions = null_space([n for n, _ in eqs], dim)
+        directions = fraction_null_space([n for n, _ in eqs], dim)
         points = [p0, tuple(random_rational(rng) for _ in range(dim))]
         for _ in range(6):
             point = list(p0)
@@ -598,7 +597,7 @@ def polar_facet_enumeration(v):
     verts = list(v.vertices)
     base = verts[0]
     diffs = [vsub(p, base) for p in verts[1:]]
-    hull_normals = null_space(diffs, d)
+    hull_normals = fraction_null_space(diffs, d)
     equalities = sorted(
         fraction_canonical_equality(n, dot(n, base)) for n in hull_normals
     )
@@ -764,7 +763,7 @@ def fraction_dd_extreme_rays(rows, k):
 
     binv = inverse(tuple(rows[i] for i in basis_idx))
     assert binv is not None
-    rays = [primitive(tuple(-binv[r][c] for r in range(k))) for c in range(k)]
+    rays = [fraction_primitive(tuple(-binv[r][c] for r in range(k))) for c in range(k)]
     processed = list(basis_idx)
     zero_sets = []
     for ray in rays:
@@ -797,7 +796,7 @@ def fraction_dd_extreme_rays(rows, k):
                     tuple(values[p] * x for x in rays[q]),
                     tuple(values[q] * x for x in rays[p]),
                 )
-                keep_rays.append(primitive(combo))
+                keep_rays.append(fraction_primitive(combo))
                 keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
         rays, zero_sets = keep_rays, keep_zs
         processed.append(i)
@@ -808,7 +807,7 @@ def homogenization_cone(h):
     """(rows, k): the Fraction cone ``vertex_enumeration`` runs double
     description on, in the coordinates of the equalities' null space."""
     d = h.ambient_dim
-    n_basis = null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
+    n_basis = fraction_null_space([tuple(n) + (-o,) for n, o in h.equalities], d + 1)
     hom = [tuple(n) + (-o,) for n, o in h.inequalities]
     hom.append((F(0),) * d + (F(-1),))
     rows = [tuple(dot(b, row) for b in n_basis) for row in hom]

@@ -26,7 +26,9 @@ from gptlab.spaces import (
     validate_measurement,
 )
 from gptlab.ratgeo import affine_dimension, vertex_adjacency
-from gptlab.ratgeo.linalg import mat_mul, mat_vec, rank, solve, vadd, vec, vsub
+from gptlab.ratgeo.linalg import inverse, mat_mul, mat_vec, solve, vadd, vec, vsub
+from gptlab.symmetry import affine_automorphisms
+from test_linalg import fraction_rank
 
 
 def test_gbit_vertices(gbit):
@@ -148,6 +150,62 @@ def test_affine_map_compose_inverse(gbit):
     assert compose(rinv, r) == AffineMap.identity(2)
 
 
+def fraction_affine_inverse(t):
+    """Oracle: the inverse map from the ``Fraction`` ``linalg.inverse``."""
+    minv = inverse(t.matrix)
+    if minv is None:
+        return None
+    return AffineMap(matrix=minv, shift=tuple(-x for x in mat_vec(minv, t.shift)))
+
+
+def random_affine_map(rng):
+    """A seeded rational map of dimension 1-6, with a planted dependent row
+    (so a singular matrix) one time in five."""
+    n = rng.randint(1, 6)
+
+    def rational():
+        return F(rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))),
+                 rng.choice((1, 2, 3, 7, 12, 35)))
+
+    rows = [[rational() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.2:
+        c = rational()
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[n // 2])]
+    return AffineMap(
+        matrix=tuple(map(tuple, rows)), shift=tuple(rational() for _ in range(n))
+    )
+
+
+def test_affine_inverse_matches_fraction_oracle(gbit, boxworld2_group):
+    maps = [
+        *affine_automorphisms(gbit).elements,
+        *affine_automorphisms(make_classical(4)).elements,
+        *boxworld2_group.elements,
+    ]
+    assert len(maps) == 8 + 24 + 128
+    rng = random.Random(1729)
+    maps += [random_affine_map(rng) for _ in range(300)]
+    maps += [AffineMap.identity(0), AffineMap(matrix=(vec(0, 0), vec(0, 0)), shift=vec(1, 2))]
+    singular = 0
+    for t in maps:
+        got = t.inverse()
+        assert got == fraction_affine_inverse(t), t
+        if got is None:
+            singular += 1
+            continue
+        assert repr(got) == repr(fraction_affine_inverse(t))
+        assert compose(got, t) == AffineMap.identity(len(t.shift))
+    assert singular > 40
+
+
+@pytest.mark.parametrize(
+    "matrix", [(vec(1, 0),), (vec(1, 0), vec(1)), (vec(1), vec(1))]
+)
+def test_affine_inverse_rejects_a_non_square_matrix(matrix):
+    with pytest.raises(ValueError, match="square"):
+        AffineMap(matrix=matrix, shift=(F(0),) * len(matrix)).inverse()
+
+
 def test_center_has_both_diagonal_decompositions(gbit):
     decs = decompose_state(vec(F(1, 2), F(1, 2)), gbit)
     assert decs == (
@@ -215,7 +273,7 @@ def subset_decompositions(s, space):
         for i in range(start, len(lifted)):
             candidate = chosen + [i]
             diffs = [vsub(lifted[j], lifted[candidate[0]]) for j in candidate[1:]]
-            if rank(diffs) == len(candidate) - 1:
+            if fraction_rank(diffs) == len(candidate) - 1:
                 extend(i + 1, candidate)
 
     extend(0, [])

@@ -22,7 +22,6 @@ from gptlab.ratgeo.linalg import (
     inverse,
     mat_mul,
     mat_vec,
-    null_space,
     rref,
     transpose,
     vsub,
@@ -49,6 +48,7 @@ from gptlab.symmetry import (
     check_reversibility,
     orbits,
 )
+from test_linalg import fraction_null_space
 from test_spaces import compose
 
 
@@ -63,7 +63,7 @@ def brute_force_symmetries(space):
     verts = space.vertices
     n, d = len(verts), space.dim
     lifted_columns = [tuple(v[r] for v in verts) for r in range(d)] + [(1,) * n]
-    dependencies = null_space(lifted_columns, n)
+    dependencies = fraction_null_space(lifted_columns, n)
     return {
         perm
         for perm in itertools.permutations(range(n))
@@ -95,7 +95,7 @@ def fraction_realize(verts, d, perm):
     """
     diffs = [vsub(v, verts[0]) for v in verts[1:]]
     independent = independent_rows(diffs)
-    complement = null_space(diffs, d)
+    complement = fraction_null_space(diffs, d)
     a_inv = inverse(transpose([diffs[i] for i in independent] + complement))
     image_base = verts[perm[0]]
     image_columns = [
