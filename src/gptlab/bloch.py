@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .spaces import ball_rotation, ball_rotation_path
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -89,44 +90,26 @@ def unitary_to_rotation(u) -> np.ndarray:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation by ``angle`` about the unit vector ``axis``."""
+    """``spaces.ball_rotation`` by ``angle`` about ``axis``, as an array."""
     n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
+    if np.linalg.norm(n) == 0:
         raise InputError("rotation axis must be nonzero")
-    n = n / norm
-    k = np.array(
-        [[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]], dtype=float
-    )
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    return np.array(ball_rotation(n.tolist(), angle))
 
 
 def rotation_path(a, b):
     """Continuous rotation family G(t) with G(0) = 1 and G(1) a = b.
 
-    ``a`` and ``b`` must be pure states (unit Bloch vectors).  The path
-    rotates about the axis normal to both, by linearly interpolated angle;
-    for (anti)parallel endpoints a fixed orthogonal axis is chosen.
+    ``a`` and ``b`` must be pure states (unit Bloch vectors); the path is
+    ``spaces.ball_rotation_path`` as arrays.
     """
     a = as_bloch(a)
     b = as_bloch(b)
     if abs(np.linalg.norm(a) - 1) > 1e-9 or abs(np.linalg.norm(b) - 1) > 1e-9:
         raise InputError("rotation paths connect pure states (unit vectors)")
-    cross = np.cross(a, b)
-    sin_angle = np.linalg.norm(cross)
-    cos_angle = float(np.clip(np.dot(a, b), -1.0, 1.0))
-    angle = float(np.arctan2(sin_angle, cos_angle))
-    if sin_angle > 1e-12:
-        axis = cross / sin_angle
-    elif cos_angle > 0:
-        axis = np.array([0.0, 0.0, 1.0])  # identity path; axis irrelevant
-    else:
-        # Antipodal endpoints: rotate about any axis orthogonal to a.
-        pick = np.eye(3)[int(np.argmin(np.abs(a)))]
-        axis = np.cross(a, pick)
-        axis = axis / np.linalg.norm(axis)
+    rows = ball_rotation_path(a.tolist(), b.tolist())
 
     def path(t: float) -> np.ndarray:
-        return rotation_about(axis, t * angle)
+        return np.array(rows(t))
 
     return path

@@ -14,9 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import bloch as bloch_mod
 from . import serialize
 from .boxworld import (
     LOCAL_DETERMINISTIC,
@@ -237,14 +234,20 @@ def cmd_decompose(args):
 
 
 def cmd_bloch(args):
+    # numpy is imported here only: no other command loads it.
+    import numpy as np
+
+    from . import bloch as bloch_mod
+
     if args.unitary:
         missing = "unitary file %r not found" % args.unitary
         raw = _read_json(args.unitary, "unitary", missing)
         try:
             u = np.array(
-                [[complex(re, im) for re, im in row] for row in raw], dtype=complex
+                [[_complex_entry(re, im) for re, im in row] for row in raw],
+                dtype=complex,
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise InputError("malformed unitary file: %s" % err)
         rotation = bloch_mod.unitary_to_rotation(u)
         return {"rotation": rotation.tolist(), "inexact": True}
@@ -261,6 +264,13 @@ def cmd_bloch(args):
         "eigenvalues": [hi, lo],
         "inexact": True,
     }
+
+
+def _complex_entry(re, im) -> complex:
+    """One [re, im] unitary entry; a JSON bool is not a number here."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("unitary entries are numbers, not booleans")
+    return complex(re, im)
 
 
 def cmd_postulates(args):

@@ -1,14 +1,17 @@
 """State spaces, effects, measurements and transformations.
 
 A state space is either polytopal (carrying both exact representations) or
-the 3-dimensional unit ball (the qubit in Bloch coordinates, handled
-separately in :mod:`gptlab.bloch` because its boundary is irrational).
-Effects are affine functionals with values in [0, 1] on the space; a
-measurement is a finite list of effects summing exactly to the unit effect.
+the 3-dimensional unit ball (the qubit in Bloch coordinates, handled in
+floating point because its boundary is irrational: its rotation paths here,
+on plain lists so that no exact command loads numpy, and its density
+matrices in :mod:`gptlab.bloch`).  Effects are affine functionals with
+values in [0, 1] on the space; a measurement is a finite list of effects
+summing exactly to the unit effect.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,6 +140,57 @@ def make_classical(n: int) -> StateSpace:
 def make_ball3() -> StateSpace:
     """The qubit state space: the unit ball of Bloch vectors."""
     return StateSpace(kind=BALL3, label="ball3")
+
+
+def ball_rotation(axis, angle: float) -> list[list[float]]:
+    """Rodrigues rotation I + sin(angle) K + (1 - cos(angle)) K^2 by
+    ``angle`` about the nonzero 3-vector ``axis``, as float rows; K is the
+    cross-product matrix of the normalized axis."""
+    norm = math.hypot(*axis)
+    n0, n1, n2 = (x / norm for x in axis)
+    k = [[0.0, -n2, n1], [n2, 0.0, -n0], [-n1, n0, 0.0]]
+    s, c = math.sin(angle), 1 - math.cos(angle)
+    return [
+        [
+            float(i == j) + s * k[i][j] + c * sum(k[i][m] * k[m][j] for m in range(3))
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def ball_rotation_path(a, b):
+    """Continuous rotation family G(t) with G(0) = 1 and G(1) a = b.
+
+    ``a`` and ``b`` are unit 3-vectors; G(t) is ``ball_rotation`` about the
+    axis normal to both, by t times the angle between them.  For
+    (anti)parallel endpoints a fixed orthogonal axis is chosen.
+    """
+    cross = _cross(a, b)
+    sin_angle = math.hypot(*cross)
+    cos_angle = min(max(sum(x * y for x, y in zip(a, b)), -1.0), 1.0)
+    angle = math.atan2(sin_angle, cos_angle)
+    if sin_angle > 1e-12:
+        axis = [x / sin_angle for x in cross]
+    elif cos_angle > 0:
+        axis = [0.0, 0.0, 1.0]  # identity path; axis irrelevant
+    else:
+        # Antipodal endpoints: rotate about any axis orthogonal to a.
+        pick = min(range(3), key=lambda i: abs(a[i]))
+        axis = _cross(a, [float(i == pick) for i in range(3)])
+
+    def path(t: float) -> list[list[float]]:
+        return ball_rotation(axis, t * angle)
+
+    return path
+
+
+def _cross(a, b) -> list[float]:
+    return [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,12 @@ realizer, too, forms and verifies each map on integers and builds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-import numpy as np
-
-from .bloch import rotation_path
 from .errors import InputError, UnsupportedError
 from .ratgeo.linalg import (
     independent_rows,
@@ -40,7 +38,7 @@ from .ratgeo.linalg import (
     integer_rows,
     integer_rref,
 )
-from .spaces import AffineMap, BALL3, StateSpace
+from .spaces import AffineMap, BALL3, StateSpace, ball_rotation_path
 
 PASS = "pass"
 FAIL = "fail"
@@ -331,13 +329,13 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
         worst_endpoint = 0.0
         worst_step = 0.0
         for a, b in checks:
-            path = rotation_path(a, b)
-            start_err = float(np.max(np.abs(path(0.0) - np.eye(3))))
-            end_err = float(np.linalg.norm(path(1.0) @ np.array(a) - np.array(b)))
-            worst_endpoint = max(worst_endpoint, start_err, end_err)
+            path = ball_rotation_path(a, b)
+            start_err = _max_abs_difference(path(0.0), _identity(3))
+            end = [sum(x * y for x, y in zip(row, a)) for row in path(1.0)]
+            worst_endpoint = max(worst_endpoint, start_err, math.dist(end, b))
             samples = [path(t / 100.0) for t in range(101)]
             for prev, cur in zip(samples, samples[1:]):
-                worst_step = max(worst_step, float(np.max(np.abs(cur - prev))))
+                worst_step = max(worst_step, _max_abs_difference(cur, prev))
         if worst_endpoint > 1e-9:
             return ContinuityResult(
                 status=FAIL,
@@ -351,7 +349,7 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
                 "max_sample_step": worst_step,
                 "samples": 101,
             },
-            path_constructor=rotation_path,
+            path_constructor=ball_rotation_path,
         )
     space.require_polytopal()
     n = len(space.vertices)
@@ -364,8 +362,16 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
     return ContinuityResult(
         status=PASS,
         detail={"vertex_count": n, "note": "single pure state; constant path"},
-        path_constructor=lambda a, b: (lambda t: np.eye(space.dim)),
+        path_constructor=lambda a, b: (lambda t: _identity(space.dim)),
     )
+
+
+def _identity(d: int) -> list[list[float]]:
+    return [[float(i == j) for j in range(d)] for i in range(d)]
+
+
+def _max_abs_difference(m, n) -> float:
+    return max(abs(x - y) for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
 
 
 @dataclass(frozen=True)

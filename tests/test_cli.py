@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import gptlab
 from gptlab.boxworld import local_deterministic_table, make_boxworld2, pr_box_table
 from gptlab.cli import build_full_report, run
+from gptlab.postulates import run_report
 from gptlab.ratgeo import vertex_adjacency
 from gptlab.ratgeo.linalg import format_rational
-from gptlab.serialize import dumps, space_to_json, vector_to_json
+from gptlab.serialize import dumps, report_to_json, space_to_json, vector_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
 
 PR_BOX_DOCUMENT = {"p": vector_to_json(pr_box_table().p)}
@@ -150,10 +151,9 @@ def _fresh_interpreter_env():
 
 
 # Every module a cold ``import gptlab.cli`` loads outside the standard
-# library, numpy's own aside.
+# library: numpy and ``gptlab.bloch`` are left to ``gptlab bloch``.
 CLI_IMPORTS = [
     "gptlab",
-    "gptlab.bloch",
     "gptlab.boxworld",
     "gptlab.cli",
     "gptlab.errors",
@@ -165,11 +165,10 @@ CLI_IMPORTS = [
     "gptlab.serialize",
     "gptlab.spaces",
     "gptlab.symmetry",
-    "numpy",
 ]
 
 
-def test_cli_import_loads_only_numpy_and_gptlab():
+def test_cli_import_loads_only_gptlab_without_bloch():
     """Every command starts with this import, so a heavy module it pulls in
     slows them all."""
     code = (
@@ -185,9 +184,31 @@ def test_cli_import_loads_only_numpy_and_gptlab():
         name
         for name in json.loads(proc.stdout)
         if name.split(".")[0] not in sys.stdlib_module_names
-        and not name.startswith("numpy.")
     ]
     assert loaded == CLI_IMPORTS
+
+
+def _run_without_numpy(*argv):
+    """``gptlab ARGV`` in a fresh interpreter in which importing numpy fails."""
+    code = (
+        "import sys; sys.modules['numpy'] = None; from gptlab import cli; "
+        "raise SystemExit(cli.run(sys.argv[1:]))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120,
+    )
+
+
+def test_report_and_ball_postulates_run_without_numpy():
+    """The exact commands, the ball's continuity check included, need no
+    numpy; only ``gptlab bloch`` does."""
+    report = _run_without_numpy("report")
+    assert report.returncode == 0, report.stderr
+    assert hashlib.sha256(report.stdout.encode()).hexdigest() == REPORT_SHA256
+    ball = _run_without_numpy("postulates", "--config", "ball3")
+    assert ball.returncode == 0, ball.stderr
+    assert ball.stdout == dumps(report_to_json(run_report("ball3"))) + "\n"
 
 
 def test_bloch_vector(capsys):
@@ -331,6 +352,16 @@ BAD_INPUTS = {
     "bloch-vector-overflow": lambda tmp: ["bloch", "--vector", "1e308,1e308,0"],
     "bloch-unitary-overflow": lambda tmp: [
         "bloch", "--unitary", _json_file(tmp, [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]])
+    ],
+    "bloch-unitary-huge-int": lambda tmp: [
+        "bloch",
+        "--unitary",
+        _json_file(tmp, [[[10 ** 400, 0], [0, 0]], [[0, 0], [1, 0]]]),
+    ],
+    "bloch-unitary-bool": lambda tmp: [
+        "bloch",
+        "--unitary",
+        _json_file(tmp, [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]),
     ],
     "out-directory": lambda tmp: ["vertices", "--space", "gbit", "--out", str(tmp)],
     "out-missing-parent": lambda tmp: [
