@@ -2,13 +2,16 @@
 
 Two-phase primal simplex with Bland's pivoting rule.  The simplex pivots on
 Python integers over one common denominator, fraction-free in the manner of
-Bareiss (1968) and of the ``lrs`` tableau (Avis, 2000); ``Fraction`` appears
-only at the API boundary, where the input is scaled to integers and the
-point, optimum, multipliers and ray are read back.  Bland's rule makes the
-solver immune to cycling on degenerate systems (the no-signalling polytope
-is highly degenerate) and, in combination with fixed column and row
-orderings, makes every answer deterministic: the same input always yields
-the same witness.
+Bareiss (1968) and of the ``lrs`` tableau (Avis, 2000).  A pivot equal to
+that denominator leaves it unchanged, and then a row changes only where the
+pivot row is nonzero (the sparse step of :meth:`_Tableau._pivot`); most
+pivots on the degenerate no-signalling polytope are of this kind.
+``Fraction`` appears only at the API boundary, where the input is scaled to
+integers and the point, optimum, multipliers and ray are read back, one
+``Fraction`` per value.  Bland's rule makes the solver immune to cycling on
+degenerate systems (the no-signalling polytope is highly degenerate) and, in
+combination with fixed column and row orderings, makes every answer
+deterministic: the same input always yields the same witness.
 
 Certificates:
 
@@ -20,6 +23,10 @@ Certificates:
 * ``unbounded`` - witness is an improving ray: a direction that satisfies
                   all homogeneous constraints and strictly improves the
                   objective.
+
+The checkers are independent of the simplex: they read only the ``HRep``
+and the certificate, and combine the ``HRep``'s integer rows with the
+multipliers over one common denominator, so they too compute on integers.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from ..errors import InputError
-from .linalg import Vector, ZERO, dot, integer_row, is_zero, primitive_ints, zeros
+from .linalg import Vector, integer_row, lcm_of_denominators, primitive_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -56,7 +64,7 @@ class LPResult:
 
 
 class _Tableau:
-    """Dense fraction-free simplex tableau with Bland's rule.
+    """Fraction-free simplex tableau with Bland's rule and sparse pivots.
 
     Columns are laid out as [x+ | x- | slacks | artificials | rhs]; rows keep
     their construction order (inequalities first, then equalities).  Every
@@ -73,6 +81,9 @@ class _Tableau:
     prices it at ``1 / row_scale[r]``.  Scaling a row or a column by a
     positive number changes neither a sign nor an exact ratio comparison, so
     Bland's rule takes the same pivots as on the unscaled rational tableau.
+
+    The rows are stored densely, but a pivot equal to ``det`` updates each
+    row only on the support of the pivot row (see :meth:`_pivot`).
     """
 
     def __init__(self, ineqs, eqs, dim):
@@ -117,7 +128,15 @@ class _Tableau:
         self.obj = obj
 
     def _pivot(self, r: int, e: int):
-        """Pivot on (r, e); Sylvester's identity makes every division exact."""
+        """Pivot on (r, e); Sylvester's identity makes every division exact.
+
+        A row x with entry f in column e becomes (x.p - f.y) / det, for y
+        the pivot row and p its entry in column e.  When p == det the
+        denominator stays and this is x - f.y / det (still exact, since
+        Sylvester's identity makes f.y a multiple of det): the row changes
+        only where y is nonzero, in place, and not at all when f == 0.
+        Otherwise every row is rescaled by the dense Bareiss step.
+        """
         pivot_row = self.rows[r]
         p = pivot_row[e]
         if p < 0:
@@ -126,20 +145,26 @@ class _Tableau:
             pivot_row = self.rows[r] = [-y for y in pivot_row]
             p = -p
         det = self.det
+        if p == det:
+            support = [(j, y) for j, y in enumerate(pivot_row) if y]
+            for i, row in enumerate(self.rows + [self.obj]):
+                f = row[e]
+                if f and i != r:
+                    for j, y in support:
+                        row[j] -= f * y // det
+        else:
 
-        def eliminate(row):
-            f = row[e]
-            if f:
-                return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
-            if p == det:
-                return row
-            return [x * p // det for x in row]
+            def eliminate(row):
+                f = row[e]
+                if f:
+                    return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+                return [x * p // det for x in row]
 
-        self.rows = [
-            row if i == r else eliminate(row) for i, row in enumerate(self.rows)
-        ]
-        self.obj = eliminate(self.obj)
-        self.det = p
+            self.rows = [
+                row if i == r else eliminate(row) for i, row in enumerate(self.rows)
+            ]
+            self.obj = eliminate(self.obj)
+            self.det = p
         self.basis[r] = e
 
     def minimize(self) -> str:
@@ -168,27 +193,26 @@ class _Tableau:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
-    def objective_value(self) -> Fraction:
-        return Fraction(-self.obj[self.n], self.det * self.cost_scale)
-
-    def row_multipliers(self) -> list[Fraction]:
-        """Simplex multipliers per original row, read off the artificial columns.
+    def multipliers(self) -> tuple[Fraction, ...]:
+        """Certificate multipliers per original row, read off the artificial
+        columns.
 
         The artificial column for row r starts as the unit vector e_r, so its
         current entries record the coefficients expressing each tableau row as
         a combination of original rows; contracting with the basic costs gives
         pi_r = cost_r - reduced_cost_r for the scaled row, and ``row_scale[r]``
-        times that for the original one.  This stays valid after redundant
-        rows are dropped, because the columns themselves are never touched.
+        times that for the original one.  The certificate holds -pi_r times
+        the sign ``flip[r]`` that the row was multiplied by, one ``Fraction``
+        each.  This stays valid after redundant rows are dropped, because the
+        columns themselves are never touched.
         """
-        denom = self.det * self.cost_scale
-        pi = []
-        for rid, scale in enumerate(self.row_scale):
-            col = self.n_struct + rid
-            pi.append(
-                Fraction(scale * (self.det * self.costs[col] - self.obj[col]), denom)
-            )
-        return pi
+        det, obj, costs = self.det, self.obj, self.costs
+        denom = det * self.cost_scale
+        col = self.n_struct
+        return tuple(
+            Fraction(-sigma * scale * (det * costs[col + r] - obj[col + r]), denom)
+            for r, (sigma, scale) in enumerate(zip(self.flip, self.row_scale))
+        )
 
     def drop_redundant_and_artificials(self):
         """After phase 1, pivot artificials out of the basis; drop rows that
@@ -215,13 +239,13 @@ class _Tableau:
             self.m = len(keep)
 
     def solution(self) -> Vector:
-        x = [ZERO] * self.dim
+        x = [0] * self.dim
         for row, bcol in zip(self.rows, self.basis):
             if bcol < self.dim:
-                x[bcol] += Fraction(row[self.n], self.det)
+                x[bcol] += row[self.n]
             elif bcol < 2 * self.dim:
-                x[bcol - self.dim] -= Fraction(row[self.n], self.det)
-        return tuple(x)
+                x[bcol - self.dim] -= row[self.n]
+        return tuple(Fraction(v, self.det) for v in x)
 
     def ray(self) -> Vector:
         """The improving ray along the entering column, in primitive form
@@ -238,8 +262,11 @@ class _Tableau:
 def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     """Exact optimum of a linear objective over an H-represented polyhedron.
 
-    ``constraints`` is an :class:`~gptlab.ratgeo.polytope.HRep` (or anything
-    with ``inequalities``, ``equalities`` and ``ambient_dim`` attributes).
+    ``constraints`` is an :class:`~gptlab.ratgeo.polytope.HRep`; the
+    certificate checkers :func:`verify_dual` and :func:`verify_farkas` read
+    its integer rows.  The optimum is read off the tableau's objective row
+    and each multiplier off an artificial column, so every returned
+    ``Fraction`` is built once from two ints.
     """
     if sense not in (MAX, MIN):
         raise InputError("sense must be 'max' or 'min', got %r" % (sense,))
@@ -255,60 +282,72 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
         if len(normal) != dim:
             raise InputError("constraint normal has wrong dimension")
 
-    c = objective if sense == MAX else tuple(-x for x in objective)
-
     tab = _Tableau(ineqs, eqs, dim)
 
     # Phase 1: minimize the sum of the original artificials, each of which
-    # is its scaled column over ``row_scale``.
+    # is its scaled column over ``row_scale``.  The last objective entry is
+    # minus the value, so a negative one means a positive minimum.
     scale = lcm(*tab.row_scale)
     phase1_costs = [0] * tab.n_struct + [scale // s for s in tab.row_scale]
     tab.set_costs(phase1_costs, scale, allow_artificial=True)
     status = tab.minimize()
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
-    if tab.objective_value() > 0:
-        pi = tab.row_multipliers()
-        mult = tuple(-p * s for p, s in zip(pi, tab.flip))
-        return LPResult(status=INFEASIBLE, optimum=None, witness=mult)
+    if tab.obj[tab.n] < 0:
+        return LPResult(status=INFEASIBLE, optimum=None, witness=tab.multipliers())
 
     tab.drop_redundant_and_artificials()
 
-    # Phase 2: minimize -c.x (i.e. maximize c.x).
-    ints, scale = integer_row(c)
+    # Phase 2: minimize -c.x (i.e. maximize c.x) for c = sign * objective.
+    sign = 1 if sense == MAX else -1
+    ints, scale = integer_row(objective)
     phase2_costs = [0] * tab.n
     for k in range(dim):
-        phase2_costs[k] = -ints[k]
-        phase2_costs[dim + k] = ints[k]
+        phase2_costs[k] = -sign * ints[k]
+        phase2_costs[dim + k] = sign * ints[k]
     tab.set_costs(phase2_costs, scale, allow_artificial=False)
     status = tab.minimize()
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, optimum=None, witness=tab.ray())
 
-    x = tab.solution()
-    value = dot(objective, x)
-    pi = tab.row_multipliers()
-    dual = tuple(-p * s for p, s in zip(pi, tab.flip))
-    return LPResult(status=OPTIMAL, optimum=value, witness=x, dual=dual)
+    # The objective row ends in minus min(-c.x) = max c.x, over its
+    # denominator, and the optimum is sign * max c.x.
+    optimum = Fraction(sign * tab.obj[tab.n], tab.det * tab.cost_scale)
+    return LPResult(
+        status=OPTIMAL, optimum=optimum, witness=tab.solution(), dual=tab.multipliers()
+    )
 
 
 def _combination(constraints, multipliers: Vector):
-    """(normal, offset) of the constraints combined by ``multipliers``.
+    """The constraints combined by ``multipliers``, as ints: (normal, offset,
+    den), den > 0, for the combination (normal / den, offset / den).
 
     None when the count is wrong or an inequality multiplier is negative.
     """
-    ineqs = constraints.inequalities
-    rows = tuple(ineqs) + tuple(constraints.equalities)
+    ineqs, eqs = constraints._integer_constraints
+    rows = ineqs + eqs
     if len(multipliers) != len(rows):
         return None
     if any(v < 0 for v in multipliers[: len(ineqs)]):
         return None
-    combined = list(zeros(constraints.ambient_dim))
-    offset = ZERO
-    for coeff, (normal, rhs) in zip(multipliers, rows):
-        for k, a in enumerate(normal):
-            combined[k] += coeff * a
-        offset += coeff * rhs
-    return tuple(combined), offset
+    # Integer row r is the given row times its scale s_r > 0, and multiplier
+    # r is m_r / den; so multiplier r times the given row is m_r * (S / s_r)
+    # times integer row r over den * S, for S the lcm of the s_r.
+    scales = [
+        lcm(lcm_of_denominators(n), o.denominator)
+        for n, o in constraints.inequalities + constraints.equalities
+    ]
+    common = lcm(*scales)
+    ms, den = integer_row(multipliers)
+    combined = [0] * constraints.ambient_dim
+    offset = 0
+    for m, s, (normal, rhs) in zip(ms, scales, rows):
+        if m:
+            k = m * (common // s)
+            for j, a in enumerate(normal):
+                if a:
+                    combined[j] += k * a
+            offset += k * rhs
+    return combined, offset, den * common
 
 
 def verify_farkas(constraints, multipliers: Vector) -> bool:
@@ -323,8 +362,8 @@ def verify_farkas(constraints, multipliers: Vector) -> bool:
     combination = _combination(constraints, multipliers)
     if combination is None:
         return False
-    normal, offset = combination
-    return is_zero(normal) and offset < 0
+    normal, offset, _ = combination
+    return not any(normal) and offset < 0
 
 
 def verify_dual(constraints, objective: Vector, sense: str, result: LPResult) -> bool:
@@ -333,21 +372,29 @@ def verify_dual(constraints, objective: Vector, sense: str, result: LPResult) ->
     For the max form the multipliers (y for inequalities, z for equalities)
     must satisfy y >= 0, y.A + z.E = c and y.b + z.f = optimum; weak duality
     then pins the optimum from above while the witness point pins it from
-    below.  ``min`` problems are certified through their max form.
+    below.  ``min`` problems are certified through their max form.  A
+    certificate of the wrong shape is rejected, never raised on.
     """
-    if result.status != OPTIMAL or result.dual is None:
+    if result.status != OPTIMAL or result.dual is None or result.optimum is None:
+        return False
+    dim = constraints.ambient_dim
+    x = result.witness
+    if len(objective) != dim or len(x) != dim:
         return False
     combination = _combination(constraints, result.dual)
-    c = objective if sense == MAX else tuple(-x for x in objective)
-    target = result.optimum if sense == MAX else -result.optimum
-    if combination != (tuple(c), target):
+    if combination is None:
+        return False
+    normal, offset, den = combination
+    # (c, target) of the max form is target_ints / scale; the combination
+    # equals it iff the cross products agree.
+    sign = 1 if sense == MAX else -1
+    target_ints, scale = integer_row(tuple(objective) + (result.optimum,))
+    target_ints = [sign * v for v in target_ints]
+    if any(a * scale != t * den for a, t in zip(normal + [offset], target_ints)):
         return False
     # The primal witness must be feasible and achieve the same value.
-    x = result.witness
-    for normal, rhs in constraints.inequalities:
-        if dot(normal, x) > rhs:
-            return False
-    for normal, rhs in constraints.equalities:
-        if dot(normal, x) != rhs:
-            return False
-    return dot(objective, x) == result.optimum
+    ints, xden = integer_row(x)
+    ineq_slacks, eq_slacks = constraints._slacks(ints, xden)
+    if any(s < 0 for s in ineq_slacks) or any(eq_slacks):
+        return False
+    return sum(map(mul, target_ints[:dim], ints)) == target_ints[dim] * xden

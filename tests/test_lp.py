@@ -1,6 +1,9 @@
 """Exact LP solver tests: optima, certificates, determinism."""
 
+import copy
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +22,8 @@ from gptlab.ratgeo import (
     verify_dual,
     verify_farkas,
 )
-from gptlab.ratgeo.linalg import ONE, ZERO, dot, vec, zeros
+from gptlab.ratgeo.linalg import ONE, ZERO, dot, is_zero, vec, zeros
+from gptlab.ratgeo.lp import _Tableau
 from test_linalg import fraction_primitive
 
 
@@ -148,6 +152,7 @@ def test_duality_on_random_programs():
             assert r.status == OPTIMAL
             assert verify_dual(h, c, sense, r), (h, c, sense, r)
             assert r == fraction_solve_lp(c, sense, h)
+            assert_checkers_agree(h, c, sense, r)
 
 
 def segment(*extra_ineqs):
@@ -161,51 +166,62 @@ SLACK = ((F(1), F(1)), F(2))  # x + y <= 2, which every point of the segment mee
 
 
 def _dual(**changes):
-    """verify_dual on a certificate for max x = 1 at (1, 0), with ``changes``.
+    """A certificate for max x = 1 at (1, 0), with ``changes``.
 
     The multipliers are 0 and 1 on -x <= 0 and -y <= 0, and 1 on x + y = 1.
     """
     cert = dict(c=vec(1, 0), optimum=F(1), witness=vec(1, 0), dual=vec(0, 1, 1))
     cert.update(changes)
     result = LPResult(OPTIMAL, cert["optimum"], cert["witness"], cert["dual"])
-    return verify_dual(segment(), cert["c"], MAX, result)
+    return "dual", (segment(), cert["c"], MAX, result)
 
 
 def _farkas(multipliers, *extra_ineqs):
-    return verify_farkas(segment(*extra_ineqs), multipliers)
+    return "farkas", (segment(*extra_ineqs), multipliers)
+
+
+def check(certificate, oracle=False):
+    """The verdict of the integer checker, or of its ``Fraction`` oracle."""
+    kind, args = certificate
+    if kind == "dual":
+        return (fraction_verify_dual if oracle else verify_dual)(*args)
+    return (fraction_verify_farkas if oracle else verify_farkas)(*args)
 
 
 # Each certificate breaks one condition and meets all the others.
 BROKEN_CERTIFICATES = {
-    "dual-wrong-length": lambda: _dual(dual=vec(0, 1)),
+    "dual-wrong-length": _dual(dual=vec(0, 1)),
     # Claims max x = 0 at (0, 1): the combination and the witness both hold.
-    "dual-negative-inequality-multiplier": lambda: _dual(
+    "dual-negative-inequality-multiplier": _dual(
         optimum=F(0), witness=vec(0, 1), dual=vec(-1, 0, 0)
     ),
-    "dual-perturbed-equality-multiplier": lambda: _dual(dual=vec(0, 1, 2)),
-    "dual-optimum-off-by-one": lambda: _dual(optimum=F(2)),
+    "dual-perturbed-equality-multiplier": _dual(dual=vec(0, 1, 2)),
+    "dual-optimum-off-by-one": _dual(optimum=F(2)),
     # x + y is 1 on the whole segment; (2, -1) meets x + y = 1 but not y >= 0.
-    "dual-witness-outside": lambda: _dual(
-        c=vec(1, 1), dual=vec(0, 0, 1), witness=vec(2, -1)
-    ),
-    "farkas-wrong-length": lambda: _farkas(vec(0, 0, 1), CONTRADICTION),
+    "dual-witness-outside": _dual(c=vec(1, 1), dual=vec(0, 0, 1), witness=vec(2, -1)),
+    "dual-witness-short": _dual(witness=vec(1)),
+    "dual-witness-long": _dual(witness=vec(1, 0, 0)),
+    "farkas-wrong-length": _farkas(vec(0, 0, 1), CONTRADICTION),
     # Would prove the feasible segment with x + y <= 2 infeasible.
-    "farkas-negative-inequality-multiplier": lambda: _farkas(vec(0, 0, -1, 1), SLACK),
-    "farkas-perturbed-equality-multiplier": lambda: _farkas(
-        vec(0, 0, 1, -2), CONTRADICTION
-    ),
+    "farkas-negative-inequality-multiplier": _farkas(vec(0, 0, -1, 1), SLACK),
+    "farkas-perturbed-equality-multiplier": _farkas(vec(0, 0, 1, -2), CONTRADICTION),
 }
 
 
 def test_unbroken_certificates_accepted():
-    assert _dual()
-    assert _dual(c=vec(1, 1), dual=vec(0, 0, 1))
-    assert _farkas(vec(0, 0, 1, -1), CONTRADICTION)
+    for certificate in (
+        _dual(),
+        _dual(c=vec(1, 1), dual=vec(0, 0, 1)),
+        _farkas(vec(0, 0, 1, -1), CONTRADICTION),
+    ):
+        assert check(certificate) is True
+        assert check(certificate, oracle=True) is True
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_CERTIFICATES))
 def test_broken_certificates_rejected(case):
-    assert BROKEN_CERTIFICATES[case]() is False
+    assert check(BROKEN_CERTIFICATES[case]) is False
+    assert check(BROKEN_CERTIFICATES[case], oracle=True) is False
 
 
 def test_farkas_on_random_infeasible_programs():
@@ -224,6 +240,7 @@ def test_farkas_on_random_infeasible_programs():
         assert r.status == INFEASIBLE
         assert verify_farkas(hbad, r.witness)
         assert r == fraction_solve_lp(zeros(dim), MAX, hbad)
+        assert_checkers_agree(hbad, zeros(dim), MAX, r)
         found += 1
     assert found > 100
 
@@ -360,11 +377,97 @@ def fraction_solve_lp(objective, sense, constraints):
     )
 
 
+# ---------------------------------------------------------------------------
+# Oracle: the certificate checkers on Fractions
+# ---------------------------------------------------------------------------
+
+
+def fraction_combination(constraints, multipliers):
+    """(normal, offset) of the constraints combined by ``multipliers``.
+
+    None when the count is wrong or an inequality multiplier is negative.
+    """
+    ineqs = constraints.inequalities
+    rows = tuple(ineqs) + tuple(constraints.equalities)
+    if len(multipliers) != len(rows):
+        return None
+    if any(v < 0 for v in multipliers[: len(ineqs)]):
+        return None
+    combined = list(zeros(constraints.ambient_dim))
+    offset = ZERO
+    for coeff, (normal, rhs) in zip(multipliers, rows):
+        for k, a in enumerate(normal):
+            combined[k] += coeff * a
+        offset += coeff * rhs
+    return tuple(combined), offset
+
+
+def fraction_verify_farkas(constraints, multipliers):
+    """``verify_farkas`` on Fractions."""
+    combination = fraction_combination(constraints, multipliers)
+    if combination is None:
+        return False
+    normal, offset = combination
+    return is_zero(normal) and offset < 0
+
+
+def fraction_verify_dual(constraints, objective, sense, result):
+    """``verify_dual`` on Fractions; a witness of the wrong length is
+    rejected here too, where ``dot`` would raise."""
+    if result.status != OPTIMAL or result.dual is None:
+        return False
+    combination = fraction_combination(constraints, result.dual)
+    c = objective if sense == MAX else tuple(-x for x in objective)
+    target = result.optimum if sense == MAX else -result.optimum
+    if combination != (tuple(c), target):
+        return False
+    x = result.witness
+    if len(x) != constraints.ambient_dim:
+        return False
+    for normal, rhs in constraints.inequalities:
+        if dot(normal, x) > rhs:
+            return False
+    for normal, rhs in constraints.equalities:
+        if dot(normal, x) != rhs:
+            return False
+    return dot(objective, x) == result.optimum
+
+
+def assert_checkers_agree(h, objective, sense, result):
+    """The integer checker accepts the certificate of ``result``, and agrees
+    with its ``Fraction`` oracle on it and on every copy with one multiplier
+    moved by +1 or -1."""
+    if result.status == OPTIMAL:
+        multipliers = result.dual
+
+        def verdicts(m):
+            r = dataclasses.replace(result, dual=m)
+            return verify_dual(h, objective, sense, r), fraction_verify_dual(
+                h, objective, sense, r
+            )
+
+    elif result.status == INFEASIBLE:
+        multipliers = result.witness
+
+        def verdicts(m):
+            return verify_farkas(h, m), fraction_verify_farkas(h, m)
+
+    else:
+        return
+    assert verdicts(multipliers) == (True, True)
+    for i in range(len(multipliers)):
+        for delta in (1, -1):
+            m = multipliers[:i] + (multipliers[i] + delta,) + multipliers[i + 1 :]
+            got, want = verdicts(m)
+            assert got == want, (h, objective, sense, result, i, delta)
+
+
 def assert_matches_oracle(objective, sense, h):
     got = solve_lp(objective, sense, h)
     assert got == fraction_solve_lp(objective, sense, h), (objective, sense, h)
     for value in (got.optimum,) + got.witness + (got.dual or ()):
         assert value is None or type(value) is F
+    assert_checkers_agree(h, objective, sense, got)
     return got.status
 
 
@@ -401,3 +504,53 @@ def test_matches_oracle_on_unnormalized_rational_systems():
         for sense in (MAX, MIN):
             seen.add(assert_matches_oracle(c, sense, h))
     assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+# ---------------------------------------------------------------------------
+# Kernel invariant: the sparse pivot against the dense Bareiss step
+# ---------------------------------------------------------------------------
+
+
+def dense_pivot(tab, r, e):
+    """One fraction-free pivot on (r, e), every row updated densely."""
+    pivot_row = tab.rows[r]
+    p = pivot_row[e]
+    if p < 0:
+        pivot_row = tab.rows[r] = [-y for y in pivot_row]
+        p = -p
+    det = tab.det
+
+    def eliminate(row):
+        f = row[e]
+        return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+
+    tab.rows = [row if i == r else eliminate(row) for i, row in enumerate(tab.rows)]
+    tab.obj = eliminate(tab.obj)
+    tab.det = p
+    tab.basis[r] = e
+
+
+CHSH_PIVOTS = 371  # the 8 CHSH programs, phase 1 and 2, at Bland's path
+
+
+def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
+    pivot = _Tableau._pivot
+    branches = Counter()
+
+    def checked(tab, r, e):
+        twin = copy.deepcopy(tab)
+        branches["p == det" if abs(tab.rows[r][e]) == tab.det else "p != det"] += 1
+        pivot(tab, r, e)
+        dense_pivot(twin, r, e)
+        assert (tab.rows, tab.obj, tab.det, tab.basis) == (
+            twin.rows,
+            twin.obj,
+            twin.det,
+            twin.basis,
+        )
+
+    monkeypatch.setattr(_Tableau, "_pivot", checked)
+    test_matches_oracle_on_chsh_programs()
+    assert sum(branches.values()) == CHSH_PIVOTS, branches
+    test_matches_oracle_on_unnormalized_rational_systems()
+    assert branches["p == det"] and branches["p != det"], branches
