@@ -5,13 +5,14 @@ Python integers over one common denominator, fraction-free in the manner of
 Bareiss (1968) and of the ``lrs`` tableau (Avis, 2000).  A pivot equal to
 that denominator leaves it unchanged, and then a row changes only where the
 pivot row is nonzero (the sparse step of :meth:`_Tableau._pivot`); most
-pivots on the degenerate no-signalling polytope are of this kind.
-``Fraction`` appears only at the API boundary, where the input is scaled to
-integers and the point, optimum, multipliers and ray are read back, one
-``Fraction`` per value.  Bland's rule makes the solver immune to cycling on
-degenerate systems (the no-signalling polytope is highly degenerate) and, in
-combination with fixed column and row orderings, makes every answer
-deterministic: the same input always yields the same witness.
+pivots on the degenerate no-signalling polytope are of this kind.  The rows
+are the ``HRep``'s cached integer rows, so ``Fraction`` appears only at the
+API boundary, where the objective is scaled to integers and the point,
+optimum, multipliers and ray are read back, one ``Fraction`` per value.
+Bland's rule makes the solver immune to cycling on degenerate systems (the
+no-signalling polytope is highly degenerate) and, in combination with fixed
+column and row orderings, makes every answer deterministic: the same input
+always yields the same witness.
 
 Certificates:
 
@@ -25,8 +26,8 @@ Certificates:
                   objective.
 
 The checkers are independent of the simplex: they read only the ``HRep``
-and the certificate, and combine the ``HRep``'s integer rows with the
-multipliers over one common denominator, so they too compute on integers.
+and the certificate, and combine the ``HRep``'s cached integer rows with
+the multipliers over one common denominator, so they too compute on integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import lcm
 from operator import mul
 
 from ..errors import InputError
-from .linalg import Vector, integer_row, lcm_of_denominators, primitive_ints
+from .linalg import Vector, integer_row, primitive_ints
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -75,41 +76,39 @@ class _Tableau:
     stores reduced costs and, in its last entry, minus the objective value of
     the current basis.
 
-    Each input row is multiplied by the lcm ``row_scale[r]`` of its
-    denominators while its artificial keeps coefficient 1, so the artificial
-    of row r stands for ``row_scale[r]`` times the original one; phase 1
-    prices it at ``1 / row_scale[r]``.  Scaling a row or a column by a
-    positive number changes neither a sign nor an exact ratio comparison, so
-    Bland's rule takes the same pivots as on the unscaled rational tableau.
+    Row r is the ``HRep``'s cached integer row, the original one times its
+    scale ``row_scale[r]``; its artificial keeps coefficient 1, so it stands
+    for ``row_scale[r]`` times the original artificial, and phase 1 prices it
+    at ``1 / row_scale[r]``.  Scaling a row or a column by a positive number
+    changes neither a sign nor an exact ratio comparison, so Bland's rule
+    takes the same pivots as on the unscaled rational tableau.
 
     The rows are stored densely, but a pivot equal to ``det`` updates each
     row only on the support of the pivot row (see :meth:`_pivot`).
     """
 
-    def __init__(self, ineqs, eqs, dim):
-        self.dim = dim
+    def __init__(self, h):
+        dim = self.dim = h.ambient_dim
+        ineqs, eqs = h._integer_constraints
         self.n_ineq = len(ineqs)
-        m = len(ineqs) + len(eqs)
-        self.m = m
+        m = self.m = len(ineqs) + len(eqs)
         self.n_struct = 2 * dim + self.n_ineq
         self.n = self.n_struct + m
         self.flip = []
         self.row_scale = []
         rows = []
-        for r, (normal, offset) in enumerate(list(ineqs) + list(eqs)):
+        for r, (normal, offset, scale) in enumerate(ineqs + eqs):
             sigma = 1 if offset >= 0 else -1
-            ints, scale = integer_row(list(normal) + [offset])
             self.flip.append(sigma)
             self.row_scale.append(scale)
             row = [0] * (self.n + 1)
-            for k in range(dim):
-                a = sigma * ints[k]
-                row[k] = a
-                row[dim + k] = -a
+            for k, a in enumerate(normal):
+                row[k] = sigma * a
+                row[dim + k] = -sigma * a
             if r < self.n_ineq:
                 row[2 * dim + r] = sigma * scale
             row[self.n_struct + r] = 1
-            row[self.n] = sigma * ints[dim]
+            row[self.n] = sigma * offset
             rows.append(row)
         self.rows = rows
         self.det = 1
@@ -262,11 +261,12 @@ class _Tableau:
 def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     """Exact optimum of a linear objective over an H-represented polyhedron.
 
-    ``constraints`` is an :class:`~gptlab.ratgeo.polytope.HRep`; the
-    certificate checkers :func:`verify_dual` and :func:`verify_farkas` read
-    its integer rows.  The optimum is read off the tableau's objective row
-    and each multiplier off an artificial column, so every returned
-    ``Fraction`` is built once from two ints.
+    ``constraints`` is an :class:`~gptlab.ratgeo.polytope.HRep`, which has
+    checked its normals' lengths; the tableau and the certificate checkers
+    :func:`verify_dual` and :func:`verify_farkas` read its cached integer
+    rows.  The optimum is read off the tableau's objective row and each
+    multiplier off an artificial column, so every returned ``Fraction`` is
+    built once from two ints.
     """
     if sense not in (MAX, MIN):
         raise InputError("sense must be 'max' or 'min', got %r" % (sense,))
@@ -276,13 +276,8 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
             "objective has length %d, constraints are %d-dimensional"
             % (len(objective), dim)
         )
-    ineqs = list(constraints.inequalities)
-    eqs = list(constraints.equalities)
-    for normal, _ in ineqs + eqs:
-        if len(normal) != dim:
-            raise InputError("constraint normal has wrong dimension")
 
-    tab = _Tableau(ineqs, eqs, dim)
+    tab = _Tableau(constraints)
 
     # Phase 1: minimize the sum of the original artificials, each of which
     # is its scaled column over ``row_scale``.  The last objective entry is
@@ -329,18 +324,14 @@ def _combination(constraints, multipliers: Vector):
         return None
     if any(v < 0 for v in multipliers[: len(ineqs)]):
         return None
-    # Integer row r is the given row times its scale s_r > 0, and multiplier
+    # Cached row r is the given row times its scale s_r > 0, and multiplier
     # r is m_r / den; so multiplier r times the given row is m_r * (S / s_r)
     # times integer row r over den * S, for S the lcm of the s_r.
-    scales = [
-        lcm(lcm_of_denominators(n), o.denominator)
-        for n, o in constraints.inequalities + constraints.equalities
-    ]
-    common = lcm(*scales)
+    common = lcm(*(s for _, _, s in rows))
     ms, den = integer_row(multipliers)
     combined = [0] * constraints.ambient_dim
     offset = 0
-    for m, s, (normal, rhs) in zip(ms, scales, rows):
+    for m, (normal, rhs, s) in zip(ms, rows):
         if m:
             k = m * (common // s)
             for j, a in enumerate(normal):

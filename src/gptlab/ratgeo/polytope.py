@@ -7,11 +7,11 @@ Both conversions run the double description method on a pointed cone:
 ``facet_enumeration`` on the cone of inequalities valid on the points, whose
 extreme rays are the facets.  Everything from ``HRep.make``'s canonical rows
 to the re-verification of every output runs on integers: the cone's rows
-(scaled by one common lcm, which keeps their order), DD's initial simplex,
-its primitive rays, the null spaces and the slacks that every point test
-reads.  ``Fraction``s are built only for the returned ``VRep`` or
-``HRep``, and a facet-enumerated ``HRep`` keeps its integer rows for those
-slacks; all outputs are canonically ordered, so conversions are
+(an ``HRep``'s cached integer rows, or the points times one lcm), DD's
+initial simplex, its primitive rays, the null spaces and the slacks that
+every point test reads.  ``Fraction``s are built only for the returned
+``VRep`` or ``HRep``, and a facet-enumerated ``HRep`` keeps its integer rows
+for those slacks; all outputs are canonically ordered, so conversions are
 reproducible bit for bit.
 """
 
@@ -25,9 +25,7 @@ from operator import mul
 from ..errors import EmptyError, InputError, UnboundedError
 from . import lp
 from .linalg import (
-    ONE,
     Vector,
-    ZERO,
     format_rational,
     independent_rows,
     integer_inverse,
@@ -46,8 +44,8 @@ Constraint = tuple[Vector, Fraction]
 
 
 def _integer_constraint(normal: Vector, offset: Fraction):
-    ints, _ = integer_row(tuple(normal) + (offset,))
-    return ints[:-1], ints[-1]
+    ints, scale = integer_row(tuple(normal) + (offset,))
+    return ints[:-1], ints[-1], scale
 
 
 def _fraction_constraints(rows) -> tuple[Constraint, ...]:
@@ -82,7 +80,7 @@ class HRep:
     def make(dim, ineqs=(), eqs=()) -> "HRep":
         """Build from (normal, offset) pairs, each row (normal..., offset)
         scaled to coprime ints, an equality's with its first nonzero entry
-        positive.  ``_integer_constraints`` is not seeded: most never read it."""
+        positive.  ``_integer_constraints`` is built on first read."""
         def rows(pairs, canonical):
             return _fraction_constraints(
                 canonical(integer_row(tuple(n) + (o,))[0]) for n, o in pairs
@@ -93,22 +91,25 @@ class HRep:
     @staticmethod
     def _from_integer_rows(dim, inequalities, equalities=()) -> "HRep":
         """The HRep of integer rows (normal..., offset), built in ``Fraction``s,
-        with ``_integer_constraints`` seeded by the rows themselves: every
-        denominator is 1, so a rebuild would give the same ints."""
+        with ``_integer_constraints`` seeded by the rows themselves at scale
+        1: every denominator is 1, so a rebuild would give the same ints."""
         rows = (inequalities, equalities)
         h = HRep(dim, *map(_fraction_constraints, rows))
         # Where cached_property keeps its value; frozen guards only setattr.
         h.__dict__["_integer_constraints"] = tuple(
-            tuple((list(r[:-1]), r[-1]) for r in rs) for rs in rows
+            tuple((list(r[:-1]), r[-1], 1) for r in rs) for rs in rows
         )
         return h
 
     @cached_property
     def _integer_constraints(self):
-        """(inequalities, equalities) with each row scaled to ints.
+        """(inequalities, equalities) as (normal_ints, offset_int, scale)
+        rows, each row times its scale, the lcm of its denominators.
 
-        A positive scale keeps the halfspace and the hyperplane.  Rows built
-        by ``make`` are primitive integers already and keep their values.
+        The one integer form of the rows, read by the slacks, the simplex,
+        its checkers and DD.  A positive scale keeps the halfspace and the
+        hyperplane.  Rows built by ``make`` are primitive integers already
+        and keep their values, at scale 1.
         """
         return (
             tuple(_integer_constraint(n, o) for n, o in self.inequalities),
@@ -129,7 +130,7 @@ class HRep:
         """``slacks`` of the point ints / den, den > 0: each slack times a
         positive int."""
         return tuple(
-            [o * den - sum(map(mul, n, ints)) for n, o in rows]
+            [o * den - sum(map(mul, n, ints)) for n, o, _ in rows]
             for rows in self._integer_constraints
         )
 
@@ -273,18 +274,18 @@ def vertex_enumeration(h: HRep) -> VRep:
     on its integer ray, before any ``Fraction`` is built.
 
     The cone is parametrized by ``integer_null_space`` of the equalities,
-    the canonical basis times one positive ``scale``, and the homogenized
-    rows are scaled to integers by one common lcm, so its rows keep their
-    order and every lifted ray (x, t) is ``scale`` times the rational one.
+    the canonical basis times one positive ``scale``, so every lifted ray
+    (x, t) is ``scale`` times the rational one; its rows are the cached
+    integer rows, positive multiples of the rational ones.
     """
     d = h.ambient_dim
+    ineqs, eqs = h._integer_constraints
     # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
-    eqs = integer_rref([list(n) + [-o] for n, o in h._integer_constraints[1]])
+    eqs = integer_rref([n + [-o] for n, o, _ in eqs])
     basis, scale = integer_null_space(*eqs, d + 1)
 
-    hom_ineqs = [tuple(n) + (-o,) for n, o in h.inequalities]
-    hom_ineqs.append(tuple(ZERO for _ in range(d)) + (-ONE,))  # t >= 0
-    hom_ineqs, _ = integer_rows(hom_ineqs)
+    hom_ineqs = [n + [-o] for n, o, _ in ineqs]
+    hom_ineqs.append([0] * d + [-1])  # t >= 0
 
     reduced_rows = [[sum(map(mul, b, row)) for b in basis] for row in hom_ineqs]
     reduced_rows = [row for row in reduced_rows if any(row)]
@@ -324,8 +325,8 @@ def _is_extreme(h: HRep, slacks) -> bool:
     if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints
-    active = [n for (n, _), s in zip(ineqs, slacks[0]) if s == 0]
-    active += [n for n, _ in eqs]
+    active = [n for (n, _, _), s in zip(ineqs, slacks[0]) if s == 0]
+    active += [n for n, _, _ in eqs]
     return len(integer_rref(active)[1]) == h.ambient_dim
 
 

@@ -384,6 +384,11 @@ BAD_INPUTS = {
             "hrep": {"dim": 65, "ineqs": [], "eqs": []},
         }),
     ],
+    "space-normal-wrong-length": lambda tmp: [
+        "vertices",
+        "--space",
+        _json_file(tmp, _gbit_json_with("hrep", ["ineqs", 0, 0], ["1/1"])),
+    ],
     "entry-bool": lambda tmp: [
         "vertices",
         "--space",

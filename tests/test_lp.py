@@ -22,6 +22,7 @@ from gptlab.ratgeo import (
     verify_dual,
     verify_farkas,
 )
+from gptlab.ratgeo import lp, polytope
 from gptlab.ratgeo.linalg import ONE, ZERO, dot, is_zero, vec, zeros
 from gptlab.ratgeo.lp import _Tableau
 from test_linalg import fraction_primitive
@@ -554,3 +555,62 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
     assert sum(branches.values()) == CHSH_PIVOTS, branches
     test_matches_oracle_on_unnormalized_rational_systems()
     assert branches["p == det"] and branches["p != det"], branches
+
+
+# ---------------------------------------------------------------------------
+# One integer form: the HRep's cached rows, scaled once
+# ---------------------------------------------------------------------------
+
+
+def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
+    """With an ``HRep``'s integer rows cached, the simplex scales only the
+    objective, the checkers only the certificate and the witness, and
+    vertex enumeration no row at all."""
+    calls = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def counted(values):
+            values = list(values)
+            calls.append((module.__name__.rsplit(".", 1)[-1], values))
+            return original(values)
+
+        monkeypatch.setattr(module, name, counted)
+
+    record(lp, "integer_row")
+    record(polytope, "integer_row")
+    record(polytope, "integer_rows")
+
+    ns = build_ns_hrep()
+    ns._integer_constraints  # cached before any call is counted
+    for variant in all_chsh_variants():
+        c = chsh_objective(variant)
+        calls.clear()
+        result = solve_lp(c, MAX, ns)
+        assert calls == [("lp", list(c))]
+        calls.clear()
+        assert verify_dual(ns, c, MAX, result)
+        assert calls == [
+            ("lp", list(result.dual)),
+            ("lp", list(c) + [result.optimum]),
+            ("lp", list(result.witness)),
+        ]
+
+    infeasible = segment(CONTRADICTION)
+    infeasible._integer_constraints
+    calls.clear()
+    result = solve_lp(zeros(2), MAX, infeasible)
+    assert result.status == INFEASIBLE and calls == []
+    assert verify_farkas(infeasible, result.witness)
+    assert calls == [("lp", list(result.witness))]
+
+    fractional = segment(((F(1, 2), F(0)), F(1, 3)))  # x <= 2/3 on the segment
+    for h, vertices in (
+        (gbit.h, gbit.v.vertices),
+        (fractional, (vec(0, 1), vec(F(2, 3), F(1, 3)))),
+    ):
+        h._integer_constraints
+        calls.clear()
+        assert polytope.vertex_enumeration(h).vertices == vertices
+        assert calls == []

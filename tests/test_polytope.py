@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -247,6 +248,13 @@ def test_direct_hrep_with_rational_rows_matches_make():
     bounded = fractional = 0
     for dim, ineqs, eqs in rational_halfspace_cases():
         direct = HRep(dim, tuple(ineqs), tuple(eqs))
+        cached = direct._integer_constraints
+        for (normal, offset), (ints, offset_int, scale) in zip(
+            ineqs + eqs, cached[0] + cached[1]
+        ):
+            row = normal + (offset,)
+            assert scale == math.lcm(*(x.denominator for x in row))
+            assert ints + [offset_int] == [x * scale for x in row]
         made = HRep.make(dim, ineqs, eqs)
         try:
             expected = vertex_enumeration(made)
@@ -269,6 +277,18 @@ def test_empty_rejected(case):
 def test_trivially_infeasible_inequality_flagged():
     with pytest.raises(InputError):
         HRep.make(2, ineqs=[((F(0), F(0)), F(-1))])
+
+
+@pytest.mark.parametrize("build", [HRep, HRep.make])
+def test_wrong_length_normal_rejected(build):
+    good = ((F(1), F(0)), F(1))
+    for wrong in (((F(1),), F(1)), ((F(1), F(0), F(0)), F(1))):
+        with pytest.raises(InputError) as err:
+            build(2, (good, wrong))
+        assert str(err.value) == "inequality normal has wrong length"
+        with pytest.raises(InputError) as err:
+            build(2, (good,), (wrong,))
+        assert str(err.value) == "equality normal has wrong length"
 
 
 def test_affine_dimension_examples():
@@ -851,6 +871,7 @@ def test_facet_enumeration_seeds_the_integer_constraints(gbit, boxworld2):
     for v in vreps:
         h = facet_enumeration(v)
         seeded = h.__dict__["_integer_constraints"]
+        assert all(scale == 1 for rows in seeded for _, _, scale in rows)
         assert seeded == (
             tuple(polytope._integer_constraint(n, o) for n, o in h.inequalities),
             tuple(polytope._integer_constraint(n, o) for n, o in h.equalities),
