@@ -260,7 +260,8 @@ def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult
     system = joint_readout_system(witness, space)
     result = solve_lp(zeros(system.ambient_dim), MAX, system)
     if result.status == INFEASIBLE:
-        assert verify_farkas(system, result.witness)
+        if not verify_farkas(system, result.witness):
+            raise AssertionError("joint readout: the Farkas certificate fails")
     return result
 
 
@@ -498,7 +499,8 @@ def _encoding_entry(space: StateSpace) -> dict:
     entry = {"status": encoding.status, "subject": space.label}
     if encoding.witness is not None:
         w = encoding.witness
-        assert verify_encoding_witness(w, space)
+        if not verify_encoding_witness(w, space):
+            raise AssertionError("the encoding witness fails its re-verification")
         joint = check_joint_readout(w, space)
         disturbance = check_disturbance(space, w)
         entry["witness"] = {

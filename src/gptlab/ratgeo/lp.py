@@ -6,7 +6,7 @@ Bareiss (1968) and of the ``lrs`` tableau (Avis, 2000).  A pivot equal to
 that denominator leaves it unchanged, and then a row changes only where the
 pivot row is nonzero (the sparse step of :meth:`_Tableau._pivot`); most
 pivots on the degenerate no-signalling polytope are of this kind.  The rows
-are the ``HRep``'s cached integer rows, so ``Fraction`` appears only at the
+are the ``HRep``'s coprime integer rows, so ``Fraction`` appears only at the
 API boundary, where the objective is scaled to integers and the point,
 optimum, multipliers and ray are read back, one ``Fraction`` per value.
 Bland's rule makes the solver immune to cycling on degenerate systems (the
@@ -26,15 +26,14 @@ Certificates:
                   objective.
 
 The checkers are independent of the simplex: they read only the ``HRep``
-and the certificate, and combine the ``HRep``'s cached integer rows with
-the multipliers over one common denominator, so they too compute on integers.
+and the certificate, and combine the ``HRep``'s integer rows with the
+multipliers over one common denominator, so they too compute on integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from ..errors import InputError
@@ -76,12 +75,8 @@ class _Tableau:
     stores reduced costs and, in its last entry, minus the objective value of
     the current basis.
 
-    Row r is the ``HRep``'s cached integer row, the original one times its
-    scale ``row_scale[r]``; its artificial keeps coefficient 1, so it stands
-    for ``row_scale[r]`` times the original artificial, and phase 1 prices it
-    at ``1 / row_scale[r]``.  Scaling a row or a column by a positive number
-    changes neither a sign nor an exact ratio comparison, so Bland's rule
-    takes the same pivots as on the unscaled rational tableau.
+    Row r is the ``HRep``'s integer row r, which is its ``Fraction`` row r,
+    times the sign ``flip[r]`` that makes its right-hand side nonnegative.
 
     The rows are stored densely, but a pivot equal to ``det`` updates each
     row only on the support of the pivot row (see :meth:`_pivot`).
@@ -95,18 +90,16 @@ class _Tableau:
         self.n_struct = 2 * dim + self.n_ineq
         self.n = self.n_struct + m
         self.flip = []
-        self.row_scale = []
         rows = []
-        for r, (normal, offset, scale) in enumerate(ineqs + eqs):
+        for r, (normal, offset) in enumerate(ineqs + eqs):
             sigma = 1 if offset >= 0 else -1
             self.flip.append(sigma)
-            self.row_scale.append(scale)
             row = [0] * (self.n + 1)
             for k, a in enumerate(normal):
                 row[k] = sigma * a
                 row[dim + k] = -sigma * a
             if r < self.n_ineq:
-                row[2 * dim + r] = sigma * scale
+                row[2 * dim + r] = sigma
             row[self.n_struct + r] = 1
             row[self.n] = sigma * offset
             rows.append(row)
@@ -199,9 +192,8 @@ class _Tableau:
         The artificial column for row r starts as the unit vector e_r, so its
         current entries record the coefficients expressing each tableau row as
         a combination of original rows; contracting with the basic costs gives
-        pi_r = cost_r - reduced_cost_r for the scaled row, and ``row_scale[r]``
-        times that for the original one.  The certificate holds -pi_r times
-        the sign ``flip[r]`` that the row was multiplied by, one ``Fraction``
+        pi_r = cost_r - reduced_cost_r.  The certificate holds -pi_r times the
+        sign ``flip[r]`` that the row was multiplied by, one ``Fraction``
         each.  This stays valid after redundant rows are dropped, because the
         columns themselves are never touched.
         """
@@ -209,8 +201,8 @@ class _Tableau:
         denom = det * self.cost_scale
         col = self.n_struct
         return tuple(
-            Fraction(-sigma * scale * (det * costs[col + r] - obj[col + r]), denom)
-            for r, (sigma, scale) in enumerate(zip(self.flip, self.row_scale))
+            Fraction(-sigma * (det * costs[col + r] - obj[col + r]), denom)
+            for r, sigma in enumerate(self.flip)
         )
 
     def drop_redundant_and_artificials(self):
@@ -263,10 +255,10 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
 
     ``constraints`` is an :class:`~gptlab.ratgeo.polytope.HRep`, which has
     checked its normals' lengths; the tableau and the certificate checkers
-    :func:`verify_dual` and :func:`verify_farkas` read its cached integer
-    rows.  The optimum is read off the tableau's objective row and each
-    multiplier off an artificial column, so every returned ``Fraction`` is
-    built once from two ints.
+    :func:`verify_dual` and :func:`verify_farkas` read its coprime integer
+    rows, which are its ``Fraction`` rows.  The optimum is read off the
+    tableau's objective row and each multiplier off an artificial column, so
+    every returned ``Fraction`` is built once from two ints.
     """
     if sense not in (MAX, MIN):
         raise InputError("sense must be 'max' or 'min', got %r" % (sense,))
@@ -279,12 +271,10 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
 
     tab = _Tableau(constraints)
 
-    # Phase 1: minimize the sum of the original artificials, each of which
-    # is its scaled column over ``row_scale``.  The last objective entry is
-    # minus the value, so a negative one means a positive minimum.
-    scale = lcm(*tab.row_scale)
-    phase1_costs = [0] * tab.n_struct + [scale // s for s in tab.row_scale]
-    tab.set_costs(phase1_costs, scale, allow_artificial=True)
+    # Phase 1: minimize the sum of the artificials.  The last objective entry
+    # is minus the value, so a negative one means a positive minimum.
+    phase1_costs = [0] * tab.n_struct + [1] * tab.m
+    tab.set_costs(phase1_costs, 1, allow_artificial=True)
     status = tab.minimize()
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
     if tab.obj[tab.n] < 0:
@@ -314,7 +304,9 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
 
 def _combination(constraints, multipliers: Vector):
     """The constraints combined by ``multipliers``, as ints: (normal, offset,
-    den), den > 0, for the combination (normal / den, offset / den).
+    den), den > 0, for the combination (normal / den, offset / den).  The
+    ``HRep``'s integer rows are its ``Fraction`` rows, so the multipliers
+    over their lcm combine them directly.
 
     None when the count is wrong or an inequality multiplier is negative.
     """
@@ -324,21 +316,16 @@ def _combination(constraints, multipliers: Vector):
         return None
     if any(v < 0 for v in multipliers[: len(ineqs)]):
         return None
-    # Cached row r is the given row times its scale s_r > 0, and multiplier
-    # r is m_r / den; so multiplier r times the given row is m_r * (S / s_r)
-    # times integer row r over den * S, for S the lcm of the s_r.
-    common = lcm(*(s for _, _, s in rows))
     ms, den = integer_row(multipliers)
     combined = [0] * constraints.ambient_dim
     offset = 0
-    for m, (normal, rhs, s) in zip(ms, rows):
+    for m, (normal, rhs) in zip(ms, rows):
         if m:
-            k = m * (common // s)
             for j, a in enumerate(normal):
                 if a:
-                    combined[j] += k * a
-            offset += k * rhs
-    return combined, offset, den * common
+                    combined[j] += m * a
+            offset += m * rhs
+    return combined, offset, den
 
 
 def verify_farkas(constraints, multipliers: Vector) -> bool:

@@ -5,21 +5,19 @@ equalities ``e.x = f``) or a ``VRep`` (canonically ordered vertex list).
 Both conversions run the double description method on a pointed cone:
 ``vertex_enumeration`` on the homogenization cone of the inequalities,
 ``facet_enumeration`` on the cone of inequalities valid on the points, whose
-extreme rays are the facets.  Everything from ``HRep.make``'s canonical rows
+extreme rays are the facets.  Everything from an ``HRep``'s canonical rows
 to the re-verification of every output runs on integers: the cone's rows
-(an ``HRep``'s cached integer rows, or the points times one lcm), DD's
+(an ``HRep``'s coprime integer rows, or the points times one lcm), DD's
 initial simplex, its primitive rays, the null spaces and the slacks that
 every point test reads.  ``Fraction``s are built only for the returned
-``VRep`` or ``HRep``, and a facet-enumerated ``HRep`` keeps its integer rows
-for those slacks; all outputs are canonically ordered, so conversions are
-reproducible bit for bit.
+``VRep`` or ``HRep``; all outputs are canonically ordered, so conversions
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 from ..errors import EmptyError, InputError, UnboundedError
@@ -33,7 +31,6 @@ from .linalg import (
     integer_row,
     integer_rows,
     integer_rref,
-    is_zero,
     primitive_ints,
     primitive_signed_ints,
     vsub,
@@ -43,78 +40,69 @@ from .linalg import (
 Constraint = tuple[Vector, Fraction]
 
 
-def _integer_constraint(normal: Vector, offset: Fraction):
-    ints, scale = integer_row(tuple(normal) + (offset,))
-    return ints[:-1], ints[-1], scale
+def _pairs(rows) -> tuple:
+    """The (normal, offset) pairs of rows (normal..., offset)."""
+    return tuple((r[:-1], r[-1]) for r in rows)
+
+
+def _canonical(pairs, primitive) -> tuple:
+    """(normal_ints, offset_int) per (normal, offset) pair: the row
+    (normal..., offset) scaled to ints, then made ``primitive``."""
+    return _pairs(primitive(integer_row((*n, o))[0]) for n, o in pairs)
 
 
 def _fraction_constraints(rows) -> tuple[Constraint, ...]:
-    """The ``Fraction`` constraints of integer rows (normal..., offset)."""
-    return tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in rows)
+    """The ``Fraction`` constraints of (normal_ints, offset_int) rows."""
+    return tuple((tuple(map(Fraction, n)), Fraction(o)) for n, o in rows)
 
 
 @dataclass(frozen=True)
 class HRep:
-    """Linear inequality/equality description of a polyhedron."""
+    """Linear inequality/equality description of a polyhedron.
+
+    The constructor stores every row (normal..., offset) in one canonical
+    form: scaled to coprime integers, an equality's with its first nonzero
+    entry positive.  A positive scale keeps the halfspace and the
+    hyperplane, so rows that differ by positive scales build equal
+    ``HRep``s.  The ``Fraction`` fields hold those integers, and
+    ``_integer_constraints`` holds them once more as ints, (inequalities,
+    equalities) of (normal_ints, offset_int) rows: the one form that the
+    slacks, the simplex, its checkers and DD read.
+    """
 
     ambient_dim: int
     inequalities: tuple[Constraint, ...]
     equalities: tuple[Constraint, ...] = ()
+    _integer_constraints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        for normal, offset in self.inequalities:
-            if len(normal) != self.ambient_dim:
-                raise InputError("inequality normal has wrong length")
-            if is_zero(normal) and offset < 0:
+        for kind, pairs in (
+            ("inequality", self.inequalities),
+            ("equality", self.equalities),
+        ):
+            if any(len(normal) != self.ambient_dim for normal, _ in pairs):
+                raise InputError("%s normal has wrong length" % kind)
+
+        ineqs = _canonical(self.inequalities, primitive_ints)
+        eqs = _canonical(self.equalities, primitive_signed_ints)
+        for normal, offset in ineqs:
+            if offset < 0 and not any(normal):
                 raise InputError(
                     "inequality 0.x <= %s is trivially infeasible"
                     % format_rational(offset)
                 )
-        for normal, _ in self.equalities:
-            if len(normal) != self.ambient_dim:
-                raise InputError("equality normal has wrong length")
+        # A frozen dataclass sets its own fields through object.__setattr__.
+        object.__setattr__(self, "inequalities", _fraction_constraints(ineqs))
+        object.__setattr__(self, "equalities", _fraction_constraints(eqs))
+        object.__setattr__(self, "_integer_constraints", (ineqs, eqs))
 
     @staticmethod
     def make(dim, ineqs=(), eqs=()) -> "HRep":
-        """Build from (normal, offset) pairs, each row (normal..., offset)
-        scaled to coprime ints, an equality's with its first nonzero entry
-        positive.  ``_integer_constraints`` is built on first read."""
-        def rows(pairs, canonical):
-            return _fraction_constraints(
-                canonical(integer_row(tuple(n) + (o,))[0]) for n, o in pairs
-            )
-
-        return HRep(dim, rows(ineqs, primitive_ints), rows(eqs, primitive_signed_ints))
-
-    @staticmethod
-    def _from_integer_rows(dim, inequalities, equalities=()) -> "HRep":
-        """The HRep of integer rows (normal..., offset), built in ``Fraction``s,
-        with ``_integer_constraints`` seeded by the rows themselves at scale
-        1: every denominator is 1, so a rebuild would give the same ints."""
-        rows = (inequalities, equalities)
-        h = HRep(dim, *map(_fraction_constraints, rows))
-        # Where cached_property keeps its value; frozen guards only setattr.
-        h.__dict__["_integer_constraints"] = tuple(
-            tuple((list(r[:-1]), r[-1], 1) for r in rs) for rs in rows
-        )
-        return h
-
-    @cached_property
-    def _integer_constraints(self):
-        """(inequalities, equalities) as (normal_ints, offset_int, scale)
-        rows, each row times its scale, the lcm of its denominators.
-
-        The one integer form of the rows, read by the slacks, the simplex,
-        its checkers and DD.  A positive scale keeps the halfspace and the
-        hyperplane.  Rows built by ``make`` are primitive integers already
-        and keep their values, at scale 1.
-        """
-        return (
-            tuple(_integer_constraint(n, o) for n, o in self.inequalities),
-            tuple(_integer_constraint(n, o) for n, o in self.equalities),
-        )
+        """The ``HRep`` of (normal, offset) pairs given in any iterables: the
+        constructor makes each row canonical."""
+        return HRep(dim, tuple(ineqs), tuple(eqs))
 
     def slacks(self, x: Vector) -> tuple[list[int], list[int]]:
         """(b.den - a.x per inequality, f.den - e.x per equality) as ints on
@@ -130,7 +118,7 @@ class HRep:
         """``slacks`` of the point ints / den, den > 0: each slack times a
         positive int."""
         return tuple(
-            [o * den - sum(map(mul, n, ints)) for n, o, _ in rows]
+            [o * den - sum(map(mul, n, ints)) for n, o in rows]
             for rows in self._integer_constraints
         )
 
@@ -224,13 +212,8 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
     binv, _ = integer_inverse([rows[i] for i in basis_idx])
     rays = [primitive_ints([-row[c] for row in binv]) for c in range(k)]
     processed = list(basis_idx)
-    zero_sets = []
-    for ray in rays:
-        zs = 0
-        for pos, i in enumerate(processed):
-            if sum(map(mul, rows[i], ray)) == 0:
-                zs |= 1 << pos
-        zero_sets.append(zs)
+    # B (-B^-1) = -I: ray c is zero on every basis row but row c.
+    zero_sets = [((1 << k) - 1) ^ (1 << c) for c in range(k)]
 
     remaining = [i for i in order if i not in set(basis_idx)]
     for i in remaining:
@@ -275,17 +258,17 @@ def vertex_enumeration(h: HRep) -> VRep:
 
     The cone is parametrized by ``integer_null_space`` of the equalities,
     the canonical basis times one positive ``scale``, so every lifted ray
-    (x, t) is ``scale`` times the rational one; its rows are the cached
-    integer rows, positive multiples of the rational ones.
+    (x, t) is ``scale`` times the rational one; its rows are the ``HRep``'s
+    coprime integer rows, which are its ``Fraction`` rows.
     """
     d = h.ambient_dim
     ineqs, eqs = h._integer_constraints
     # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
-    eqs = integer_rref([n + [-o] for n, o, _ in eqs])
+    eqs = integer_rref([(*n, -o) for n, o in eqs])
     basis, scale = integer_null_space(*eqs, d + 1)
 
-    hom_ineqs = [n + [-o] for n, o, _ in ineqs]
-    hom_ineqs.append([0] * d + [-1])  # t >= 0
+    hom_ineqs = [(*n, -o) for n, o in ineqs]
+    hom_ineqs.append((0,) * d + (-1,))  # t >= 0
 
     reduced_rows = [[sum(map(mul, b, row)) for b in basis] for row in hom_ineqs]
     reduced_rows = [row for row in reduced_rows if any(row)]
@@ -325,8 +308,8 @@ def _is_extreme(h: HRep, slacks) -> bool:
     if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints
-    active = [n for (n, _, _), s in zip(ineqs, slacks[0]) if s == 0]
-    active += [n for n, _, _ in eqs]
+    active = [n for (n, _), s in zip(ineqs, slacks[0]) if s == 0]
+    active += [n for n, _ in eqs]
     return len(integer_rref(active)[1]) == h.ambient_dim
 
 
@@ -364,7 +347,7 @@ def facet_enumeration(v: VRep) -> HRep:
     )
     k = len(coords)
     if k == 0:
-        return HRep._from_integer_rows(d, (), equalities)
+        return HRep(d, (), _pairs(equalities))
 
     cone = [[p[j] for j in coords] + [-scale] for p in points]
     rays = _dd_extreme_rays(cone, k + 1)
@@ -381,7 +364,7 @@ def facet_enumeration(v: VRep) -> HRep:
         if max(values) > bound or not tight or _affine_rank(tight) != k - 1:
             raise InputError("double description produced a non-facet inequality")
         inequalities.append(row)
-    return HRep._from_integer_rows(d, sorted(inequalities), equalities)
+    return HRep(d, _pairs(sorted(inequalities)), _pairs(equalities))
 
 
 def _reduce_mod_equalities(row, equalities):

@@ -134,8 +134,11 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     realizer = _AffineRealizer(verts, space.dim)
     gen_perms, closure = _greedy_generators(permutations, n)
     generators = tuple(realizer.realize(p) for p in gen_perms)
-    assert None not in generators, "search produced an unrealizable generator"
-    assert closure == set(permutations), "generators do not close on the search"
+    # Raised, not asserted: the re-verification must survive ``python -O``.
+    if None in generators:
+        raise AssertionError("search produced an unrealizable generator")
+    if closure != set(permutations):
+        raise AssertionError("generators do not close on the search")
     return SymmetryGroup(
         vertex_permutations=tuple(permutations),
         generators=generators,

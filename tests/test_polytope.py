@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import math
 import random
 from fractions import Fraction as F
 
@@ -213,7 +212,10 @@ def test_make_matches_fraction_canonical_oracle():
         )
         assert made == oracle
         assert repr(made) == repr(oracle)
-        assert "_integer_constraints" not in made.__dict__
+        direct = HRep(dim, ineqs, eqs)
+        assert direct == made
+        assert repr(direct) == repr(made)
+        assert direct._integer_constraints == made._integer_constraints
 
 
 def rational_halfspace_cases():
@@ -244,28 +246,58 @@ def rational_halfspace_cases():
         yield dim, ineqs, eqs
 
 
+def unbounded_halfspace_cases():
+    """Seeded polyhedra in dims 2-3, most of them unbounded: a box with
+    about half of its sides left open, random cuts, each row times a random
+    positive rational, as (dim, inequalities, equalities)."""
+    rng = random.Random(1)
+    for _ in range(60):
+        dim = rng.randrange(2, 4)
+        ineqs = []
+        for k in range(dim):
+            e = tuple(F(1) if j == k else F(0) for j in range(dim))
+            for side in (e, tuple(-x for x in e)):
+                if rng.random() < 0.5:
+                    ineqs.append((side, F(rng.randrange(0, 6))))
+        for _ in range(rng.randrange(0, 4)):
+            normal = tuple(random_rational(rng) for _ in range(dim))
+            if any(normal):
+                ineqs.append((normal, random_rational(rng)))
+        ineqs = [
+            (tuple(c * x for x in n), c * o)
+            for n, o in ineqs
+            for c in [F(rng.randint(1, 12), rng.randint(1, 12))]
+        ]
+        yield dim, ineqs, []
+
+
 def test_direct_hrep_with_rational_rows_matches_make():
-    bounded = fractional = 0
-    for dim, ineqs, eqs in rational_halfspace_cases():
+    bounded = fractional = unbounded = 0
+    cases = itertools.chain(rational_halfspace_cases(), unbounded_halfspace_cases())
+    for dim, ineqs, eqs in cases:
         direct = HRep(dim, tuple(ineqs), tuple(eqs))
-        cached = direct._integer_constraints
-        for (normal, offset), (ints, offset_int, scale) in zip(
-            ineqs + eqs, cached[0] + cached[1]
-        ):
-            row = normal + (offset,)
-            assert scale == math.lcm(*(x.denominator for x in row))
-            assert ints + [offset_int] == [x * scale for x in row]
         made = HRep.make(dim, ineqs, eqs)
+        assert direct == made
+        int_ineqs, int_eqs = direct._integer_constraints
+        for rows, int_rows, canonical in (
+            (ineqs, int_ineqs, fraction_canonical_inequality),
+            (eqs, int_eqs, fraction_canonical_equality),
+        ):
+            for (normal, offset), (ints, offset_int) in zip(rows, int_rows, strict=True):
+                assert all(type(x) is int for x in (*ints, offset_int))
+                assert (ints, offset_int) == canonical(normal, offset)
         try:
             expected = vertex_enumeration(made)
-        except EmptyError:
-            with pytest.raises(EmptyError):
+        except (EmptyError, UnboundedError) as err:
+            with pytest.raises(type(err)) as got:
                 vertex_enumeration(direct)
+            assert str(got.value) == str(err)
+            unbounded += type(err) is UnboundedError
             continue
         assert vertex_enumeration(direct) == expected, direct
         bounded += 1
         fractional += any(x.denominator > 1 for p in expected.vertices for x in p)
-    assert bounded > 30 and fractional > 15
+    assert bounded > 30 and fractional > 15 and unbounded > 30
 
 
 @pytest.mark.parametrize("case", sorted(EMPTY_CASES))
@@ -275,8 +307,10 @@ def test_empty_rejected(case):
 
 
 def test_trivially_infeasible_inequality_flagged():
-    with pytest.raises(InputError):
-        HRep.make(2, ineqs=[((F(0), F(0)), F(-1))])
+    for build in (HRep, HRep.make):
+        with pytest.raises(InputError) as err:
+            build(2, (((F(0), F(0)), F(-1, 2)),))
+        assert str(err.value) == "inequality 0.x <= -1/1 is trivially infeasible"
 
 
 @pytest.mark.parametrize("build", [HRep, HRep.make])
@@ -408,8 +442,8 @@ def constraint_check_cases():
 
     The constraints pass through or near a point p0: its equalities hold at
     p0, some inequalities are tight there and the rest have slack.  The
-    direct HRep holds each row times a random positive rational, so its rows
-    are not primitive and skip canonicalization.
+    direct HRep is given each row times a random positive rational, which
+    its constructor scales back to the canonical row.
     """
     rng = random.Random(1618)
     for _ in range(150):
@@ -870,11 +904,11 @@ def test_facet_enumeration_seeds_the_integer_constraints(gbit, boxworld2):
     vreps += [gbit.v, boxworld2.v] + [make_classical(n).v for n in range(1, 7)]
     for v in vreps:
         h = facet_enumeration(v)
-        seeded = h.__dict__["_integer_constraints"]
-        assert all(scale == 1 for rows in seeded for _, _, scale in rows)
-        assert seeded == (
-            tuple(polytope._integer_constraint(n, o) for n, o in h.inequalities),
-            tuple(polytope._integer_constraint(n, o) for n, o in h.equalities),
+        rows = (h.inequalities, h.equalities)
+        assert all(x.denominator == 1 for rs in rows for n, o in rs for x in (*n, o))
+        assert h._integer_constraints == tuple(
+            tuple((tuple(x.numerator for x in n), o.numerator) for n, o in rs)
+            for rs in rows
         )
         assert h == HRep(h.ambient_dim, h.inequalities, h.equalities)
         assert repr(h) == repr(HRep(h.ambient_dim, h.inequalities, h.equalities))

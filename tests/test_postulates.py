@@ -1,6 +1,8 @@
 """Postulate checkers: tomographic locality, encoding, disturbance, reports."""
 
 import hashlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +28,7 @@ from gptlab.ratgeo.linalg import vec
 from gptlab.serialize import dumps, report_to_json
 from gptlab.spaces import Effect, Measurement, make_ball3, make_classical
 from gptlab.symmetry import FAIL, PASS
+from test_cli import _fresh_interpreter_env
 
 
 def test_linear_dimensions(gbit, classical_bit, boxworld2):
@@ -186,3 +189,51 @@ def test_postulate_reports_are_pinned(config):
     stdout = dumps(report_to_json(run_report(config))) + "\n"
     digest = hashlib.sha256(stdout.encode()).hexdigest()
     assert digest == POSTULATE_REPORT_SHA256[config]
+
+
+# Each check breaks one re-verification and prints what the checked call
+# raises.  A bare ``assert`` would vanish under ``python -O``.
+BROKEN_CERTIFICATE_CHECKS = """
+import sys
+from gptlab import postulates, symmetry
+from gptlab.spaces import make_gbit
+
+gbit = make_gbit()
+witness = postulates.check_no_simultaneous_encoding(gbit).witness
+greedy = symmetry._greedy_generators
+search = symmetry.affine_automorphisms.__wrapped__
+checks = [
+    (postulates, "verify_farkas", lambda *a: False,
+     lambda: postulates.check_joint_readout(witness, gbit)),
+    (postulates, "verify_encoding_witness", lambda *a: False,
+     lambda: postulates._encoding_entry(gbit)),
+    (symmetry._AffineRealizer, "realize", lambda *a: None, lambda: search(gbit)),
+    (symmetry, "_greedy_generators", lambda p, n: (greedy(p, n)[0], set()),
+     lambda: search(gbit)),
+]
+print(sys.flags.optimize)
+for owner, name, broken, call in checks:
+    original = getattr(owner, name)
+    setattr(owner, name, broken)
+    try:
+        call()
+        print("not raised")
+    except AssertionError as err:
+        print(err)
+    setattr(owner, name, original)
+"""
+
+
+def test_certificate_rechecks_raise_under_python_O():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CERTIFICATE_CHECKS],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "1",
+        "joint readout: the Farkas certificate fails",
+        "the encoding witness fails its re-verification",
+        "search produced an unrealizable generator",
+        "generators do not close on the search",
+    ]
