@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .spaces import ball_rotation, ball_rotation_path
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -88,28 +87,3 @@ def unitary_to_rotation(u) -> np.ndarray:
             r[j, k] = 0.5 * np.real(np.trace(tau_j @ conj))
     return r
 
-
-def rotation_about(axis, angle: float) -> np.ndarray:
-    """``spaces.ball_rotation`` by ``angle`` about ``axis``, as an array."""
-    n = np.asarray(axis, dtype=float)
-    if np.linalg.norm(n) == 0:
-        raise InputError("rotation axis must be nonzero")
-    return np.array(ball_rotation(n.tolist(), angle))
-
-
-def rotation_path(a, b):
-    """Continuous rotation family G(t) with G(0) = 1 and G(1) a = b.
-
-    ``a`` and ``b`` must be pure states (unit Bloch vectors); the path is
-    ``spaces.ball_rotation_path`` as arrays.
-    """
-    a = as_bloch(a)
-    b = as_bloch(b)
-    if abs(np.linalg.norm(a) - 1) > 1e-9 or abs(np.linalg.norm(b) - 1) > 1e-9:
-        raise InputError("rotation paths connect pure states (unit vectors)")
-    rows = ball_rotation_path(a.tolist(), b.tolist())
-
-    def path(t: float) -> np.ndarray:
-        return np.array(rows(t))
-
-    return path

@@ -109,10 +109,6 @@ def unit(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
 def mat_vec(m: Matrix, x: Vector) -> Vector:
     """m x, summed over the nonzero entries of x only (vertices are sparse)."""
     if any(len(row) != len(x) for row in m):

@@ -137,7 +137,14 @@ def _holds(slacks) -> bool:
 
 @dataclass(frozen=True)
 class VRep:
-    """Vertex description: canonically (lexicographically) ordered extreme points."""
+    """Vertex description: canonically (lexicographically) ordered extreme points.
+
+    The constructor stores the vertices in one canonical form: exact
+    duplicates removed and the rest sorted lexicographically, so point lists
+    that differ only in order or repetition build equal ``VRep``s.  Points
+    are kept as given otherwise: a VRep of a polytope lists extreme points
+    only, and ``spaces.from_vertices`` drops the others.
+    """
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
@@ -148,16 +155,16 @@ class VRep:
         for v in self.vertices:
             if len(v) != self.ambient_dim:
                 raise InputError("vertex has wrong length")
+        # A frozen dataclass sets its own fields through object.__setattr__.
+        object.__setattr__(
+            self, "vertices", tuple(sorted(set(map(tuple, self.vertices))))
+        )
 
     @staticmethod
     def make(dim, points) -> "VRep":
-        """Canonicalize: exact-duplicate removal and lexicographic sort.
-
-        Points are kept as given: a VRep of a polytope lists extreme points
-        only, and ``spaces.from_vertices`` drops the others.
-        """
-        unique = sorted(set(tuple(p) for p in points))
-        return VRep(ambient_dim=dim, vertices=tuple(unique))
+        """The ``VRep`` of points given in any iterable: the constructor
+        makes the list canonical."""
+        return VRep(dim, tuple(points))
 
 
 def affine_dimension(points) -> int:

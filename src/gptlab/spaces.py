@@ -90,10 +90,7 @@ def from_vertices(points, label: str) -> StateSpace:
     d = len(pts[0])
     cloud = VRep.make(d, pts)
     h = facet_enumeration(cloud)
-    v = VRep(
-        ambient_dim=d,
-        vertices=tuple(p for p in cloud.vertices if is_extreme_in(h, p)),
-    )
+    v = VRep(d, tuple(p for p in cloud.vertices if is_extreme_in(h, p)))
     return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)
 
 
@@ -126,10 +123,7 @@ def make_classical(n: int) -> StateSpace:
             % (MAX_CLASSICAL_OUTCOMES, n)
         )
     if n == 1:
-        v = VRep.make(1, [(ONE,)])
-        return StateSpace(
-            kind=POLYTOPAL, label="classical-1", v=v, h=facet_enumeration(v)
-        )
+        return from_vertices([(ONE,)], "classical-1")
     ineqs = [
         (tuple(-ONE if j == i else ZERO for j in range(n)), ZERO) for i in range(n)
     ]
@@ -249,10 +243,6 @@ def validate_effect(e: Effect, space: StateSpace) -> bool:
     return lo >= 0 and hi <= 1
 
 
-def validate_measurement(m: Measurement, space: StateSpace) -> bool:
-    return all(validate_effect(e, space) for e in m.effects)
-
-
 # ---------------------------------------------------------------------------
 # Affine transformations
 # ---------------------------------------------------------------------------
@@ -358,12 +348,3 @@ def decompose_state(s: Vector, space: StateSpace) -> tuple[Decomposition, ...]:
             Decomposition(support=support, weights=tuple(lam[i] for i in support))
         )
     return tuple(sorted(found, key=lambda dec: dec.support))
-
-
-def mixture(weight: Fraction, a: Vector, b: Vector) -> Vector:
-    """weight * a + (1 - weight) * b."""
-    if not 0 <= weight <= 1:
-        raise InputError("mixture weight must lie in [0, 1]")
-    return vadd(
-        tuple(weight * x for x in a), tuple((ONE - weight) * x for x in b)
-    )

@@ -5,13 +5,13 @@ import pytest
 
 from gptlab.bloch import (
     BLOCH_BASIS,
+    as_bloch,
     bloch_density,
     bloch_eigenvalues,
-    rotation_about,
-    rotation_path,
     unitary_to_rotation,
 )
 from gptlab.errors import InputError
+from gptlab.spaces import ball_rotation, ball_rotation_path
 
 RNG = np.random.default_rng(20260810)
 
@@ -27,6 +27,32 @@ def random_unitary():
     z = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotation_about(axis, angle: float) -> np.ndarray:
+    """``spaces.ball_rotation`` by ``angle`` about ``axis``, as an array."""
+    n = np.asarray(axis, dtype=float)
+    if np.linalg.norm(n) == 0:
+        raise InputError("rotation axis must be nonzero")
+    return np.array(ball_rotation(n.tolist(), angle))
+
+
+def rotation_path(a, b):
+    """Continuous rotation family G(t) with G(0) = 1 and G(1) a = b.
+
+    ``a`` and ``b`` must be pure states (unit Bloch vectors); the path is
+    ``spaces.ball_rotation_path`` as arrays.
+    """
+    a = as_bloch(a)
+    b = as_bloch(b)
+    if abs(np.linalg.norm(a) - 1) > 1e-9 or abs(np.linalg.norm(b) - 1) > 1e-9:
+        raise InputError("rotation paths connect pure states (unit vectors)")
+    rows = ball_rotation_path(a.tolist(), b.tolist())
+
+    def path(t: float) -> np.ndarray:
+        return np.array(rows(t))
+
+    return path
 
 
 def test_maximally_mixed():

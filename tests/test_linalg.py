@@ -425,3 +425,91 @@ def test_no_module_but_linalg_uses_the_rational_routines():
     ):
         found = set().union(*map(rational_routine_uses, ast.walk(ast.parse(source))))
         assert found == expected, source
+
+
+def public_functions(tree):
+    """The public functions a module defines: its top-level ones and the
+    methods of its top-level classes."""
+    members = [
+        node
+        for top in tree.body
+        for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+    ]
+    return {
+        node.name
+        for node in members
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    }
+
+
+def names_read(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def assigned_literal(tree, target):
+    """The literal value a module assigns to the top-level name ``target``,
+    or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def uncalled_public_functions(package_sources, user_sources, layers=()):
+    """The public functions defined in ``package_sources`` that no package
+    ``__all__`` names and that no source reads by name, nor ``layers``
+    (the tracer's ``LAYERS``) wraps."""
+    package = [ast.parse(source) for source in package_sources]
+    callers = package + [ast.parse(source) for source in user_sources]
+    known = {name for _, name, _ in layers}
+    for tree in package:
+        known |= set(assigned_literal(tree, "__all__") or ())
+    for tree in callers:
+        known |= names_read(tree)
+    return sorted(set().union(*map(public_functions, package)) - known)
+
+
+def test_every_public_function_in_src_has_a_caller():
+    """Code that only the tests call lives in the tests: every public
+    function or method in ``src/`` is exported through a package
+    ``__all__``, read by name in ``src/`` or ``perfbench/``, or wrapped by
+    the tracer's ``LAYERS``."""
+    package_dir = pathlib.Path(linalg.__file__).parents[1]
+    perfbench_dir = package_dir.parents[1] / "perfbench"
+    package = [p.read_text() for p in sorted(package_dir.rglob("*.py"))]
+    users = [p.read_text() for p in sorted(perfbench_dir.glob("*.py"))]
+    assert len(package) >= 10 and len(users) >= 4
+    layers = assigned_literal(
+        ast.parse((perfbench_dir / "tracing.py").read_text()), "LAYERS"
+    )
+    assert layers and all(len(layer) == 3 for layer in layers)
+    assert uncalled_public_functions(package, users, layers) == []
+    # The scan sees functions and methods, and each kind of caller.
+    source = (
+        "__all__ = ['exported']\n"
+        "def exported(): pass\n"
+        "def traced(): pass\n"
+        "def unused(): return _private()\n"
+        "def _private(): return used_here()\n"
+        "def used_here(): pass\n"
+        "class C:\n"
+        "    def method(self): pass\n"
+        "    def attribute(self): pass\n"
+        "    def __repr__(self): return ''\n"
+    )
+    assert uncalled_public_functions([source], [], [("m", "traced", "s")]) == [
+        "attribute",
+        "method",
+        "unused",
+    ]
+    assert uncalled_public_functions(
+        [source], ["x.attribute()", "unused"], [("m", "traced", "s")]
+    ) == ["method"]

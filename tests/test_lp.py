@@ -23,7 +23,7 @@ from gptlab.ratgeo import (
     verify_farkas,
 )
 from gptlab.ratgeo import lp, polytope
-from gptlab.ratgeo.linalg import ONE, ZERO, dot, is_zero, vec, zeros
+from gptlab.ratgeo.linalg import ONE, ZERO, dot, vec, zeros
 from gptlab.ratgeo.lp import _Tableau
 from test_linalg import fraction_primitive
 
@@ -409,7 +409,7 @@ def fraction_verify_farkas(constraints, multipliers):
     if combination is None:
         return False
     normal, offset = combination
-    return is_zero(normal) and offset < 0
+    return not any(normal) and offset < 0
 
 
 def fraction_verify_dual(constraints, objective, sense, result):
@@ -558,14 +558,14 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# One integer form: the HRep's cached rows, scaled once
+# One integer form: the HRep's rows, scaled once by its constructor
 # ---------------------------------------------------------------------------
 
 
 def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
-    """With an ``HRep``'s integer rows cached, the simplex scales only the
-    objective, the checkers only the certificate and the witness, and
-    vertex enumeration no row at all."""
+    """The ``HRep`` constructor builds the integer rows, so the simplex scales
+    only the objective, the checkers only the certificate and the witness,
+    and vertex enumeration no row at all."""
     calls = []
 
     def record(module, name):
@@ -583,7 +583,6 @@ def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
     record(polytope, "integer_rows")
 
     ns = build_ns_hrep()
-    ns._integer_constraints  # cached before any call is counted
     for variant in all_chsh_variants():
         c = chsh_objective(variant)
         calls.clear()
@@ -598,7 +597,6 @@ def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
         ]
 
     infeasible = segment(CONTRADICTION)
-    infeasible._integer_constraints
     calls.clear()
     result = solve_lp(zeros(2), MAX, infeasible)
     assert result.status == INFEASIBLE and calls == []
@@ -610,7 +608,6 @@ def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
         (gbit.h, gbit.v.vertices),
         (fractional, (vec(0, 1), vec(F(2, 3), F(1, 3)))),
     ):
-        h._integer_constraints
         calls.clear()
         assert polytope.vertex_enumeration(h).vertices == vertices
         assert calls == []

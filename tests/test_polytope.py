@@ -325,6 +325,29 @@ def test_wrong_length_normal_rejected(build):
         assert str(err.value) == "equality normal has wrong length"
 
 
+def test_direct_vrep_matches_make():
+    """The constructor stores the canonical vertex list: exact duplicates
+    dropped and the rest sorted, whatever the order and repetition given."""
+    rng = random.Random(1729)
+    for dim, pts in itertools.chain(random_point_sets(), flat_point_sets()):
+        given = pts + rng.choices(pts, k=rng.randrange(1, len(pts) + 1))
+        rng.shuffle(given)
+        direct = VRep(dim, tuple(given))
+        made = VRep.make(dim, given)
+        assert direct == made and repr(direct) == repr(made)
+        assert direct.vertices == tuple(sorted(set(pts)))
+        assert VRep(dim, [list(p) for p in given]) == direct
+
+
+@pytest.mark.parametrize("build", [VRep, VRep.make])
+def test_wrong_length_vertex_rejected(build):
+    good = (F(1), F(0))
+    for wrong in ((F(1),), (F(1), F(0), F(0))):
+        with pytest.raises(InputError) as err:
+            build(2, (good, wrong))
+        assert str(err.value) == "vertex has wrong length"
+
+
 def test_affine_dimension_examples():
     square = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)]
     assert affine_dimension(square) == 2

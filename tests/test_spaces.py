@@ -21,14 +21,30 @@ from gptlab.spaces import (
     make_ball3,
     make_classical,
     make_gbit,
-    mixture,
     validate_effect,
-    validate_measurement,
 )
 from gptlab.ratgeo import affine_dimension, vertex_adjacency
-from gptlab.ratgeo.linalg import inverse, mat_mul, mat_vec, solve, vadd, vec, vsub
+from gptlab.ratgeo.linalg import (
+    ONE,
+    inverse,
+    mat_mul,
+    mat_vec,
+    solve,
+    vadd,
+    vec,
+    vsub,
+)
 from gptlab.symmetry import affine_automorphisms
 from test_linalg import fraction_rank
+
+
+def mixture(weight: F, a, b):
+    """weight * a + (1 - weight) * b."""
+    if not 0 <= weight <= 1:
+        raise InputError("mixture weight must lie in [0, 1]")
+    return vadd(
+        tuple(weight * x for x in a), tuple((ONE - weight) * x for x in b)
+    )
 
 
 def test_gbit_vertices(gbit):
@@ -89,7 +105,7 @@ def test_effects_unsupported_on_ball():
 def test_measurement_normalization(gbit):
     e = Effect(linear=vec(1, 0), constant=F(0))
     m = Measurement(effects=(e, Effect(linear=vec(-1, 0), constant=F(1))))
-    assert validate_measurement(m, gbit)
+    assert all(validate_effect(e, gbit) for e in m.effects)
     for omega in gbit.vertices + (vec(F(1, 3), F(2, 5)),):
         probs = m.outcome_probabilities(omega)
         assert all(p >= 0 for p in probs)
