@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .boxworld import is_boxworld2, make_boxworld2, product_table
 from .errors import InputError
@@ -35,6 +34,7 @@ from .ratgeo.linalg import (
     integer_null_space,
     integer_rows,
     integer_rref,
+    unit,
     zeros,
 )
 from .serialize import effect_to_json, vector_to_json
@@ -127,6 +127,22 @@ class EncodingResult:
     witness: EncodingWitness | None = None
 
 
+def _lift(state) -> Vector:
+    """(state, 1): an effect's d + 1 coefficients (linear part, then
+    constant) dotted with it give the effect's value on the state."""
+    return tuple(state) + (ONE,)
+
+
+def _negated(v) -> Vector:
+    return tuple(-x for x in v)
+
+
+def _in_blocks(size: int, blocks: dict) -> Vector:
+    """A row over four consecutive variable blocks of ``size`` entries each:
+    ``blocks[k]`` in block k, zeros in every block that ``blocks`` omits."""
+    return tuple(x for k in range(4) for x in blocks.get(k, zeros(size)))
+
+
 def _readout_effect(space, group0, group1) -> Effect | None:
     """Effect that is exactly 0 on group0 states and 1 on group1 states.
 
@@ -135,19 +151,14 @@ def _readout_effect(space, group0, group1) -> Effect | None:
     affine functional on the whole polytope.
     """
     d = space.dim
-    nvars = d + 1  # linear coefficients plus constant
     ineqs = []
     for v in space.vertices:
-        row = tuple(v) + (ONE,)
-        ineqs.append((tuple(-x for x in row), ZERO))  # e(v) >= 0
-        ineqs.append((row, ONE))  # e(v) <= 1
-    eqs = []
-    for omega in group0:
-        eqs.append((tuple(omega) + (ONE,), ZERO))
-    for omega in group1:
-        eqs.append((tuple(omega) + (ONE,), ONE))
-    system = HRep.make(nvars, ineqs, eqs)
-    result = solve_lp(zeros(nvars), MAX, system)
+        ineqs.append((_negated(_lift(v)), ZERO))  # e(v) >= 0
+        ineqs.append((_lift(v), ONE))  # e(v) <= 1
+    eqs = [(_lift(omega), ZERO) for omega in group0]
+    eqs += [(_lift(omega), ONE) for omega in group1]
+    system = HRep.make(d + 1, ineqs, eqs)
+    result = solve_lp(zeros(d + 1), MAX, system)
     if result.status != OPTIMAL:
         return None
     coeffs = result.witness
@@ -155,9 +166,7 @@ def _readout_effect(space, group0, group1) -> Effect | None:
 
 
 def _two_outcome(effect: Effect) -> Measurement:
-    complement = Effect(
-        linear=tuple(-x for x in effect.linear), constant=ONE - effect.constant
-    )
+    complement = Effect(linear=_negated(effect.linear), constant=ONE - effect.constant)
     return Measurement(effects=(complement, effect))
 
 
@@ -224,31 +233,22 @@ def joint_readout_system(witness: EncodingWitness, space: StateSpace) -> HRep:
     vertex, the effects sum to the unit effect, and outcome (b, b') fires
     with certainty on the witness state w_bb'.
     """
-    space.require_polytopal()
-    d = space.dim
-    block = d + 1
-    nvars = 4 * block
-    ineqs = []
-    for k in range(4):
-        for v in space.vertices:
-            row = [ZERO] * nvars
-            lifted = tuple(v) + (ONE,)
-            for j in range(block):
-                row[k * block + j] = -lifted[j]
-            ineqs.append((tuple(row), ZERO))  # e_k(v) >= 0
-    eqs = []
-    for j in range(block):  # sum of effects = unit effect, coefficientwise
-        row = [ZERO] * nvars
-        for k in range(4):
-            row[k * block + j] = ONE
-        eqs.append((tuple(row), ONE if j == d else ZERO))
-    for k, omega in enumerate(witness.states):
-        row = [ZERO] * nvars
-        lifted = tuple(omega) + (ONE,)
-        for j in range(block):
-            row[k * block + j] = lifted[j]
-        eqs.append((tuple(row), ONE))  # e_k(w_k) = 1
-    return HRep.make(nvars, ineqs, eqs)
+    block = space.dim + 1
+    ineqs = [
+        (_in_blocks(block, {k: _negated(_lift(v))}), ZERO)  # e_k(v) >= 0
+        for k in range(4)
+        for v in space.vertices
+    ]
+    unit_effect = unit(block, space.dim)  # e(w) = 1 on every state w
+    eqs = [  # the effects sum to the unit effect, coefficientwise
+        (_in_blocks(block, dict.fromkeys(range(4), unit(block, j))), unit_effect[j])
+        for j in range(block)
+    ]
+    eqs += [
+        (_in_blocks(block, {k: _lift(omega)}), ONE)  # e_k(w_k) = 1
+        for k, omega in enumerate(witness.states)
+    ]
+    return HRep.make(4 * block, ineqs, eqs)
 
 
 def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult:
@@ -306,57 +306,49 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
             detail={"reason": "witness does not encode two readable bits"},
         )
 
+    # Variables: one post-state of d coordinates per witness state.
     d = space.dim
-    block = d  # one post-state per witness state
-    nvars = 4 * block
     read_effect = witness.measurement_b.effects[1]
     second_effect = witness.measurement_bprime.effects[1]
 
-    ineqs = []
-    for k in range(4):
-        for normal, offset in space.h.inequalities:
-            row = [ZERO] * nvars
-            for j in range(d):
-                row[k * block + j] = normal[j]
-            ineqs.append((tuple(row), offset))
-    eqs = []
-    for k in range(4):
-        b, _ = witness.bit_values(k)
-        row = [ZERO] * nvars
-        for j in range(d):
-            row[k * block + j] = read_effect.linear[j]
-        eqs.append((tuple(row), Fraction(b) - read_effect.constant))
+    ineqs = [
+        (_in_blocks(d, {k: normal}), offset)
+        for k in range(4)
+        for normal, offset in space.h.inequalities
+    ]
+    eqs = [  # the read bit's outcome is repeated: e(post_k) = b_k
+        (
+            _in_blocks(d, {k: read_effect.linear}),
+            witness.bit_values(k)[0] - read_effect.constant,
+        )
+        for k in range(4)
+    ]
     # Affinity of each measurement branch: every affine dependency among the
     # input states must be satisfied by the unnormalized branch outputs.  Each
     # dependency is an int multiple of the rational one, which HRep.make's
     # primitive rows drop.  The lam_k of either branch sum to 0, since the
     # verified witness reads e(w_k) = b_k exactly: no normalization row.
-    input_matrix = list(zip(*(tuple(w) + (ONE,) for w in witness.states)))
+    input_matrix = list(zip(*map(_lift, witness.states)))
     dependencies, _ = integer_null_space(
         *integer_rref(integer_rows(input_matrix)[0]), 4
     )
     for lam in dependencies:
         for branch in range(2):
-            members = [
-                k for k in range(4) if witness.bit_values(k)[0] == branch
-            ]
+            members = [k for k in range(4) if witness.bit_values(k)[0] == branch]
             for j in range(d):
-                row = [ZERO] * nvars
-                for k in members:
-                    row[k * block + j] = lam[k]
-                eqs.append((tuple(row), ZERO))
-    system = HRep.make(nvars, ineqs, eqs)
+                coords = {k: tuple(lam[k] * x for x in unit(d, j)) for k in members}
+                eqs.append((_in_blocks(d, coords), ZERO))
+    system = HRep.make(4 * d, ineqs, eqs)
 
     branch_forced = {}
     for branch in range(2):
         k0 = branch << 1  # (b, b') = (branch, 0)
         k1 = (branch << 1) | 1
-        objective = [ZERO] * nvars
-        for j in range(d):
-            objective[k1 * block + j] += second_effect.linear[j]
-            objective[k0 * block + j] -= second_effect.linear[j]
-        hi = solve_lp(tuple(objective), MAX, system)
-        lo = solve_lp(tuple(objective), MIN, system)
+        objective = _in_blocks(
+            d, {k1: second_effect.linear, k0: _negated(second_effect.linear)}
+        )
+        hi = solve_lp(objective, MAX, system)
+        lo = solve_lp(objective, MIN, system)
         if hi.status != OPTIMAL or lo.status != OPTIMAL:
             return DisturbanceResult(
                 status=NOT_CONFIRMED,

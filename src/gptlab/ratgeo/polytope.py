@@ -16,6 +16,7 @@ are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -78,15 +79,13 @@ class HRep:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        for kind, pairs in (
-            ("inequality", self.inequalities),
-            ("equality", self.equalities),
-        ):
+        ineqs, eqs = tuple(self.inequalities), tuple(self.equalities)
+        for kind, pairs in (("inequality", ineqs), ("equality", eqs)):
             if any(len(normal) != self.ambient_dim for normal, _ in pairs):
                 raise InputError("%s normal has wrong length" % kind)
 
-        ineqs = _canonical(self.inequalities, primitive_ints)
-        eqs = _canonical(self.equalities, primitive_signed_ints)
+        ineqs = _canonical(ineqs, primitive_ints)
+        eqs = _canonical(eqs, primitive_signed_ints)
         for normal, offset in ineqs:
             if offset < 0 and not any(normal):
                 raise InputError(
@@ -100,9 +99,9 @@ class HRep:
 
     @staticmethod
     def make(dim, ineqs=(), eqs=()) -> "HRep":
-        """The ``HRep`` of (normal, offset) pairs given in any iterables: the
-        constructor makes each row canonical."""
-        return HRep(dim, tuple(ineqs), tuple(eqs))
+        """The ``HRep`` of (normal, offset) pairs given in any iterables,
+        with no equalities unless given."""
+        return HRep(dim, ineqs, eqs)
 
     def slacks(self, x: Vector) -> tuple[list[int], list[int]]:
         """(b.den - a.x per inequality, f.den - e.x per equality) as ints on
@@ -152,19 +151,16 @@ class VRep:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InputError("ambient dimension must be >= 1")
-        for v in self.vertices:
-            if len(v) != self.ambient_dim:
-                raise InputError("vertex has wrong length")
+        vertices = tuple(map(tuple, self.vertices))
+        if any(len(v) != self.ambient_dim for v in vertices):
+            raise InputError("vertex has wrong length")
         # A frozen dataclass sets its own fields through object.__setattr__.
-        object.__setattr__(
-            self, "vertices", tuple(sorted(set(map(tuple, self.vertices))))
-        )
+        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
 
     @staticmethod
     def make(dim, points) -> "VRep":
-        """The ``VRep`` of points given in any iterable: the constructor
-        makes the list canonical."""
-        return VRep(dim, tuple(points))
+        """The ``VRep`` of points given in any iterable."""
+        return VRep(dim, points)
 
 
 def affine_dimension(points) -> int:
@@ -222,7 +218,8 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
     # B (-B^-1) = -I: ray c is zero on every basis row but row c.
     zero_sets = [((1 << k) - 1) ^ (1 << c) for c in range(k)]
 
-    remaining = [i for i in order if i not in set(basis_idx)]
+    in_basis = set(basis_idx)
+    remaining = [i for i in order if i not in in_basis]
     for i in remaining:
         m = rows[i]
         bit = 1 << len(processed)
@@ -416,11 +413,12 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
                 % ", ".join(map(format_rational, x))
             )
         zero_sets.append(sum(1 << c for c, s in enumerate(slacks[0]) if s == 0))
-    n = len(zero_sets)
-    return tuple(
-        tuple(j for j in range(n) if j != i and _adjacent(zero_sets, i, j))
-        for i in range(n)
-    )
+    neighbors = [[] for _ in zero_sets]
+    for i, j in itertools.combinations(range(len(zero_sets)), 2):
+        if _adjacent(zero_sets, i, j):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    return tuple(map(tuple, neighbors))
 
 
 def adjacency_edges(adj) -> tuple[tuple[int, int], ...]:

@@ -325,6 +325,30 @@ def test_wrong_length_normal_rejected(build):
         assert str(err.value) == "equality normal has wrong length"
 
 
+def test_generator_rows_are_kept():
+    """The constructor reads each row iterable once, so a generator builds
+    the same ``HRep`` as a tuple, and a wrong-length row in a generator still
+    raises."""
+    row = ((F(1),), F(1))
+    assert HRep(1, (r for r in [row])) == HRep.make(1, [row])
+    assert HRep(1, (), (r for r in [row])) == HRep.make(1, (), [row])
+    wrong = ((F(1), F(0)), F(1))
+    with pytest.raises(InputError) as err:
+        HRep(1, (r for r in [row, wrong]))
+    assert str(err.value) == "inequality normal has wrong length"
+    with pytest.raises(InputError) as err:
+        HRep(1, (), (r for r in [row, wrong]))
+    assert str(err.value) == "equality normal has wrong length"
+
+
+def test_generator_vertices_are_kept():
+    points = [vec(1, 0), vec(0, 1)]
+    assert VRep(2, (p for p in points)) == VRep.make(2, points)
+    with pytest.raises(InputError) as err:
+        VRep(2, (p for p in points + [vec(1)]))
+    assert str(err.value) == "vertex has wrong length"
+
+
 def test_direct_vrep_matches_make():
     """The constructor stores the canonical vertex list: exact duplicates
     dropped and the rest sorted, whatever the order and repetition given."""
@@ -393,6 +417,20 @@ def test_square_adjacency_is_4_cycle():
     # (0,0) neighbors (0,1) and (1,0), not the opposite corner (1,1)
     assert adj[0] == (1, 2)
     assert adjacency_edges(adj) == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def test_adjacency_tests_each_vertex_pair_once(boxworld2, monkeypatch):
+    calls = []
+
+    def counted(zero_sets, p, q):
+        calls.append((p, q))
+        return _adjacent(zero_sets, p, q)
+
+    monkeypatch.setattr(polytope, "_adjacent", counted)
+    adj = vertex_adjacency(boxworld2.v, boxworld2.h)
+    n = len(boxworld2.vertices)
+    assert n == 24 and len(calls) == n * (n - 1) // 2 == 276
+    assert all(ns == tuple(sorted(ns)) for ns in adj)
 
 
 def test_adjacency_rejects_foreign_vertex():

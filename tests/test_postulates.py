@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gptlab import postulates
 from gptlab.errors import InputError
 from gptlab.postulates import (
     CONFIRMED,
@@ -23,9 +24,9 @@ from gptlab.postulates import (
     run_report,
     verify_encoding_witness,
 )
-from gptlab.ratgeo import INFEASIBLE, verify_farkas
+from gptlab.ratgeo import INFEASIBLE, solve_lp, verify_farkas
 from gptlab.ratgeo.linalg import vec
-from gptlab.serialize import dumps, report_to_json
+from gptlab.serialize import dumps, hrep_to_json, report_to_json, vector_to_json
 from gptlab.spaces import Effect, Measurement, make_ball3, make_classical
 from gptlab.symmetry import FAIL, PASS
 from test_cli import _fresh_interpreter_env
@@ -189,6 +190,39 @@ def test_postulate_reports_are_pinned(config):
     stdout = dumps(report_to_json(run_report(config))) + "\n"
     digest = hashlib.sha256(stdout.encode()).hexdigest()
     assert digest == POSTULATE_REPORT_SHA256[config]
+
+
+# sha256 of every LP system the postulate checkers build on gbit, classical-3
+# and classical-4: each HRep passed to solve_lp with its objective and sense,
+# then joint_readout_system of the witness.  The verdicts alone would not see
+# a change of row order, which changes pivots and certificates.
+LP_SYSTEMS_SHA256 = "d1d4aa15a7f735d8ed6748886319d16e2582854d784351913a59d336d702a2d3"
+
+
+def test_postulate_lp_systems_are_pinned(gbit, monkeypatch):
+    systems = []
+
+    def recording_solve_lp(objective, sense, system):
+        systems.append(
+            {
+                "objective": vector_to_json(objective),
+                "sense": sense,
+                "system": hrep_to_json(system),
+            }
+        )
+        return solve_lp(objective, sense, system)
+
+    monkeypatch.setattr(postulates, "solve_lp", recording_solve_lp)
+    for space in (gbit, make_classical(3), make_classical(4)):
+        witness = check_no_simultaneous_encoding(space).witness
+        if witness is None:
+            continue
+        check_joint_readout(witness, space)
+        check_disturbance(space, witness)
+        systems.append({"system": hrep_to_json(joint_readout_system(witness, space))})
+    assert len(systems) == 12
+    digest = hashlib.sha256(dumps(systems).encode()).hexdigest()
+    assert digest == LP_SYSTEMS_SHA256
 
 
 # Each check breaks one re-verification and prints what the checked call
