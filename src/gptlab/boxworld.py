@@ -328,9 +328,10 @@ def chsh_value(t: ProbabilityTable, variant: CHSHVariant) -> Fraction:
     return _chsh_value(t.p, variant)
 
 
-def chsh_max(t: ProbabilityTable) -> Fraction:
-    """Largest |CHSH value| over the eight sign variants."""
-    return max(abs(chsh_value(t, v)) for v in all_chsh_variants())
+def chsh_max(p):
+    """Largest |CHSH value| over the eight sign variants of the 16 entries p:
+    a Fraction for exact entries, a float for float ones."""
+    return max(abs(_chsh_value(p, v)) for v in all_chsh_variants())
 
 
 def chsh_objective(variant: CHSHVariant) -> Vector:
@@ -362,7 +363,3 @@ def quantum_chsh_table(theta_a0, theta_a1, theta_b0, theta_b1):
         p[table_index(a, b, x, y)] = (1.0 + sign * e) / 4.0
     return tuple(p)
 
-
-def chsh_max_float(p) -> float:
-    """chsh_max on a float table (same variant family, float arithmetic)."""
-    return max(abs(_chsh_value(p, v)) for v in all_chsh_variants())

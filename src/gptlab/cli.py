@@ -21,7 +21,6 @@ from .boxworld import (
     all_chsh_variants,
     build_ns_hrep,
     chsh_max,
-    chsh_max_float,
     chsh_objective,
     chsh_value,
     classify_vertex,
@@ -195,8 +194,7 @@ def cmd_symmetries(args):
 def cmd_orbits(args):
     space = resolve_space(args.space)
     group = affine_automorphisms(space)
-    partition = orbits(group, space)
-    return {"classes": [list(cls) for cls in partition.classes]}
+    return {"classes": [list(cls) for cls in orbits(group, space)]}
 
 
 def cmd_chsh(args):
@@ -211,7 +209,7 @@ def cmd_chsh(args):
             raise InputError("angles must be finite numbers, got %r" % args.angles)
         table = quantum_chsh_table(*angles)
         data = serialize.float_table_to_json(table)
-        data["chsh_max"] = chsh_max_float(table)
+        data["chsh_max"] = chsh_max(table)
         return data
     if not args.table:
         raise InputError("chsh needs --table FILE or --angles LIST")
@@ -220,7 +218,7 @@ def cmd_chsh(args):
         variant.label: serialize.rational_to_json(chsh_value(t, variant))
         for variant in all_chsh_variants()
     }
-    return {"chsh_max": serialize.rational_to_json(chsh_max(t)), "values": values}
+    return {"chsh_max": serialize.rational_to_json(chsh_max(t.p)), "values": values}
 
 
 def cmd_decompose(args):
@@ -274,7 +272,7 @@ def _complex_entry(re, im) -> complex:
 
 
 def cmd_postulates(args):
-    return serialize.report_to_json(run_report(args.config))
+    return run_report(args.config)
 
 
 def cmd_report(args):
@@ -291,8 +289,8 @@ def build_full_report() -> dict:
     pr = [i for i, t in enumerate(tags) if t == PR_BOX]
 
     group = affine_automorphisms(bw)
-    partition = orbits(group, bw)
-    orbit_tags = [sorted({tags[i] for i in cls}) for cls in partition.classes]
+    bw_orbits = orbits(group, bw)
+    orbit_tags = [sorted({tags[i] for i in cls}) for cls in bw_orbits]
 
     gbit_group = affine_automorphisms(gbit)
     gbit_orbits = orbits(gbit_group, gbit)
@@ -306,13 +304,13 @@ def build_full_report() -> dict:
     }
     chsh_by_class = {
         "pr_box": sorted(
-            {serialize.rational_to_json(chsh_max(table_from_vector(bw.vertices[i]))) for i in pr}
+            {serialize.rational_to_json(chsh_max(bw.vertices[i])) for i in pr}
         ),
         "local_deterministic": sorted(
-            {serialize.rational_to_json(chsh_max(table_from_vector(bw.vertices[i]))) for i in local}
+            {serialize.rational_to_json(chsh_max(bw.vertices[i])) for i in local}
         ),
     }
-    tsirelson = chsh_max_float(
+    tsirelson = chsh_max(
         quantum_chsh_table(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
     )
 
@@ -337,11 +335,11 @@ def build_full_report() -> dict:
         },
         "symmetries": {
             "boxworld2_order": group.order,
-            "orbit_sizes": [len(cls) for cls in partition.classes],
+            "orbit_sizes": [len(cls) for cls in bw_orbits],
             "orbit_tags": orbit_tags,
             "orbits_mix_classes": any(len(ts) > 1 for ts in orbit_tags),
             "gbit_order": gbit_group.order,
-            "gbit_vertex_transitive": len(gbit_orbits.classes) == 1,
+            "gbit_vertex_transitive": len(gbit_orbits) == 1,
         },
         "chsh": {
             "lp_maxima_over_ns": lp_maxima,
@@ -361,8 +359,7 @@ def build_full_report() -> dict:
             "ball3_endpoint_error": ball_continuity.detail["endpoint_error"],
         },
         "postulates": {
-            config: serialize.report_to_json(run_report(config))
-            for config in ("boxworld2", "classical2", "ball3")
+            config: run_report(config) for config in ("boxworld2", "classical2", "ball3")
         },
     }
 

@@ -5,7 +5,8 @@ code path can re-verify: a dimension report for tomographic locality, an
 encoding witness (states plus readout measurements) for the encoding
 postulate, exact LP certificates for joint-readout infeasibility, and LP
 value pairs for the disturbance claim.  ``run_report`` aggregates the
-checkers for a registered configuration into a deterministic report.
+checkers for a registered configuration into the deterministic dict that
+``gptlab postulates`` prints.
 """
 
 from __future__ import annotations
@@ -177,7 +178,6 @@ def check_no_simultaneous_encoding(space: StateSpace) -> EncodingResult:
     A Fail means the postulate is violated (as for the gbit); Pass means no
     such witness exists among the pure states.
     """
-    space.require_polytopal()
     verts = space.vertices
     n = len(verts)
     cache: dict = {}
@@ -375,15 +375,6 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PostulateReport:
-    subject: str
-    results: tuple[tuple[str, dict], ...]
-
-    def as_dict(self) -> dict:
-        return {key: value for key, value in self.results}
-
-
 def _product_vertex_indices(composite: StateSpace) -> tuple[int, ...]:
     """Indices of the locally preparable vertices of a registered composite."""
     if is_boxworld2(composite):
@@ -417,8 +408,10 @@ def _config_spaces(config: str) -> tuple[StateSpace, StateSpace | None]:
     )
 
 
-def run_report(config: str) -> PostulateReport:
-    """Aggregate all postulate checkers for a registered configuration.
+def run_report(config: str) -> dict:
+    """Aggregate all postulate checkers for a registered configuration into
+    ``{"subject": config, "results": {postulate: entry}}``, the dict that
+    ``gptlab postulates`` prints.
 
     ``boxworld2``: two gbits composing to the no-signalling polytope.
     ``classical2``: two classical bits composing to the 4-outcome simplex.
@@ -438,25 +431,22 @@ def run_report(config: str) -> PostulateReport:
             "dim_ab": tomo.dim_ab,
         }
         interaction = _interaction_entry(composite)
-    results = (
-        ("ContinuousReversibility", _continuity_entry(unit)),
-        ("TomographicLocality", tomography),
-        (
-            "InformationUnit_Tomography",
-            {
-                "status": PASS,
-                "linear_dimension": linear_dimension(unit),
-                "subject": unit.label,
-            },
-        ),
-        ("InformationUnit_Interaction", interaction),
-        (
-            "InformationUnit_EncodeDecode",
-            {"status": NOT_APPLICABLE, "reason": "UnboundedSearch"},
-        ),
-        ("NoSimultaneousEncoding", _encoding_entry(unit)),
-    )
-    return PostulateReport(subject=config, results=results)
+    results = {
+        "ContinuousReversibility": _continuity_entry(unit),
+        "TomographicLocality": tomography,
+        "InformationUnit_Tomography": {
+            "status": PASS,
+            "linear_dimension": linear_dimension(unit),
+            "subject": unit.label,
+        },
+        "InformationUnit_Interaction": interaction,
+        "InformationUnit_EncodeDecode": {
+            "status": NOT_APPLICABLE,
+            "reason": "UnboundedSearch",
+        },
+        "NoSimultaneousEncoding": _encoding_entry(unit),
+    }
+    return {"subject": config, "results": results}
 
 
 def _continuity_entry(space: StateSpace) -> dict:
@@ -465,9 +455,7 @@ def _continuity_entry(space: StateSpace) -> dict:
     if result.reason:
         entry["reason"] = result.reason
     if result.detail:
-        entry["detail"] = {
-            k: v for k, v in sorted(result.detail.items()) if k != "note"
-        }
+        entry["detail"] = dict(sorted(result.detail.items()))
     return entry
 
 

@@ -214,15 +214,15 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
 
     binv, _ = integer_inverse([rows[i] for i in basis_idx])
     rays = [primitive_ints([-row[c] for row in binv]) for c in range(k)]
-    processed = list(basis_idx)
     # B (-B^-1) = -I: ray c is zero on every basis row but row c.
     zero_sets = [((1 << k) - 1) ^ (1 << c) for c in range(k)]
 
     in_basis = set(basis_idx)
     remaining = [i for i in order if i not in in_basis]
-    for i in remaining:
+    # The k basis rows hold bits 0..k-1; each inserted row takes the next bit.
+    for step, i in enumerate(remaining, k):
         m = rows[i]
-        bit = 1 << len(processed)
+        bit = 1 << step
         values = [sum(map(mul, m, ray)) for ray in rays]
         keep_rays, keep_zs = [], []
         plus, minus = [], []
@@ -244,7 +244,6 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
                 keep_rays.append(primitive_ints(combo))
                 keep_zs.append(zero_sets[p] & zero_sets[q] | bit)
         rays, zero_sets = keep_rays, keep_zs
-        processed.append(i)
     return rays
 
 

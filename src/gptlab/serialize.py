@@ -11,14 +11,15 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .ratgeo import (
-    HRep,
-    VRep,
-    format_rational,
-    parse_rational,
-    vertex_enumeration,
+from .ratgeo import HRep, VRep, format_rational, parse_rational
+from .spaces import (
+    BALL3,
+    Effect,
+    MAX_CLASSICAL_OUTCOMES,
+    POLYTOPAL,
+    StateSpace,
+    from_hrep,
 )
-from .spaces import BALL3, Effect, MAX_CLASSICAL_OUTCOMES, POLYTOPAL, StateSpace
 
 
 def rational_to_json(value: Fraction) -> str:
@@ -129,13 +130,13 @@ def space_from_json(data) -> StateSpace:
     if kind != POLYTOPAL:
         raise InputError("unknown state space kind %r" % (kind,))
     v = vrep_from_json(data.get("vrep"))
-    h = hrep_from_json(data.get("hrep"))
-    if vertex_enumeration(h) != v:
+    space = from_hrep(hrep_from_json(data.get("hrep")), label)
+    if space.v != v:
         raise InputError(
             "state space %r: its vertices are not the vertices of its "
             "H-representation" % (label,)
         )
-    return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)
+    return space
 
 
 def effect_to_json(e: Effect) -> dict:
@@ -169,10 +170,6 @@ def complex_matrix_to_json(m) -> list:
     for row in m:
         rows.append([[float(z.real), float(z.imag)] for z in row])
     return rows
-
-
-def report_to_json(report) -> dict:
-    return {"subject": report.subject, "results": report.as_dict()}
 
 
 def dumps(data) -> str:

@@ -76,13 +76,6 @@ class SymmetryGroup:
         return len(self.vertex_permutations)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """Partition of vertex indices into group orbits (canonically sorted)."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=32)
 def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     """Exact, complete affine symmetry group of a polytopal state space."""
@@ -90,7 +83,6 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
         raise UnsupportedError(
             "the ball has a continuous symmetry group; handled analytically"
         )
-    space.require_polytopal()
     verts = space.vertices
     n = len(verts)
     if n > MAX_VERTICES:
@@ -255,13 +247,13 @@ def _greedy_generators(perms, n):
     return gens, generated
 
 
-def orbits(group: SymmetryGroup, space: StateSpace) -> OrbitPartition:
-    """Orbit partition of the vertex indices under the group action.
+def orbits(group: SymmetryGroup, space: StateSpace) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the vertex indices under the group action, as printed
+    by ``gptlab orbits``: each orbit sorted, the orbits by least member.
 
     The orbits are the connected components of the generators' action, so
     the union-find runs over the generators only.
     """
-    space.require_polytopal()
     n = len(space.vertices)
     if not group.vertex_permutations or any(
         len(p) != n for p in group.vertex_permutations
@@ -283,10 +275,7 @@ def orbits(group: SymmetryGroup, space: StateSpace) -> OrbitPartition:
     classes: dict[int, list[int]] = {}
     for i in range(n):
         classes.setdefault(find(i), []).append(i)
-    ordered = tuple(
-        tuple(sorted(cls)) for _, cls in sorted(classes.items())
-    )
-    return OrbitPartition(classes=ordered)
+    return tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items()))
 
 
 @dataclass(frozen=True)
@@ -298,10 +287,10 @@ class ReversibilityResult:
 def check_reversibility(space: StateSpace) -> ReversibilityResult:
     """Pass iff the symmetry group acts transitively on pure states."""
     group = affine_automorphisms(space)
-    partition = orbits(group, space)
-    if len(partition.classes) == 1:
+    classes = orbits(group, space)
+    if len(classes) == 1:
         return ReversibilityResult(status=PASS)
-    first, second = partition.classes[0][0], partition.classes[1][0]
+    first, second = classes[0][0], classes[1][0]
     return ReversibilityResult(status=FAIL, witness=(first, second))
 
 
@@ -354,7 +343,6 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
             },
             path_constructor=ball_rotation_path,
         )
-    space.require_polytopal()
     n = len(space.vertices)
     if n >= 2:
         return ContinuityResult(
@@ -364,7 +352,7 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
         )
     return ContinuityResult(
         status=PASS,
-        detail={"vertex_count": n, "note": "single pure state; constant path"},
+        detail={"vertex_count": n},
         path_constructor=lambda a, b: (lambda t: _identity(space.dim)),
     )
 
@@ -391,7 +379,6 @@ def check_interaction(space_ab: StateSpace, product_vertices) -> InteractionResu
     composite; the caller computes it (for boxworld, the image of the pure
     product preparations).
     """
-    space_ab.require_polytopal()
     n = len(space_ab.vertices)
     product_set = frozenset(product_vertices or ())
     if not product_set:
@@ -400,8 +387,9 @@ def check_interaction(space_ab: StateSpace, product_vertices) -> InteractionResu
         )
     if any(not 0 <= i < n for i in product_set):
         raise InputError("product vertex index out of range")
+    products = sorted(product_set)
     for k, perm in enumerate(affine_automorphisms(space_ab).vertex_permutations):
-        for i in sorted(product_set):
+        for i in products:
             if perm[i] not in product_set:
                 return InteractionResult(status=INTERACTING, witness=(k, i, perm[i]))
     return InteractionResult(status=NON_INTERACTING)

@@ -17,7 +17,6 @@ from gptlab.boxworld import (
     all_chsh_variants,
     build_ns_hrep,
     chsh_max,
-    chsh_max_float,
     chsh_objective,
     chsh_value,
     classify_vertex,
@@ -229,7 +228,7 @@ def test_chsh_on_pr_boxes(boxworld2):
     for v in boxworld2.vertices:
         t = table_from_vector(v)
         if classify_vertex(t).tag == PR_BOX:
-            assert chsh_max(t) == 4
+            assert chsh_max(t.p) == 4
             # Correlators and signs both have product -1, so they disagree in
             # an even number of places: |value| is 4 (twice) or 0 (six times).
             values = sorted(abs(chsh_value(t, var)) for var in all_chsh_variants())
@@ -240,12 +239,12 @@ def test_chsh_on_local_vertices(boxworld2):
     for v in boxworld2.vertices:
         t = table_from_vector(v)
         if classify_vertex(t).tag == LOCAL_DETERMINISTIC:
-            assert chsh_max(t) == 2
+            assert chsh_max(t.p) == 2
 
 
 def test_chsh_uniform_table():
     uniform = ProbabilityTable(p=(F(1, 4),) * 16)
-    assert chsh_max(uniform) == 0
+    assert chsh_max(uniform.p) == 0
 
 
 def test_chsh_lp_bounds(boxworld2):
@@ -313,7 +312,7 @@ def test_quantum_table_matches_born_rule_oracle():
 
 def test_quantum_chsh_tsirelson_angles():
     t = quantum_chsh_table(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
-    assert abs(chsh_max_float(t) - 2 * math.sqrt(2)) < 1e-9
+    assert abs(chsh_max(t) - 2 * math.sqrt(2)) < 1e-9
 
 
 def test_quantum_aligned_measurements_anticorrelate():
@@ -328,7 +327,7 @@ def test_quantum_aligned_measurements_anticorrelate():
 
 def test_quantum_all_angles_equal():
     t = quantum_chsh_table(0.5, 0.5, 0.5, 0.5)
-    assert abs(chsh_max_float(t) - 2.0) < 1e-12
+    assert abs(chsh_max(t) - 2.0) < 1e-12
 
 
 def test_quantum_table_is_no_signalling():
@@ -362,7 +361,7 @@ def test_product_tables_respect_local_bound():
     for _ in range(50):
         wa = vec(F(rng.randrange(0, 9), 8), F(rng.randrange(0, 9), 8))
         wb = vec(F(rng.randrange(0, 9), 8), F(rng.randrange(0, 9), 8))
-        assert chsh_max(product_table(wa, wb)) <= 2
+        assert chsh_max(product_table(wa, wb).p) <= 2
 
 
 def test_ns_hrep_rank_structure(boxworld2):

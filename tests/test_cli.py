@@ -21,7 +21,7 @@ from gptlab.cli import build_full_report, run
 from gptlab.postulates import run_report
 from gptlab.ratgeo import vertex_adjacency
 from gptlab.ratgeo.linalg import format_rational
-from gptlab.serialize import dumps, report_to_json, space_to_json, vector_to_json
+from gptlab.serialize import dumps, space_to_json, vector_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
 
 PR_BOX_DOCUMENT = {"p": vector_to_json(pr_box_table().p)}
@@ -208,7 +208,7 @@ def test_report_and_ball_postulates_run_without_numpy():
     assert hashlib.sha256(report.stdout.encode()).hexdigest() == REPORT_SHA256
     ball = _run_without_numpy("postulates", "--config", "ball3")
     assert ball.returncode == 0, ball.stderr
-    assert ball.stdout == dumps(report_to_json(run_report("ball3"))) + "\n"
+    assert ball.stdout == dumps(run_report("ball3")) + "\n"
 
 
 def test_bloch_vector(capsys):

@@ -26,7 +26,7 @@ from gptlab.postulates import (
 )
 from gptlab.ratgeo import INFEASIBLE, solve_lp, verify_farkas
 from gptlab.ratgeo.linalg import vec
-from gptlab.serialize import dumps, hrep_to_json, report_to_json, vector_to_json
+from gptlab.serialize import dumps, hrep_to_json, vector_to_json
 from gptlab.spaces import Effect, Measurement, make_ball3, make_classical
 from gptlab.symmetry import FAIL, PASS
 from test_cli import _fresh_interpreter_env
@@ -140,7 +140,7 @@ def test_disturbance_not_applicable_off_gbit():
 
 
 def test_boxworld_report_matches_paper_table():
-    report = run_report("boxworld2").as_dict()
+    report = run_report("boxworld2")["results"]
     assert report["ContinuousReversibility"]["status"] == FAIL
     assert report["ContinuousReversibility"]["reason"] == "FiniteSymmetryGroup"
     assert report["TomographicLocality"]["status"] == PASS
@@ -153,14 +153,14 @@ def test_boxworld_report_matches_paper_table():
 
 
 def test_classical_report():
-    report = run_report("classical2").as_dict()
+    report = run_report("classical2")["results"]
     assert report["ContinuousReversibility"]["status"] == FAIL
     assert report["TomographicLocality"]["status"] == PASS
     assert report["NoSimultaneousEncoding"]["status"] == PASS
 
 
 def test_ball_report():
-    report = run_report("ball3").as_dict()
+    report = run_report("ball3")["results"]
     assert report["ContinuousReversibility"]["status"] == PASS
     assert report["NoSimultaneousEncoding"]["status"] == NOT_APPLICABLE
 
@@ -171,8 +171,8 @@ def test_unknown_config_rejected():
 
 
 def test_report_determinism():
-    first = dumps(report_to_json(run_report("boxworld2")))
-    second = dumps(report_to_json(run_report("boxworld2")))
+    first = dumps(run_report("boxworld2"))
+    second = dumps(run_report("boxworld2"))
     assert first == second
 
 
@@ -187,7 +187,7 @@ POSTULATE_REPORT_SHA256 = {
 
 @pytest.mark.parametrize("config", REGISTERED_CONFIGS)
 def test_postulate_reports_are_pinned(config):
-    stdout = dumps(report_to_json(run_report(config))) + "\n"
+    stdout = dumps(run_report(config)) + "\n"
     digest = hashlib.sha256(stdout.encode()).hexdigest()
     assert digest == POSTULATE_REPORT_SHA256[config]
 

@@ -17,6 +17,7 @@ from gptlab.boxworld import (
     table_from_vector,
 )
 from gptlab.errors import InputError, UnsupportedError
+from gptlab.postulates import check_no_simultaneous_encoding
 from gptlab.ratgeo.linalg import (
     independent_rows,
     inverse,
@@ -326,9 +327,34 @@ def test_ball_unsupported():
         affine_automorphisms(make_ball3())
 
 
+POLYTOPAL_ONLY = "operation requires a polytopal state space, got 'ball3'"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ball, gbit: orbits(affine_automorphisms(gbit), ball), POLYTOPAL_ONLY),
+        (lambda ball, gbit: check_interaction(ball, (0,)), POLYTOPAL_ONLY),
+        (lambda ball, gbit: check_no_simultaneous_encoding(ball), POLYTOPAL_ONLY),
+        (
+            lambda ball, gbit: affine_automorphisms(ball),
+            "the ball has a continuous symmetry group; handled analytically",
+        ),
+    ],
+    ids=["orbits", "check_interaction", "check_no_simultaneous_encoding",
+         "affine_automorphisms"],
+)
+def test_polytope_checkers_reject_the_ball(gbit, call, message):
+    """``space.vertices`` is each checker's polytopal guard; the symmetry
+    search names the ball's continuous group before reaching it."""
+    with pytest.raises(UnsupportedError) as err:
+        call(make_ball3(), gbit)
+    assert str(err.value) == message
+
+
 def test_square_single_orbit(gbit):
     group = affine_automorphisms(gbit)
-    assert orbits(group, gbit).classes == ((0, 1, 2, 3),)
+    assert orbits(group, gbit) == ((0, 1, 2, 3),)
 
 
 def test_orbits_rejects_mismatched_group(gbit):
@@ -356,7 +382,7 @@ def test_generator_orbits_match_all_permutations(gbit, boxworld2):
     for space in spaces:
         group = affine_automorphisms(space)
         trivial += not group.generator_permutations
-        assert orbits(group, space).classes == orbits_of_all_permutations(
+        assert orbits(group, space) == orbits_of_all_permutations(
             group, len(space.vertices)
         )
     assert trivial > 0  # some seeded polytope has only the identity
@@ -376,9 +402,9 @@ def test_boxworld_orbits_separate_local_from_pr(boxworld2, boxworld2_group):
     tags = [
         classify_vertex(table_from_vector(v)).tag for v in boxworld2.vertices
     ]
-    tag_sets = [sorted({tags[i] for i in cls}) for cls in partition.classes]
+    tag_sets = [sorted({tags[i] for i in cls}) for cls in partition]
     assert all(len(ts) == 1 for ts in tag_sets)
-    sizes = sorted(len(cls) for cls in partition.classes)
+    sizes = sorted(len(cls) for cls in partition)
     assert sizes == [8, 16]
 
 
@@ -387,7 +413,7 @@ def test_orbit_classes_have_constant_degree(boxworld2, boxworld2_group):
 
     adj = vertex_adjacency(boxworld2.v, boxworld2.h)
     partition = orbits(boxworld2_group, boxworld2)
-    for cls in partition.classes:
+    for cls in partition:
         degrees = {len(adj[i]) for i in cls}
         assert len(degrees) == 1
 
