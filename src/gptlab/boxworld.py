@@ -297,6 +297,7 @@ class CHSHVariant:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
 
+@lru_cache(maxsize=1)
 def all_chsh_variants() -> tuple[CHSHVariant, ...]:
     variants = []
     for signs in itertools.product((1, -1), repeat=4):
@@ -305,23 +306,34 @@ def all_chsh_variants() -> tuple[CHSHVariant, ...]:
     return tuple(variants)
 
 
-def _chsh_value(p, variant: CHSHVariant):
-    """Sum of sign(x,y) E(x,y) over the 16 entries p, exact or float.
+def _correlators(p):
+    """E(0,0), E(0,1), E(1,0), E(1,1) of the 16 entries p, exact or float.
 
-    E(x,y) = sum over outcomes of (-1)^(a xor b) p(a,b|x,y).  The sums start
-    from the integer 0 and run in one fixed order, so Fraction entries give
-    a Fraction and float entries the same float bits on every call.
+    E(x,y) = sum over outcomes of (-1)^(a xor b) p(a,b|x,y).  Each sum starts
+    from the integer 0 and adds the outcomes (a, b) in the order (0,0),
+    (0,1), (1,0), (1,1), so Fraction entries give Fractions and float
+    entries the same float bits on every call.
     """
+    # With i = table_index(0, 0, x, y), outcome (a, b) sits at i + a + 2b.
+    return [
+        0 + p[i] - p[i + 2] - p[i + 1] + p[i + 3]
+        for i in (table_index(0, 0, x, y) for x in range(2) for y in range(2))
+    ]
+
+
+def _signed_sum(signs, correlators):
+    """Sum of sign(x,y) E(x,y), from the integer 0 in the order of the
+    correlators, so a float result has the same bits on every call.  A sign
+    of -1 subtracts E(x,y), which is exactly adding -E(x,y)."""
     total = 0
-    for x in range(2):
-        for y in range(2):
-            e = 0
-            for a in range(2):
-                for b in range(2):
-                    term = p[table_index(a, b, x, y)]
-                    e += term if (a ^ b) == 0 else -term
-            total += variant.sign(x, y) * e
+    for sign, e in zip(signs, correlators):
+        total = total + e if sign > 0 else total - e
     return total
+
+
+def _chsh_value(p, variant: CHSHVariant):
+    """The CHSH value of one variant on the 16 entries p, exact or float."""
+    return _signed_sum(variant.signs, _correlators(p))
 
 
 def chsh_value(t: ProbabilityTable, variant: CHSHVariant) -> Fraction:
@@ -330,8 +342,10 @@ def chsh_value(t: ProbabilityTable, variant: CHSHVariant) -> Fraction:
 
 def chsh_max(p):
     """Largest |CHSH value| over the eight sign variants of the 16 entries p:
-    a Fraction for exact entries, a float for float ones."""
-    return max(abs(_chsh_value(p, v)) for v in all_chsh_variants())
+    a Fraction for exact entries, a float for float ones.  The correlators
+    are computed once and combined for every variant."""
+    correlators = _correlators(p)
+    return max(abs(_signed_sum(v.signs, correlators)) for v in all_chsh_variants())
 
 
 def chsh_objective(variant: CHSHVariant) -> Vector:

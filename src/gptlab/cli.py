@@ -214,11 +214,13 @@ def cmd_chsh(args):
     if not args.table:
         raise InputError("chsh needs --table FILE or --angles LIST")
     t = load_table(args.table)
-    values = {
-        variant.label: serialize.rational_to_json(chsh_value(t, variant))
-        for variant in all_chsh_variants()
+    values = {variant.label: chsh_value(t, variant) for variant in all_chsh_variants()}
+    return {
+        "chsh_max": serialize.rational_to_json(max(map(abs, values.values()))),
+        "values": {
+            label: serialize.rational_to_json(value) for label, value in values.items()
+        },
     }
-    return {"chsh_max": serialize.rational_to_json(chsh_max(t.p)), "values": values}
 
 
 def cmd_decompose(args):
@@ -317,7 +319,10 @@ def build_full_report() -> dict:
     center = (Fraction(1, 2), Fraction(1, 2))
     decs = decompose_state(center, gbit)
 
-    ball_continuity = check_continuous_reversibility(make_ball3())
+    postulates = {
+        config: run_report(config) for config in ("boxworld2", "classical2", "ball3")
+    }
+    ball_continuity = postulates["ball3"]["results"]["ContinuousReversibility"]
 
     return {
         "no_signalling_polytope": {
@@ -355,12 +360,10 @@ def build_full_report() -> dict:
         },
         "continuous_reversibility": {
             "gbit": check_continuous_reversibility(gbit).status,
-            "ball3": ball_continuity.status,
-            "ball3_endpoint_error": ball_continuity.detail["endpoint_error"],
+            "ball3": ball_continuity["status"],
+            "ball3_endpoint_error": ball_continuity["detail"]["endpoint_error"],
         },
-        "postulates": {
-            config: run_report(config) for config in ("boxworld2", "classical2", "ball3")
-        },
+        "postulates": postulates,
     }
 
 

@@ -12,6 +12,12 @@ plain backtrack over vertices: a candidate image must carry the same colour
 (the sorted Q row plus the diagonal entry) and agree with Q on every vertex
 already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
 *Computing symmetry groups of polyhedra*, LMS J. Comput. Math. 17, 2014.)
+The backtrack keeps, for each position not yet assigned, a bitmask of the
+images still open to it, starting from the vertices of its colour.
+Assigning i -> k ANDs each later position j's mask with the vertices v != k
+that have Q[k][v] == Q[i][j], precomputed per row of Q with each distinct
+entry renumbered as a small int, and an empty mask ends the branch.  The lowest open image is tried first, so the permutations
+come out in lexicographic order.
 
 The search is certified independently of Q: every generator is realized
 as an explicit affine map and verified on all vertices, and the closure of
@@ -91,37 +97,44 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
             % (MAX_VERTICES, n)
         )
 
-    q = _gram_projector(verts)
-    # Each colour becomes a small int the first time it is seen.
-    colour_ids: dict = {}
-    colour = [
-        colour_ids.setdefault((q[i][i], tuple(sorted(q[i]))), len(colour_ids))
-        for i in range(n)
-    ]
+    # Each distinct Q entry becomes a small int, which keeps every equality
+    # the search reads and lets the masks below be indexed by it.
+    ids: dict = {}
+    q = [[ids.setdefault(x, len(ids)) for x in row] for row in _gram_projector(verts)]
+    colours = [(row[i], tuple(sorted(row))) for i, row in enumerate(q)]
+    colour_masks: dict = {}
+    for v, colour in enumerate(colours):
+        colour_masks[colour] = colour_masks.get(colour, 0) | 1 << v
+    # holders[k][x]: the vertices v other than k with q[k][v] == x.
+    holders = [[0] * len(ids) for _ in range(n)]
+    for k, row in enumerate(q):
+        for v, x in enumerate(row):
+            if v != k:
+                holders[k][x] |= 1 << v
+    tails = [row[i + 1:] for i, row in enumerate(q)]
 
     permutations: list[tuple[int, ...]] = []
     image: list[int] = []
-    used = [False] * n
 
-    def descend():
-        i = len(image)
+    def descend(i, candidates):
+        # candidates[j - i]: the images still open to position j >= i.
         if i == n:
             permutations.append(tuple(image))
             return
-        for k in range(n):
-            if (
-                not used[k]
-                and colour[k] == colour[i]
-                and all(q[k][image[j]] == q[i][j] for j in range(i))
-            ):
-                used[k] = True
+        mask, later, tail = candidates[0], candidates[1:], tails[i]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            k = low.bit_length() - 1
+            held = holders[k]
+            narrowed = [c & held[x] for c, x in zip(later, tail)]
+            if all(narrowed):
                 image.append(k)
-                descend()
+                descend(i + 1, narrowed)
                 image.pop()
-                used[k] = False
 
-    # Images are tried in increasing order, so the list comes out sorted.
-    descend()
+    # The lowest open image is tried first, so the list comes out sorted.
+    descend(0, [colour_masks[c] for c in colours])
 
     realizer = _AffineRealizer(verts, space.dim)
     gen_perms, closure = _greedy_generators(permutations, n)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -13,6 +14,7 @@ from gptlab.boxworld import (
     PR_BOX,
     ProbabilityTable,
     VertexClass,
+    _chsh_value,
     _ns_vertex_classes,
     all_chsh_variants,
     build_ns_hrep,
@@ -328,6 +330,47 @@ def test_quantum_aligned_measurements_anticorrelate():
 def test_quantum_all_angles_equal():
     t = quantum_chsh_table(0.5, 0.5, 0.5, 0.5)
     assert abs(chsh_max(t) - 2.0) < 1e-12
+
+
+def nested_loop_chsh_value(p, variant):
+    """Oracle: sign(x,y) E(x,y) summed in one nested loop over settings and
+    outcomes, each sum from the integer 0."""
+    total = 0
+    for x in range(2):
+        for y in range(2):
+            e = 0
+            for a in range(2):
+                for b in range(2):
+                    term = p[table_index(a, b, x, y)]
+                    e += term if (a ^ b) == 0 else -term
+            total += variant.sign(x, y) * e
+    return total
+
+
+def test_chsh_max_keeps_the_float_bits_of_the_nested_loop():
+    rng = random.Random(2014)
+    for _ in range(50):
+        angles = [rng.uniform(-math.pi, math.pi) for _ in range(4)]
+        t = quantum_chsh_table(*angles)
+        assert chsh_max(t) == max(
+            abs(nested_loop_chsh_value(t, v)) for v in all_chsh_variants()
+        )
+    # Arbitrary float entries: their sums round differently in another order.
+    for _ in range(50):
+        p = [rng.random() for _ in range(16)]
+        assert chsh_max(p) == max(
+            abs(nested_loop_chsh_value(p, v)) for v in all_chsh_variants()
+        )
+        for v in all_chsh_variants():
+            assert _chsh_value(p, v) == nested_loop_chsh_value(p, v)
+
+
+def test_chsh_value_matches_the_nested_loop(boxworld2):
+    tables = [table_from_vector(v) for v in boxworld2.vertices]
+    tables.append(product_table((F(1, 3), F(1, 2)), (F(3, 4), F(0))))
+    for t in tables:
+        for variant in all_chsh_variants():
+            assert chsh_value(t, variant) == nested_loop_chsh_value(t.p, variant)
 
 
 def test_quantum_table_is_no_signalling():

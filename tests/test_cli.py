@@ -23,6 +23,7 @@ from gptlab.ratgeo import vertex_adjacency
 from gptlab.ratgeo.linalg import format_rational
 from gptlab.serialize import dumps, space_to_json, vector_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
+from gptlab.symmetry import check_continuous_reversibility
 
 PR_BOX_DOCUMENT = {"p": vector_to_json(pr_box_table().p)}
 
@@ -523,6 +524,20 @@ def test_report_hashes_to_the_gate():
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256
 
 
+def test_report_checks_ball_continuity_once(monkeypatch, capsys):
+    checked = []
+
+    def counting(space):
+        checked.append(space.label)
+        return check_continuous_reversibility(space)
+
+    for module in ("gptlab.cli", "gptlab.postulates"):
+        monkeypatch.setattr(module + ".check_continuous_reversibility", counting)
+    assert run(["report"]) == 0
+    capsys.readouterr()
+    assert checked.count("ball3") == 1
+
+
 def _edge_midpoint_state():
     """Half the PR box plus half its first neighbour, as CLI text."""
     boxworld2 = make_boxworld2()
@@ -536,7 +551,9 @@ def _edge_midpoint_state():
 
 # sha256 of the stdout of each command, recorded before a rewrite beneath it:
 # the integer kernel that replaced the Fraction elimination, Q and constraint
-# checks, and for classify-boxworld2 the lookup that replaced the decoder.
+# checks, for classify-boxworld2 the lookup that replaced the decoder, and for
+# the chsh cases the correlators that are now summed once per table (the float
+# chsh_max of --angles is an output byte).
 PINNED_OUTPUTS = {
     "vertices-gbit": "a998db93dd76fb7e7f84904dcf53ce995a29449b114d8b429c71d587ff4e13c3",
     "vertices-classical-4": "5dcd4a95faa2f3f0a441ae85d97de1e8e8d26ad20bc9e3b62a73ed51a983c9c7",
@@ -552,19 +569,39 @@ PINNED_OUTPUTS = {
     "orbits-boxworld2": "948f01c1de54b1b730c3dbac8ad198995121e472fc2a2b6db6aa4272fec3e249",
     "decompose-boxworld2-edge-midpoint": "5dfa5df3a67d9b237400730a0c40b2d56d0474c43791deff46fd4152250e5c71",
     "classify-boxworld2": "9f2c1df26909368d56b0359e9e935de55d8896811165a6cc3f671eea59551299",
+    "chsh-table-pr-box": "884fad2d98c1749ede82f60efa67ed9bff6f5b7360e0df7833be5cf48383c872",
+    "chsh-table-local-deterministic": "9fabc00b69238e5bd690a1b62993f24d6d8062ef03df825991a40a2c017e4a33",
+    "chsh-table-mixed": "46e5dad4987835eb76bbb7a9af86571a3b7579aefbc085601153717f25fd89d1",
+    "chsh-angles": "1146f44d6104ff7122c6473c9dd9ee5309119c44d38b7b590d7211f140c64ffb",
 }
 
+# The tables behind the chsh-table cases: a PR box, a local deterministic
+# table, and one third of the first plus two thirds of the second.
+PINNED_TABLES = {
+    "pr-box": pr_box_table().p,
+    "local-deterministic": local_deterministic_table(0, 1, 1, 0).p,
+}
+PINNED_TABLES["mixed"] = tuple(
+    Fraction(1, 3) * a + Fraction(2, 3) * b
+    for a, b in zip(PINNED_TABLES["pr-box"], PINNED_TABLES["local-deterministic"])
+)
 
-def _pinned_argv(case):
+
+def _pinned_argv(case, tmp_path):
     if case == "decompose-boxworld2-edge-midpoint":
         return ["decompose", "--space", "boxworld2", "--state", _edge_midpoint_state()]
+    if case == "chsh-angles":
+        return ["chsh", "--angles", "0,1.5707963,0.7853981,-0.7853981"]
+    if case.startswith("chsh-table-"):
+        p = PINNED_TABLES[case[len("chsh-table-"):]]
+        return ["chsh", "--table", _json_file(tmp_path, {"p": vector_to_json(p)})]
     command, space = case.split("-", 1)
     return [command, "--space", space]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
-def test_outputs_are_pinned(case, capsys):
-    assert run(_pinned_argv(case)) == 0
+def test_outputs_are_pinned(case, tmp_path, capsys):
+    assert run(_pinned_argv(case, tmp_path)) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_OUTPUTS[case]
 

@@ -175,6 +175,51 @@ def test_seeded_polytope_group_matches_brute_force(seed):
     assert set(group.vertex_permutations) == brute_force_symmetries(space)
 
 
+def scanning_backtrack_permutations(space):
+    """Oracle: the vertex search as a scan over all n vertices at each node.
+
+    Position i may take vertex k when k is unused, has the colour of i (its
+    diagonal Q entry and sorted Q row) and agrees with Q on every vertex
+    already assigned.  Images are tried in increasing order.
+    """
+    q = _gram_projector(space.vertices)
+    n = len(q)
+    colour = [(q[i][i], sorted(q[i])) for i in range(n)]
+    permutations, image, used = [], [], [False] * n
+
+    def descend():
+        i = len(image)
+        if i == n:
+            permutations.append(tuple(image))
+            return
+        for k in range(n):
+            if (
+                not used[k]
+                and colour[k] == colour[i]
+                and all(q[k][image[j]] == q[i][j] for j in range(i))
+            ):
+                used[k] = True
+                image.append(k)
+                descend()
+                image.pop()
+                used[k] = False
+
+    descend()
+    return permutations
+
+
+@pytest.mark.parametrize(
+    "make_space",
+    ORACLE_SPACES + [lambda: make_classical(7)],
+    ids=ORACLE_IDS + ["classical-7"],
+)
+def test_mask_search_matches_the_scanning_backtrack(make_space):
+    space = make_space()
+    assert list(affine_automorphisms(space).vertex_permutations) == (
+        scanning_backtrack_permutations(space)
+    )
+
+
 def test_group_axioms_hold_exhaustively(gbit):
     group = affine_automorphisms(gbit)
     perm_set = set(group.vertex_permutations)
