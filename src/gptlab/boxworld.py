@@ -288,9 +288,6 @@ class CHSHVariant:
         if self.signs[0] * self.signs[1] * self.signs[2] * self.signs[3] != -1:
             raise InputError("CHSH sign product must be -1")
 
-    def sign(self, x: int, y: int) -> int:
-        return self.signs[2 * x + y]
-
     @property
     def label(self) -> str:
         """The signs as a string of '+' and '-', e.g. "+++-"."""

@@ -1,12 +1,12 @@
 """Machine-checked verdicts for the four reconstruction postulates.
 
-Each checker returns a result object carrying a witness that an independent
-code path can re-verify: a dimension report for tomographic locality, an
-encoding witness (states plus readout measurements) for the encoding
-postulate, exact LP certificates for joint-readout infeasibility, and LP
-value pairs for the disturbance claim.  ``run_report`` aggregates the
-checkers for a registered configuration into the deterministic dict that
-``gptlab postulates`` prints.
+Each checker returns the entry that ``gptlab postulates`` prints for its
+postulate, with a witness that an independent code path can re-verify: a
+dimension report for tomographic locality, an encoding witness (states plus
+readout measurements) for the encoding postulate, exact LP certificates for
+joint-readout infeasibility, and LP value pairs for the disturbance claim.
+``run_report`` collects those entries for a registered configuration into
+the deterministic dict that ``gptlab postulates`` prints.
 """
 
 from __future__ import annotations
@@ -50,9 +50,7 @@ from .spaces import (
 )
 from .symmetry import (
     FAIL,
-    NON_INTERACTING,
     PASS,
-    affine_automorphisms,
     check_continuous_reversibility,
     check_interaction,
 )
@@ -67,14 +65,6 @@ NOT_CONFIRMED = "not_confirmed"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TomographyResult:
-    status: str
-    dim_a: int
-    dim_b: int
-    dim_ab: int
-
-
 def linear_dimension(space: StateSpace) -> int:
     """Affine dimension of the state space plus one (its linear span size)."""
     if space.kind == BALL3:
@@ -84,8 +74,9 @@ def linear_dimension(space: StateSpace) -> int:
 
 def check_tomographic_locality(
     space_a: StateSpace, space_b: StateSpace, space_ab: StateSpace
-) -> TomographyResult:
-    """Pass iff dim(AB) = dim(A) * dim(B) for the linear span dimensions.
+) -> dict:
+    """Pass iff dim(AB) = dim(A) * dim(B) for the linear span dimensions, as
+    ``{"status", "dim_a", "dim_b", "dim_ab"}``.
 
     Local measurements span dim(A) * dim(B) independent functionals on the
     composite; they determine every state exactly when the composite's
@@ -97,7 +88,7 @@ def check_tomographic_locality(
         linear_dimension(space_ab),
     )
     status = PASS if dab == da * db else FAIL
-    return TomographyResult(status=status, dim_a=da, dim_b=db, dim_ab=dab)
+    return {"status": status, "dim_a": da, "dim_b": db, "dim_ab": dab}
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +111,6 @@ class EncodingWitness:
 
     def bit_values(self, index: int) -> tuple[int, int]:
         return index >> 1, index & 1
-
-
-@dataclass(frozen=True)
-class EncodingResult:
-    status: str  # PASS: postulate holds; FAIL: violated, with witness
-    witness: EncodingWitness | None = None
 
 
 def _lift(state) -> Vector:
@@ -171,12 +156,12 @@ def _two_outcome(effect: Effect) -> Measurement:
     return Measurement(effects=(complement, effect))
 
 
-def check_no_simultaneous_encoding(space: StateSpace) -> EncodingResult:
+def check_no_simultaneous_encoding(space: StateSpace) -> EncodingWitness | None:
     """Search vertex quadruples for two independently settable, perfectly
     readable bits; the first witness in canonical order is returned.
 
-    A Fail means the postulate is violated (as for the gbit); Pass means no
-    such witness exists among the pure states.
+    A witness means the postulate is violated (as for the gbit); None means
+    no such witness exists among the pure states.
     """
     verts = space.vertices
     n = len(verts)
@@ -199,13 +184,12 @@ def check_no_simultaneous_encoding(space: StateSpace) -> EncodingResult:
         effect_bp = readable((i00, i10), (i01, i11))
         if effect_bp is None:
             continue
-        witness = EncodingWitness(
+        return EncodingWitness(
             states=(verts[i00], verts[i01], verts[i10], verts[i11]),
             measurement_b=_two_outcome(effect_b),
             measurement_bprime=_two_outcome(effect_bp),
         )
-        return EncodingResult(status=FAIL, witness=witness)
-    return EncodingResult(status=PASS)
+    return None
 
 
 def verify_encoding_witness(witness: EncodingWitness, space: StateSpace) -> bool:
@@ -270,12 +254,6 @@ def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DisturbanceResult:
-    status: str
-    detail: dict | None = None
-
-
 def _is_gbit(space: StateSpace) -> bool:
     if space.kind == BALL3 or space.dim != 2:
         return False
@@ -283,8 +261,9 @@ def _is_gbit(space: StateSpace) -> bool:
     return set(space.vertices) == corners
 
 
-def check_disturbance(space: StateSpace, witness: EncodingWitness) -> DisturbanceResult:
-    """Confirm that reading the first bit necessarily erases the second.
+def check_disturbance(space: StateSpace, witness: EncodingWitness) -> dict:
+    """Confirm that reading the first bit necessarily erases the second, as
+    ``{"status", "detail"}``.
 
     Post-measurement states are arbitrary valid states constrained by (i)
     repeatability (re-measuring the read bit returns the same outcome with
@@ -296,15 +275,15 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
     the values of the second bit for at least one branch.
     """
     if not _is_gbit(space):
-        return DisturbanceResult(
-            status=NOT_APPLICABLE,
-            detail={"reason": "disturbance claim is made for the gbit only"},
-        )
+        return {
+            "status": NOT_APPLICABLE,
+            "detail": {"reason": "disturbance claim is made for the gbit only"},
+        }
     if not verify_encoding_witness(witness, space):
-        return DisturbanceResult(
-            status=NOT_CONFIRMED,
-            detail={"reason": "witness does not encode two readable bits"},
-        )
+        return {
+            "status": NOT_CONFIRMED,
+            "detail": {"reason": "witness does not encode two readable bits"},
+        }
 
     # Variables: one post-state of d coordinates per witness state.
     d = space.dim
@@ -350,24 +329,23 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> Disturbanc
         hi = solve_lp(objective, MAX, system)
         lo = solve_lp(objective, MIN, system)
         if hi.status != OPTIMAL or lo.status != OPTIMAL:
-            return DisturbanceResult(
-                status=NOT_CONFIRMED,
-                detail={"reason": "post-measurement constraints infeasible"},
-            )
+            return {
+                "status": NOT_CONFIRMED,
+                "detail": {"reason": "post-measurement constraints infeasible"},
+            }
         branch_forced[branch] = (hi.optimum, lo.optimum)
 
     erased = {b: hi == 0 and lo == 0 for b, (hi, lo) in branch_forced.items()}
-    status = CONFIRMED if any(erased.values()) else NOT_CONFIRMED
-    return DisturbanceResult(
-        status=status,
-        detail={
+    return {
+        "status": CONFIRMED if any(erased.values()) else NOT_CONFIRMED,
+        "detail": {
             "second_readout_spread": {
                 str(b): [format_rational(hi), format_rational(lo)]
                 for b, (hi, lo) in branch_forced.items()
             },
             "erased_branches": sorted(b for b, e in erased.items() if e),
         },
-    )
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +387,9 @@ def _config_spaces(config: str) -> tuple[StateSpace, StateSpace | None]:
 
 
 def run_report(config: str) -> dict:
-    """Aggregate all postulate checkers for a registered configuration into
-    ``{"subject": config, "results": {postulate: entry}}``, the dict that
-    ``gptlab postulates`` prints.
+    """Collect the postulate checkers' entries for a registered configuration,
+    as they are, into ``{"subject": config, "results": {postulate: entry}}``,
+    the dict that ``gptlab postulates`` prints.
 
     ``boxworld2``: two gbits composing to the no-signalling polytope.
     ``classical2``: two classical bits composing to the 4-outcome simplex.
@@ -423,16 +401,12 @@ def run_report(config: str) -> dict:
         tomography = {"status": NOT_APPLICABLE, "reason": "NoCompositeRegistered"}
         interaction = dict(tomography)
     else:
-        tomo = check_tomographic_locality(unit, unit, composite)
-        tomography = {
-            "status": tomo.status,
-            "dim_a": tomo.dim_a,
-            "dim_b": tomo.dim_b,
-            "dim_ab": tomo.dim_ab,
-        }
-        interaction = _interaction_entry(composite)
+        tomography = check_tomographic_locality(unit, unit, composite)
+        interaction = check_interaction(
+            composite, _product_vertex_indices(composite)
+        )
     results = {
-        "ContinuousReversibility": _continuity_entry(unit),
+        "ContinuousReversibility": check_continuous_reversibility(unit),
         "TomographicLocality": tomography,
         "InformationUnit_Tomography": {
             "status": PASS,
@@ -449,45 +423,24 @@ def run_report(config: str) -> dict:
     return {"subject": config, "results": results}
 
 
-def _continuity_entry(space: StateSpace) -> dict:
-    result = check_continuous_reversibility(space)
-    entry = {"status": result.status, "subject": space.label}
-    if result.reason:
-        entry["reason"] = result.reason
-    if result.detail:
-        entry["detail"] = dict(sorted(result.detail.items()))
-    return entry
-
-
-def _interaction_entry(composite: StateSpace) -> dict:
-    group = affine_automorphisms(composite)
-    interaction = check_interaction(composite, _product_vertex_indices(composite))
-    entry = {
-        "status": FAIL if interaction.status == NON_INTERACTING else PASS,
-        "vertex_level_result": interaction.status,
-        "symmetry_group_order": group.order,
-    }
-    if interaction.witness is not None:
-        entry["witness"] = list(interaction.witness)
-    return entry
-
-
 def _encoding_entry(space: StateSpace) -> dict:
     if space.kind == BALL3:
         return {"status": NOT_APPLICABLE, "reason": "NonPolytopalOutOfScope"}
-    encoding = check_no_simultaneous_encoding(space)
-    entry = {"status": encoding.status, "subject": space.label}
-    if encoding.witness is not None:
-        w = encoding.witness
-        if not verify_encoding_witness(w, space):
-            raise AssertionError("the encoding witness fails its re-verification")
-        joint = check_joint_readout(w, space)
-        disturbance = check_disturbance(space, w)
-        entry["witness"] = {
+    w = check_no_simultaneous_encoding(space)
+    if w is None:
+        return {"status": PASS, "subject": space.label}
+    if not verify_encoding_witness(w, space):
+        raise AssertionError("the encoding witness fails its re-verification")
+    joint = check_joint_readout(w, space)
+    disturbance = check_disturbance(space, w)
+    return {
+        "status": FAIL,
+        "subject": space.label,
+        "witness": {
             "states": [vector_to_json(s) for s in w.states],
             "readout_first_bit": effect_to_json(w.measurement_b.effects[1]),
             "readout_second_bit": effect_to_json(w.measurement_bprime.effects[1]),
             "joint_readout": joint.status,
-            "disturbance": disturbance.status,
-        }
-    return entry
+            "disturbance": disturbance["status"],
+        },
+    }

@@ -38,8 +38,24 @@ def vector_to_json(v) -> list:
     return [rational_to_json(x) for x in v]
 
 
+def _array(data) -> list:
+    """``data`` if it is a JSON array; a string or an object, which would
+    iterate too, is malformed."""
+    if not isinstance(data, list):
+        raise TypeError("expected a JSON array, got %s" % type(data).__name__)
+    return data
+
+
 def vector_from_json(data) -> tuple:
-    return tuple(rational_from_json(x) for x in data)
+    return tuple(rational_from_json(x) for x in _array(data))
+
+
+def _constraints_from_json(data) -> list:
+    """The [normal, offset] pairs of an ``ineqs`` or ``eqs`` array."""
+    return [
+        (vector_from_json(n), rational_from_json(o))
+        for n, o in map(_array, _array(data))
+    ]
 
 
 def _dim_from_json(value) -> int:
@@ -65,10 +81,8 @@ def hrep_to_json(h: HRep) -> dict:
 def hrep_from_json(data) -> HRep:
     try:
         dim = _dim_from_json(data["dim"])
-        ineqs = [
-            (vector_from_json(n), rational_from_json(o)) for n, o in data["ineqs"]
-        ]
-        eqs = [(vector_from_json(n), rational_from_json(o)) for n, o in data["eqs"]]
+        ineqs = _constraints_from_json(data["ineqs"])
+        eqs = _constraints_from_json(data["eqs"])
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("malformed H-representation: %s" % err) from err
     return HRep.make(dim, ineqs, eqs)
@@ -84,7 +98,7 @@ def vrep_to_json(v: VRep) -> dict:
 def vrep_from_json(data) -> VRep:
     try:
         dim = _dim_from_json(data["dim"])
-        vertices = [vector_from_json(x) for x in data["vertices"]]
+        vertices = [vector_from_json(x) for x in _array(data["vertices"])]
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("malformed V-representation: %s" % err) from err
     return VRep.make(dim, vertices)

@@ -16,8 +16,9 @@ The backtrack keeps, for each position not yet assigned, a bitmask of the
 images still open to it, starting from the vertices of its colour.
 Assigning i -> k ANDs each later position j's mask with the vertices v != k
 that have Q[k][v] == Q[i][j], precomputed per row of Q with each distinct
-entry renumbered as a small int, and an empty mask ends the branch.  The lowest open image is tried first, so the permutations
-come out in lexicographic order.
+entry renumbered as a small int, and an empty mask ends the branch.  The
+lowest open image is tried first, so the permutations come out in
+lexicographic order.
 
 The search is certified independently of Q: every generator is realized
 as an explicit affine map and verified on all vertices, and the closure of
@@ -291,39 +292,27 @@ def orbits(group: SymmetryGroup, space: StateSpace) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items()))
 
 
-@dataclass(frozen=True)
-class ReversibilityResult:
-    status: str
-    witness: tuple[int, int] | None = None  # vertex pair in distinct orbits
-
-
-def check_reversibility(space: StateSpace) -> ReversibilityResult:
-    """Pass iff the symmetry group acts transitively on pure states."""
-    group = affine_automorphisms(space)
-    classes = orbits(group, space)
+def check_reversibility(space: StateSpace) -> dict:
+    """Pass iff the symmetry group acts transitively on pure states; a fail
+    carries as ``witness`` the least vertices of the first two orbits."""
+    classes = orbits(affine_automorphisms(space), space)
     if len(classes) == 1:
-        return ReversibilityResult(status=PASS)
-    first, second = classes[0][0], classes[1][0]
-    return ReversibilityResult(status=FAIL, witness=(first, second))
+        return {"status": PASS}
+    return {"status": FAIL, "witness": [classes[0][0], classes[1][0]]}
 
 
-@dataclass(frozen=True)
-class ContinuityResult:
-    status: str
-    reason: str | None = None
-    detail: dict | None = None
-    path_constructor: object | None = None
-
-
-def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
-    """Decide Continuous Reversibility for a registered state space.
+def check_continuous_reversibility(space: StateSpace) -> dict:
+    """Decide Continuous Reversibility for a registered state space, as the
+    ``{"status", "subject", "reason"?, "detail"?}`` entry that
+    ``gptlab postulates`` prints, ``detail`` keys in sorted order.
 
     Polytopal spaces with at least two pure states fail outright: their
     reversible transformations form a finite group (a subgroup of the
     vertex permutations), and a continuous family G(t) into a finite set of
     affine maps must be constant, so G(1) = G(0) = identity can move no
     pure state.  The ball passes: any two unit Bloch vectors are joined by
-    a one-parameter rotation family, verified here at 100 sample points.
+    the rotation family ``spaces.ball_rotation_path``, verified here at 100
+    sample points.
     """
     if space.kind == BALL3:
         checks = [
@@ -342,32 +331,30 @@ def check_continuous_reversibility(space: StateSpace) -> ContinuityResult:
             for prev, cur in zip(samples, samples[1:]):
                 worst_step = max(worst_step, _max_abs_difference(cur, prev))
         if worst_endpoint > 1e-9:
-            return ContinuityResult(
-                status=FAIL,
-                reason="RotationPathBroken",
-                detail={"endpoint_error": worst_endpoint},
-            )
-        return ContinuityResult(
-            status=PASS,
-            detail={
+            return {
+                "status": FAIL,
+                "subject": space.label,
+                "reason": "RotationPathBroken",
+                "detail": {"endpoint_error": worst_endpoint},
+            }
+        return {
+            "status": PASS,
+            "subject": space.label,
+            "detail": {
                 "endpoint_error": worst_endpoint,
                 "max_sample_step": worst_step,
                 "samples": 101,
             },
-            path_constructor=ball_rotation_path,
-        )
+        }
     n = len(space.vertices)
     if n >= 2:
-        return ContinuityResult(
-            status=FAIL,
-            reason=FINITE_SYMMETRY_GROUP,
-            detail={"vertex_count": n},
-        )
-    return ContinuityResult(
-        status=PASS,
-        detail={"vertex_count": n},
-        path_constructor=lambda a, b: (lambda t: _identity(space.dim)),
-    )
+        return {
+            "status": FAIL,
+            "subject": space.label,
+            "reason": FINITE_SYMMETRY_GROUP,
+            "detail": {"vertex_count": n},
+        }
+    return {"status": PASS, "subject": space.label, "detail": {"vertex_count": n}}
 
 
 def _identity(d: int) -> list[list[float]]:
@@ -378,19 +365,17 @@ def _max_abs_difference(m, n) -> float:
     return max(abs(x - y) for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
 
 
-@dataclass(frozen=True)
-class InteractionResult:
-    status: str
-    witness: tuple[int, int, int] | None = None  # (element, vertex, image)
-
-
-def check_interaction(space_ab: StateSpace, product_vertices) -> InteractionResult:
+def check_interaction(space_ab: StateSpace, product_vertices) -> dict:
     """Decide whether any reversible transformation leaves the locally
-    preparable vertex set (at the vertex level).
+    preparable vertex set (at the vertex level), as the interaction entry
+    that ``gptlab postulates`` prints.
 
     ``product_vertices`` indexes the locally preparable vertices of the
     composite; the caller computes it (for boxworld, the image of the pure
-    product preparations).
+    product preparations).  ``status`` is PASS when some group element
+    moves a product vertex out of the set, and then ``witness`` is
+    ``[element, vertex, image]``; ``vertex_level_result`` reads
+    INTERACTING or NON_INTERACTING.
     """
     n = len(space_ab.vertices)
     product_set = frozenset(product_vertices or ())
@@ -401,8 +386,18 @@ def check_interaction(space_ab: StateSpace, product_vertices) -> InteractionResu
     if any(not 0 <= i < n for i in product_set):
         raise InputError("product vertex index out of range")
     products = sorted(product_set)
-    for k, perm in enumerate(affine_automorphisms(space_ab).vertex_permutations):
+    group = affine_automorphisms(space_ab)
+    for k, perm in enumerate(group.vertex_permutations):
         for i in products:
             if perm[i] not in product_set:
-                return InteractionResult(status=INTERACTING, witness=(k, i, perm[i]))
-    return InteractionResult(status=NON_INTERACTING)
+                return {
+                    "status": PASS,
+                    "vertex_level_result": INTERACTING,
+                    "symmetry_group_order": group.order,
+                    "witness": [k, i, perm[i]],
+                }
+    return {
+        "status": FAIL,
+        "vertex_level_result": NON_INTERACTING,
+        "symmetry_group_order": group.order,
+    }

@@ -113,15 +113,15 @@ def test_criterion_05_gbit_symmetry_and_continuity(gbit):
     assert group.order == 8
     assert orbits(group, gbit) == ((0, 1, 2, 3),)
     gbit_result = check_continuous_reversibility(gbit)
-    assert gbit_result.status == FAIL
-    assert gbit_result.reason == FINITE_SYMMETRY_GROUP
+    assert gbit_result["status"] == FAIL
+    assert gbit_result["reason"] == FINITE_SYMMETRY_GROUP
     ball_result = check_continuous_reversibility(make_ball3())
-    assert ball_result.status == PASS
-    assert ball_result.detail["endpoint_error"] < 1e-9
+    assert ball_result["status"] == PASS
+    assert ball_result["detail"]["endpoint_error"] < 1e-9
     announce(
         5,
         "gbit group order 8, transitive; continuity Fail(FiniteSymmetryGroup); "
-        "ball3 Pass, endpoint error %.2e" % ball_result.detail["endpoint_error"],
+        "ball3 Pass, endpoint error %.2e" % ball_result["detail"]["endpoint_error"],
     )
 
 
@@ -146,16 +146,15 @@ def test_criterion_06_chsh(boxworld2):
 
 
 def test_criterion_07_no_simultaneous_encoding(gbit):
-    result = check_no_simultaneous_encoding(gbit)
-    assert result.status == FAIL
-    w = result.witness
+    w = check_no_simultaneous_encoding(gbit)
+    assert w is not None
     assert w.states == (vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1))
     assert verify_encoding_witness(w, gbit)
     joint = check_joint_readout(w, gbit)
     assert joint.status == INFEASIBLE
     assert verify_farkas(joint_readout_system(w, gbit), joint.witness)
     disturbance = check_disturbance(gbit, w)
-    assert disturbance.status == CONFIRMED
+    assert disturbance["status"] == CONFIRMED
     announce(
         7,
         "gbit encodes two bits (corner witness); joint readout Infeasible "
@@ -165,9 +164,9 @@ def test_criterion_07_no_simultaneous_encoding(gbit):
 
 def test_criterion_08_tomographic_locality(gbit, boxworld2, classical_bit):
     bw = check_tomographic_locality(gbit, gbit, boxworld2)
-    assert bw.status == PASS and (bw.dim_a, bw.dim_b, bw.dim_ab) == (3, 3, 9)
+    assert bw == {"status": PASS, "dim_a": 3, "dim_b": 3, "dim_ab": 9}
     cl = check_tomographic_locality(classical_bit, classical_bit, make_classical(4))
-    assert cl.status == PASS and (cl.dim_a, cl.dim_b, cl.dim_ab) == (2, 2, 4)
+    assert cl == {"status": PASS, "dim_a": 2, "dim_b": 2, "dim_ab": 4}
     announce(8, "linear dimensions: 3 x 3 = 9 (boxworld), 2 x 2 = 4 (classical)")
 
 

@@ -343,7 +343,7 @@ def nested_loop_chsh_value(p, variant):
                 for b in range(2):
                     term = p[table_index(a, b, x, y)]
                     e += term if (a ^ b) == 0 else -term
-            total += variant.sign(x, y) * e
+            total += variant.signs[2 * x + y] * e
     return total
 
 

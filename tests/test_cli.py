@@ -525,17 +525,24 @@ def test_report_hashes_to_the_gate():
 
 
 def test_report_checks_ball_continuity_once(monkeypatch, capsys):
+    """The ball's and the gbit's continuity are each checked once, by the
+    postulate reports of ball3 and boxworld2 (whose unit is the gbit)."""
     checked = []
 
     def counting(space):
         checked.append(space.label)
         return check_continuous_reversibility(space)
 
+    # ``cli`` does not import the checker; patched there too, a direct call
+    # from it would still be counted.
     for module in ("gptlab.cli", "gptlab.postulates"):
-        monkeypatch.setattr(module + ".check_continuous_reversibility", counting)
+        monkeypatch.setattr(
+            module + ".check_continuous_reversibility", counting, raising=False
+        )
     assert run(["report"]) == 0
     capsys.readouterr()
     assert checked.count("ball3") == 1
+    assert checked.count("gbit") == 1
 
 
 def _edge_midpoint_state():

@@ -428,18 +428,22 @@ def test_no_module_but_linalg_uses_the_rational_routines():
 
 
 def public_functions(tree):
-    """The public functions a module defines: its top-level ones and the
-    methods of its top-level classes."""
-    members = [
-        node
+    """The public functions a module defines, as (class, name) pairs: its
+    top-level ones with class None, and the methods of its top-level
+    classes."""
+    return {
+        (top.name if isinstance(top, ast.ClassDef) else None, node.name)
         for top in tree.body
         for node in (top.body if isinstance(top, ast.ClassDef) else [top])
-    ]
-    return {
-        node.name
-        for node in members
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
+    }
+
+
+def subclasses(tree):
+    """The top-level classes of a module that have a base class."""
+    return {
+        top.name for top in tree.body if isinstance(top, ast.ClassDef) and top.bases
     }
 
 
@@ -450,6 +454,11 @@ def names_read(tree):
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     }
+
+
+def attributes_read(tree):
+    """Every name a module reads as an attribute (``x.name``)."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def assigned_literal(tree, target):
@@ -464,24 +473,41 @@ def assigned_literal(tree, target):
 
 
 def uncalled_public_functions(package_sources, user_sources, layers=()):
-    """The public functions defined in ``package_sources`` that no package
-    ``__all__`` names and that no source reads by name, nor ``layers``
-    (the tracer's ``LAYERS``) wraps."""
+    """The public functions defined in ``package_sources`` that nothing
+    calls, as "name" or "Class.name".
+
+    A function counts as called if a package ``__all__`` names it, some
+    source reads it by name, or ``layers`` (the tracer's ``LAYERS``) wraps
+    it.  A method counts as called if some source reads it as an attribute,
+    or if its class is named in a package ``__all__`` (a public API) or has
+    a base class (which may call it).
+    """
     package = [ast.parse(source) for source in package_sources]
     callers = package + [ast.parse(source) for source in user_sources]
-    known = {name for _, name, _ in layers}
+    exported = set()
     for tree in package:
-        known |= set(assigned_literal(tree, "__all__") or ())
+        exported |= set(assigned_literal(tree, "__all__") or ())
+    known = exported | {name for _, name, _ in layers}
+    attributes = set()
     for tree in callers:
         known |= names_read(tree)
-    return sorted(set().union(*map(public_functions, package)) - known)
+        attributes |= attributes_read(tree)
+    exempt = exported.union(*map(subclasses, package))
+    uncalled = []
+    for cls, name in set().union(*map(public_functions, package)):
+        if cls is None and name not in known:
+            uncalled.append(name)
+        elif cls is not None and cls not in exempt and name not in attributes:
+            uncalled.append(cls + "." + name)
+    return sorted(uncalled)
 
 
 def test_every_public_function_in_src_has_a_caller():
     """Code that only the tests call lives in the tests: every public
-    function or method in ``src/`` is exported through a package
-    ``__all__``, read by name in ``src/`` or ``perfbench/``, or wrapped by
-    the tracer's ``LAYERS``."""
+    function in ``src/`` is exported through a package ``__all__``, read by
+    name in ``src/`` or ``perfbench/``, or wrapped by the tracer's
+    ``LAYERS``; every public method is read as an attribute there, unless
+    its class is exported or has a base class."""
     package_dir = pathlib.Path(linalg.__file__).parents[1]
     perfbench_dir = package_dir.parents[1] / "perfbench"
     package = [p.read_text() for p in sorted(package_dir.rglob("*.py"))]
@@ -492,24 +518,31 @@ def test_every_public_function_in_src_has_a_caller():
     )
     assert layers and all(len(layer) == 3 for layer in layers)
     assert uncalled_public_functions(package, users, layers) == []
-    # The scan sees functions and methods, and each kind of caller.
+    # The scan sees functions and methods, and each kind of caller.  A
+    # method read only as a bare name is not called.
     source = (
-        "__all__ = ['exported']\n"
+        "__all__ = ['exported', 'Exported']\n"
         "def exported(): pass\n"
         "def traced(): pass\n"
         "def unused(): return _private()\n"
         "def _private(): return used_here()\n"
-        "def used_here(): pass\n"
+        "def used_here(): return bare\n"
         "class C:\n"
         "    def method(self): pass\n"
         "    def attribute(self): pass\n"
+        "    def bare(self): pass\n"
         "    def __repr__(self): return ''\n"
+        "class Exported:\n"
+        "    def api(self): pass\n"
+        "class Sub(C):\n"
+        "    def hook(self): pass\n"
     )
     assert uncalled_public_functions([source], [], [("m", "traced", "s")]) == [
-        "attribute",
-        "method",
+        "C.attribute",
+        "C.bare",
+        "C.method",
         "unused",
     ]
     assert uncalled_public_functions(
         [source], ["x.attribute()", "unused"], [("m", "traced", "s")]
-    ) == ["method"]
+    ) == ["C.bare", "C.method"]

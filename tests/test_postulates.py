@@ -27,8 +27,13 @@ from gptlab.postulates import (
 from gptlab.ratgeo import INFEASIBLE, solve_lp, verify_farkas
 from gptlab.ratgeo.linalg import vec
 from gptlab.serialize import dumps, hrep_to_json, vector_to_json
-from gptlab.spaces import Effect, Measurement, make_ball3, make_classical
-from gptlab.symmetry import FAIL, PASS
+from gptlab.spaces import BALL3, Effect, Measurement, make_ball3, make_classical
+from gptlab.symmetry import (
+    FAIL,
+    PASS,
+    check_continuous_reversibility,
+    check_interaction,
+)
 from test_cli import _fresh_interpreter_env
 
 
@@ -41,30 +46,29 @@ def test_linear_dimensions(gbit, classical_bit, boxworld2):
 
 def test_tomographic_locality_boxworld(gbit, boxworld2):
     result = check_tomographic_locality(gbit, gbit, boxworld2)
-    assert result.status == PASS
-    assert (result.dim_a, result.dim_b, result.dim_ab) == (3, 3, 9)
+    assert result["status"] == PASS
+    assert (result["dim_a"], result["dim_b"], result["dim_ab"]) == (3, 3, 9)
 
 
 def test_tomographic_locality_classical(classical_bit):
     result = check_tomographic_locality(
         classical_bit, classical_bit, make_classical(4)
     )
-    assert result.status == PASS
-    assert (result.dim_a, result.dim_b, result.dim_ab) == (2, 2, 4)
+    assert result["status"] == PASS
+    assert (result["dim_a"], result["dim_b"], result["dim_ab"]) == (2, 2, 4)
 
 
 def test_tomographic_locality_padded_composite_fails(gbit):
     # A composite with linear dimension 10 instead of 3 * 3 = 9.
     padded = make_classical(10)
     result = check_tomographic_locality(gbit, gbit, padded)
-    assert result.status == FAIL
-    assert result.dim_ab == 10
+    assert result["status"] == FAIL
+    assert result["dim_ab"] == 10
 
 
 def test_gbit_encoding_witness_is_the_corner_construction(gbit):
-    result = check_no_simultaneous_encoding(gbit)
-    assert result.status == FAIL
-    w = result.witness
+    w = check_no_simultaneous_encoding(gbit)
+    assert w is not None
     # States w_bb' = (b, b'): both bits are encoded in the two coordinates.
     assert w.states == (vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1))
     # M is the 0-measurement (first coordinate), M' the 1-measurement.
@@ -74,19 +78,19 @@ def test_gbit_encoding_witness_is_the_corner_construction(gbit):
 
 
 def test_classical_bit_passes_encoding(classical_bit):
-    assert check_no_simultaneous_encoding(classical_bit).status == PASS
+    assert check_no_simultaneous_encoding(classical_bit) is None
 
 
 def test_classical_4_fails_encoding():
     # Four perfectly distinguishable states encode two bits jointly readable,
     # but also individually: the postulate's witness condition is met.
-    result = check_no_simultaneous_encoding(make_classical(4))
-    assert result.status == FAIL
-    assert verify_encoding_witness(result.witness, make_classical(4))
+    w = check_no_simultaneous_encoding(make_classical(4))
+    assert w is not None
+    assert verify_encoding_witness(w, make_classical(4))
 
 
 def test_joint_readout_infeasible_with_certificate(gbit):
-    w = check_no_simultaneous_encoding(gbit).witness
+    w = check_no_simultaneous_encoding(gbit)
     result = check_joint_readout(w, gbit)
     assert result.status == INFEASIBLE
     system = joint_readout_system(w, gbit)
@@ -95,17 +99,17 @@ def test_joint_readout_infeasible_with_certificate(gbit):
 
 def test_joint_readout_feasible_on_classical_4():
     space = make_classical(4)
-    w = check_no_simultaneous_encoding(space).witness
+    w = check_no_simultaneous_encoding(space)
     # Delta measurements read both bits at once on a simplex.
     assert check_joint_readout(w, space).status == "optimal"
 
 
 def test_disturbance_confirmed_on_gbit(gbit):
-    w = check_no_simultaneous_encoding(gbit).witness
+    w = check_no_simultaneous_encoding(gbit)
     result = check_disturbance(gbit, w)
-    assert result.status == CONFIRMED
-    assert result.detail["erased_branches"] == [0, 1]
-    spread = result.detail["second_readout_spread"]
+    assert result["status"] == CONFIRMED
+    assert result["detail"]["erased_branches"] == [0, 1]
+    spread = result["detail"]["second_readout_spread"]
     assert spread == {"0": ["0/1", "0/1"], "1": ["0/1", "0/1"]}
 
 
@@ -129,14 +133,14 @@ def test_disturbance_degenerate_witness_not_confirmed(gbit):
         measurement_bprime=trivial,
     )
     result = check_disturbance(gbit, degenerate)
-    assert result.status == NOT_CONFIRMED
-    assert "witness" in result.detail["reason"]
+    assert result["status"] == NOT_CONFIRMED
+    assert "witness" in result["detail"]["reason"]
 
 
 def test_disturbance_not_applicable_off_gbit():
     space = make_classical(4)
-    w = check_no_simultaneous_encoding(space).witness
-    assert check_disturbance(space, w).status == NOT_APPLICABLE
+    w = check_no_simultaneous_encoding(space)
+    assert check_disturbance(space, w)["status"] == NOT_APPLICABLE
 
 
 def test_boxworld_report_matches_paper_table():
@@ -163,6 +167,25 @@ def test_ball_report():
     report = run_report("ball3")["results"]
     assert report["ContinuousReversibility"]["status"] == PASS
     assert report["NoSimultaneousEncoding"]["status"] == NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("config", REGISTERED_CONFIGS)
+def test_report_entries_are_the_checkers_return_values(config):
+    unit, composite = postulates._config_spaces(config)
+    results = run_report(config)["results"]
+    assert results["ContinuousReversibility"] == check_continuous_reversibility(unit)
+    if composite is not None:
+        assert results["TomographicLocality"] == check_tomographic_locality(
+            unit, unit, composite
+        )
+        products = postulates._product_vertex_indices(composite)
+        assert results["InformationUnit_Interaction"] == check_interaction(
+            composite, products
+        )
+    if unit.kind != BALL3:
+        witness = check_no_simultaneous_encoding(unit)
+        encoding = results["NoSimultaneousEncoding"]
+        assert encoding["status"] == (PASS if witness is None else FAIL)
 
 
 def test_unknown_config_rejected():
@@ -214,7 +237,7 @@ def test_postulate_lp_systems_are_pinned(gbit, monkeypatch):
 
     monkeypatch.setattr(postulates, "solve_lp", recording_solve_lp)
     for space in (gbit, make_classical(3), make_classical(4)):
-        witness = check_no_simultaneous_encoding(space).witness
+        witness = check_no_simultaneous_encoding(space)
         if witness is None:
             continue
         check_joint_readout(witness, space)
@@ -233,7 +256,7 @@ from gptlab import postulates, symmetry
 from gptlab.spaces import make_gbit
 
 gbit = make_gbit()
-witness = postulates.check_no_simultaneous_encoding(gbit).witness
+witness = postulates.check_no_simultaneous_encoding(gbit)
 greedy = symmetry._greedy_generators
 search = symmetry.affine_automorphisms.__wrapped__
 checks = [

@@ -115,3 +115,17 @@ def test_malformed_inputs_raise_input_error():
         table_from_json({"q": []})
     with pytest.raises(InputError):
         space_from_json({"kind": "weird", "label": "x"})
+    # A string or an object where an array belongs, though it would iterate.
+    for reader, data, message in (
+        (table_from_json, {"p": "1000010000100001"}, "probability table"),
+        (vrep_from_json, {"dim": 1, "vertices": "01"}, "V-representation"),
+        (hrep_from_json, {"dim": 2, "ineqs": [], "eqs": ""}, "H-representation"),
+    ):
+        expected = "^malformed %s: expected a JSON array, got str$" % message
+        with pytest.raises(InputError, match=expected):
+            reader(data)
+    # A [normal, offset] pair that is an object: its keys "0" and "1" would
+    # read as the normal (0) and the offset 1.
+    pair = {"dim": 1, "ineqs": [{"0": 0, "1": 0}], "eqs": []}
+    with pytest.raises(InputError, match="expected a JSON array, got dict$"):
+        hrep_from_json(pair)
