@@ -33,10 +33,15 @@ class SignallingError(GptlabError):
         self.setting = setting
         self.other_settings = other_settings
         self.values = values
+        # linalg imports this module, so its formatter is imported here.
+        from .ratgeo.linalg import format_rational
+
+        # str(v) at any length: format_rational less the denominator 1.
+        texts = [format_rational(v).removesuffix("/1") for v in values]
         super().__init__(
             "marginal p_%s(%d|%d) depends on the remote setting: "
             "settings %s give values %s"
-            % (party, outcome, setting, other_settings, [str(v) for v in values])
+            % (party, outcome, setting, other_settings, texts)
         )
 
 

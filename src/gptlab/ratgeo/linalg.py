@@ -17,6 +17,7 @@ effort is spent on pivoting for speed.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -69,12 +70,67 @@ def as_fraction(value) -> Fraction:
     raise TypeError("expected an exact rational, got %r" % (value,))
 
 
+# Decimal text of at most this many digits converts to and from ``int``
+# under any int-to-string limit that CPython accepts (``sys.int_info``'s
+# ``str_digits_check_threshold``; 4300 by default, set by the environment
+# variable PYTHONINTMAXSTRDIGITS).  Longer integers go in pieces of at most
+# this size, so that no answer depends on that process-wide setting.
+_SAFE_DIGITS = 640
+_SAFE_BOUND = 10**_SAFE_DIGITS
+
+# The most digits that ``parse_rational`` reads in a numerator or denominator.
+RATIONAL_DIGIT_LIMIT = 10_000
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+
+
+def _int_from_digits(digits: str) -> int:
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    high, low = _int_from_digits(digits[:-half]), _int_from_digits(digits[-half:])
+    return high * 10**half + low
+
+
+def _digit_count(text: str) -> int:
+    """The digits of an integer text: its length less spaces, sign and
+    underscores."""
+    text = text.strip()
+    return len(text) - text.count("_") - (text[:1] in ("+", "-"))
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)`` for a text of any length, under any int-to-string limit.
+
+    A text longer than ``_SAFE_DIGITS`` must be an ASCII decimal integer,
+    optionally signed, with single underscores between digits: what ``int``
+    reads in base 10, less non-ASCII digits.
+    """
+    text = text.strip()
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError("not a decimal integer of %d characters" % len(text))
+    value = _int_from_digits(text.lstrip("+-").replace("_", ""))
+    return -value if text[0] == "-" else value
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'n/d' or plain integer strings; floats are rejected."""
+    """Parse 'n/d' or plain integer strings; floats are rejected.
+
+    Each of n and d may have up to ``RATIONAL_DIGIT_LIMIT`` digits, whatever
+    the interpreter's int-to-string limit.
+    """
     text = text.strip()
     num, den = text.split("/", 1) if "/" in text else (text, "1")
+    digits = max(_digit_count(num), _digit_count(den))
+    if digits > RATIONAL_DIGIT_LIMIT:
+        raise InputError(
+            "rational too long: a numerator or denominator of %d digits, "
+            "over the limit of %d" % (digits, RATIONAL_DIGIT_LIMIT)
+        )
     try:
-        num, den = int(num), int(den)
+        num, den = _parse_int(num), _parse_int(den)
     except ValueError as err:
         raise InputError("malformed rational %r: %s" % (text, err)) from None
     if den == 0:
@@ -82,9 +138,25 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _int_text(n: int) -> str:
+    """``"%d" % n`` for an int of any size: one below ``_SAFE_BOUND`` in
+    one piece, a larger one split by a power of ten of about half its
+    digits."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n < _SAFE_BOUND:
+        return "%d" % n
+    k = n.bit_length() * 3 // 20  # about half of its log10(2) * bits digits
+    high, low = divmod(n, 10**k)
+    return _int_text(high) + _int_text(low).zfill(k)
+
+
 def format_rational(value: Fraction) -> str:
-    """Serialize as 'n/d', always including the denominator."""
-    return "%d/%d" % (value.numerator, value.denominator)
+    """Serialize as 'n/d', always including the denominator, at any length."""
+    num, den = value.numerator, value.denominator
+    if -_SAFE_BOUND < num < _SAFE_BOUND and den < _SAFE_BOUND:
+        return "%d/%d" % (num, den)
+    return _int_text(num) + "/" + _int_text(den)
 
 
 def dot(a: Vector, b: Vector) -> Fraction:

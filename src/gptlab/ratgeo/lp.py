@@ -9,6 +9,13 @@ pivots on the degenerate no-signalling polytope are of this kind.  The rows
 are the ``HRep``'s coprime integer rows, so ``Fraction`` appears only at the
 API boundary, where the objective is scaled to integers and the point,
 optimum, multipliers and ray are read back, one ``Fraction`` per value.
+The simplex reasons in the layout [x+ | x- | slacks | artificials | rhs],
+but a row stores B^-1 [A | I | b] only, its x+ and artificial columns and
+its rhs (as in the revised simplex; Chvatal, *Linear Programming*, 1983,
+ch. 7): the x- columns are the x+ columns negated and each slack column is
+an artificial column up to sign, in every row after every pivot, so they are
+read through a fixed column map.  On the no-signalling LPs a row has 41
+entries in place of 73.
 Bland's rule makes the solver immune to cycling on degenerate systems (the
 no-signalling polytope is highly degenerate) and, in combination with fixed
 column and row orderings, makes every answer deterministic: the same input
@@ -66,14 +73,25 @@ class LPResult:
 class _Tableau:
     """Fraction-free simplex tableau with Bland's rule and sparse pivots.
 
-    Columns are laid out as [x+ | x- | slacks | artificials | rhs]; rows keep
-    their construction order (inequalities first, then equalities).  Every
-    entry is a Python ``int``: the tableau proper is ``rows / det``, where
-    ``det`` is the positive common denominator |det B| of the current basis,
-    and the objective row is ``obj / (det * cost_scale)``, where
-    ``cost_scale`` is the lcm of the cost denominators.  The objective row
-    stores reduced costs and, in its last entry, minus the objective value of
-    the current basis.
+    The layout has the columns [x+ | x- | slacks | artificials | rhs]; rows
+    keep their construction order (inequalities first, then equalities).
+    Bland's scan, the ratio test, ``basis``, ``costs`` and the unbounded
+    column all speak of layout columns.  A row stores only its x+ columns,
+    its artificial columns and its rhs, ``dim + m + 1`` entries: layout
+    column j is stored column ``col[j]`` times ``sign[j]``.  Column x-_k is
+    -(x+_k), and the slack column of inequality r is ``flip[r]`` times
+    artificial column r.  Both identities hold at the start, and a pivot
+    only combines and negates whole rows, which keeps every linear relation
+    between columns; dropping a row keeps it too.
+
+    Every entry is a Python ``int``: the tableau proper is ``rows / det``,
+    where ``det`` is the positive common denominator |det B| of the current
+    basis.  The objective is kept as the price row ``price = -sum c_B . row``
+    over the stored columns, so that the reduced cost of layout column j is
+    ``(det * costs[j] + sign[j] * price[col[j]]) / (det * cost_scale)``, for
+    ``cost_scale`` the lcm of the cost denominators; the price row's last
+    entry is minus the objective value of the current basis, over the same
+    denominator.
 
     Row r is the ``HRep``'s integer row r, which is its ``Fraction`` row r,
     times the sign ``flip[r]`` that makes its right-hand side nonnegative.
@@ -85,39 +103,38 @@ class _Tableau:
     def __init__(self, h):
         dim = self.dim = h.ambient_dim
         ineqs, eqs = h._integer_constraints
-        self.n_ineq = len(ineqs)
-        m = self.m = len(ineqs) + len(eqs)
-        self.n_struct = 2 * dim + self.n_ineq
+        n_ineq = len(ineqs)
+        m = self.m = n_ineq + len(eqs)
+        self.n_struct = 2 * dim + n_ineq
         self.n = self.n_struct + m
+        self.rhs = dim + m
         self.flip = []
         rows = []
         for r, (normal, offset) in enumerate(ineqs + eqs):
             sigma = 1 if offset >= 0 else -1
             self.flip.append(sigma)
-            row = [0] * (self.n + 1)
-            for k, a in enumerate(normal):
-                row[k] = sigma * a
-                row[dim + k] = -sigma * a
-            if r < self.n_ineq:
-                row[2 * dim + r] = sigma
-            row[self.n_struct + r] = 1
-            row[self.n] = sigma * offset
+            row = [sigma * a for a in normal] + [0] * (m + 1)
+            row[dim + r] = 1
+            row[self.rhs] = sigma * offset
             rows.append(row)
         self.rows = rows
+        arts = range(dim, dim + m)
+        self.col = [*range(dim), *range(dim), *arts[:n_ineq], *arts]
+        self.sign = [1] * dim + [-1] * dim + self.flip[:n_ineq] + [1] * m
         self.det = 1
         self.basis = [self.n_struct + r for r in range(m)]
 
     def set_costs(self, costs, scale: int, allow_artificial: bool):
-        """Recompute the reduced-cost row for integer column costs over ``scale``."""
+        """Recompute the price row for integer column costs over ``scale``."""
         self.allow_artificial = allow_artificial
         self.costs = list(costs)
         self.cost_scale = scale
-        obj = [self.det * c for c in costs] + [0]
+        price = [0] * (self.rhs + 1)
         for row, bcol in zip(self.rows, self.basis):
             cb = costs[bcol]
             if cb:
-                obj = [z - cb * x for z, x in zip(obj, row)]
-        self.obj = obj
+                price = [z - cb * x for z, x in zip(price, row)]
+        self.price = price
 
     def _pivot(self, r: int, e: int):
         """Pivot on (r, e); Sylvester's identity makes every division exact.
@@ -127,59 +144,77 @@ class _Tableau:
         denominator stays and this is x - f.y / det (still exact, since
         Sylvester's identity makes f.y a multiple of det): the row changes
         only where y is nonzero, in place, and not at all when f == 0.
-        Otherwise every row is rescaled by the dense Bareiss step.
+        Otherwise every row is rescaled by the dense Bareiss step.  The
+        reduced-cost row det.costs + price takes the same step, with f the
+        reduced cost of column e; the step turns det.costs into p.costs, the
+        new det times the same costs, so the price row alone takes it.
         """
+        c, s = self.col[e], self.sign[e]
         pivot_row = self.rows[r]
-        p = pivot_row[e]
+        p = s * pivot_row[c]
         if p < 0:
             # Keep the denominator positive: negating the pivot row negates
             # every row that the update below produces.
             pivot_row = self.rows[r] = [-y for y in pivot_row]
             p = -p
         det = self.det
+        reduced = det * self.costs[e] + s * self.price[c]
         if p == det:
             support = [(j, y) for j, y in enumerate(pivot_row) if y]
-            for i, row in enumerate(self.rows + [self.obj]):
-                f = row[e]
+            for i, row in enumerate(self.rows):
+                f = s * row[c]
                 if f and i != r:
                     for j, y in support:
                         row[j] -= f * y // det
+            if reduced:
+                price = self.price
+                for j, y in support:
+                    price[j] -= reduced * y // det
         else:
 
-            def eliminate(row):
-                f = row[e]
+            def eliminate(row, f):
                 if f:
                     return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
                 return [x * p // det for x in row]
 
             self.rows = [
-                row if i == r else eliminate(row) for i, row in enumerate(self.rows)
+                row if i == r else eliminate(row, s * row[c])
+                for i, row in enumerate(self.rows)
             ]
-            self.obj = eliminate(self.obj)
+            self.price = eliminate(self.price, reduced)
             self.det = p
         self.basis[r] = e
 
     def minimize(self) -> str:
         """Run the simplex to optimality or unboundedness (min problem)."""
         limit = self.n if self.allow_artificial else self.n_struct
+        col, sign, costs, b = self.col, self.sign, self.costs, self.rhs
         while True:
-            obj = self.obj
-            enter = next((j for j in range(limit) if obj[j] < 0), None)
+            price, det = self.price, self.det
+            enter = next(
+                (
+                    j
+                    for j in range(limit)
+                    if det * costs[j] + sign[j] * price[col[j]] < 0
+                ),
+                None,
+            )
             if enter is None:
                 return OPTIMAL
+            c, s = col[enter], sign[enter]
             leave = None
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = s * row[c]
                 if a > 0:
                     if leave is None:
-                        leave, best_a, best_rhs = i, a, row[self.n]
+                        leave, best_a, best_rhs = i, a, row[b]
                         continue
-                    lhs = row[self.n] * best_a
+                    lhs = row[b] * best_a
                     rhs = best_rhs * a
                     if lhs < rhs or (
                         lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        leave, best_a, best_rhs = i, a, row[self.n]
+                        leave, best_a, best_rhs = i, a, row[b]
             if leave is None:
                 self.unbounded_col = enter
                 return UNBOUNDED
@@ -187,22 +222,20 @@ class _Tableau:
 
     def multipliers(self) -> tuple[Fraction, ...]:
         """Certificate multipliers per original row, read off the artificial
-        columns.
+        columns of the price row.
 
         The artificial column for row r starts as the unit vector e_r, so its
         current entries record the coefficients expressing each tableau row as
         a combination of original rows; contracting with the basic costs gives
-        pi_r = cost_r - reduced_cost_r.  The certificate holds -pi_r times the
-        sign ``flip[r]`` that the row was multiplied by, one ``Fraction``
-        each.  This stays valid after redundant rows are dropped, because the
-        columns themselves are never touched.
+        pi_r = -price_r.  The certificate holds -pi_r times the sign ``flip[r]``
+        that the row was multiplied by, one ``Fraction`` each.  This stays
+        valid after redundant rows are dropped, because the columns themselves
+        are never touched.
         """
-        det, obj, costs = self.det, self.obj, self.costs
-        denom = det * self.cost_scale
-        col = self.n_struct
+        denom = self.det * self.cost_scale
         return tuple(
-            Fraction(-sigma * (det * costs[col + r] - obj[col + r]), denom)
-            for r, sigma in enumerate(self.flip)
+            Fraction(sigma * z, denom)
+            for sigma, z in zip(self.flip, self.price[self.dim : self.rhs])
         )
 
     def drop_redundant_and_artificials(self):
@@ -214,12 +247,13 @@ class _Tableau:
         they would with it, and ``det`` stays their common denominator.
         """
         keep = []
+        col = self.col
         for i in range(self.m):
             if self.basis[i] < self.n_struct:
                 keep.append(i)
                 continue
             row = self.rows[i]
-            enter = next((j for j in range(self.n_struct) if row[j]), None)
+            enter = next((j for j in range(self.n_struct) if row[col[j]]), None)
             if enter is None:
                 continue
             self._pivot(i, enter)
@@ -233,19 +267,20 @@ class _Tableau:
         x = [0] * self.dim
         for row, bcol in zip(self.rows, self.basis):
             if bcol < self.dim:
-                x[bcol] += row[self.n]
+                x[bcol] += row[self.rhs]
             elif bcol < 2 * self.dim:
-                x[bcol - self.dim] -= row[self.n]
+                x[bcol - self.dim] -= row[self.rhs]
         return tuple(Fraction(v, self.det) for v in x)
 
     def ray(self) -> Vector:
         """The improving ray along the entering column, in primitive form
         (which drops the positive factor ``det`` of the integer entries)."""
         e = self.unbounded_col
+        c, s = self.col[e], self.sign[e]
         xi = [0] * self.n
         xi[e] = self.det
         for row, bcol in zip(self.rows, self.basis):
-            xi[bcol] = -row[e]
+            xi[bcol] = -s * row[c]
         ray = primitive_ints([xi[k] - xi[self.dim + k] for k in range(self.dim)])
         return tuple(map(Fraction, ray))
 
@@ -257,7 +292,7 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     checked its normals' lengths; the tableau and the certificate checkers
     :func:`verify_dual` and :func:`verify_farkas` read its coprime integer
     rows, which are its ``Fraction`` rows.  The optimum is read off the
-    tableau's objective row and each multiplier off an artificial column, so
+    tableau's price row and each multiplier off an artificial column, so
     every returned ``Fraction`` is built once from two ints.
     """
     if sense not in (MAX, MIN):
@@ -271,13 +306,13 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
 
     tab = _Tableau(constraints)
 
-    # Phase 1: minimize the sum of the artificials.  The last objective entry
-    # is minus the value, so a negative one means a positive minimum.
+    # Phase 1: minimize the sum of the artificials.  The price row's last
+    # entry is minus the value, so a negative one means a positive minimum.
     phase1_costs = [0] * tab.n_struct + [1] * tab.m
     tab.set_costs(phase1_costs, 1, allow_artificial=True)
     status = tab.minimize()
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
-    if tab.obj[tab.n] < 0:
+    if tab.price[tab.rhs] < 0:
         return LPResult(status=INFEASIBLE, optimum=None, witness=tab.multipliers())
 
     tab.drop_redundant_and_artificials()
@@ -294,9 +329,9 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     if status == UNBOUNDED:
         return LPResult(status=UNBOUNDED, optimum=None, witness=tab.ray())
 
-    # The objective row ends in minus min(-c.x) = max c.x, over its
-    # denominator, and the optimum is sign * max c.x.
-    optimum = Fraction(sign * tab.obj[tab.n], tab.det * tab.cost_scale)
+    # The price row ends in minus min(-c.x) = max c.x, over its denominator,
+    # and the optimum is sign * max c.x.
+    optimum = Fraction(sign * tab.price[tab.rhs], tab.det * tab.cost_scale)
     return LPResult(
         status=OPTIMAL, optimum=optimum, witness=tab.solution(), dual=tab.multipliers()
     )

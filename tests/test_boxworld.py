@@ -215,6 +215,27 @@ def test_signalling_table_detected():
     assert err.value.party == "A"
 
 
+@pytest.mark.parametrize(
+    "pa, text",
+    [(HALF, "1/2"), (F(1, 10**5000 + 7), "1/1" + "0" * 4999 + "7")],
+    ids=["short", "long"],
+)
+def test_signalling_message_writes_values_of_any_length(pa, text):
+    """The values read as ``str`` does, whole numbers without "/1", also past
+    the interpreter's int-to-string limit."""
+
+    def f(a, b, x, y):
+        p = F(1) if y == 0 else pa
+        return (p if a == 0 else 1 - p) * HALF
+
+    with pytest.raises(SignallingError) as err:
+        marginals(ProbabilityTable.from_function(f))
+    assert str(err.value) == (
+        "marginal p_A(0|0) depends on the remote setting: "
+        "settings (0, 1) give values ['1', '%s']" % text
+    )
+
+
 def test_chsh_variant_family():
     variants = all_chsh_variants()
     assert len(variants) == 8

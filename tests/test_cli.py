@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 import gptlab
 from gptlab.boxworld import local_deterministic_table, make_boxworld2, pr_box_table
 from gptlab.cli import build_full_report, run
-from gptlab.postulates import run_report
+from gptlab.postulates import REGISTERED_CONFIGS, run_report
 from gptlab.ratgeo import vertex_adjacency
-from gptlab.ratgeo.linalg import format_rational
+from gptlab.ratgeo.linalg import format_rational, parse_rational
 from gptlab.serialize import dumps, space_to_json, vector_to_json
 from gptlab.spaces import from_vertices, make_classical, make_gbit
 from gptlab.symmetry import check_continuous_reversibility
@@ -613,27 +614,77 @@ def test_outputs_are_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_OUTPUTS[case]
 
 
+def _stdout_under_the_lowest_int_limit(argv):
+    """The stdout of ``gptlab ARGV`` in a fresh interpreter whose
+    int-to-string limit is the lowest that CPython accepts, 640 digits."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gptlab.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(_fresh_interpreter_env(), PYTHONINTMAXSTRDIGITS="640"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_decompose_reads_and_writes_rationals_of_any_length(capsys):
+    """A state with 3000-digit denominators has weights of about 6000 digits,
+    past the interpreter's default int-to-string limit."""
+    p = "1" + "0" * 2999 + "7"  # 10**3000 + 7
+    q = "1" + "0" * 2998 + "9"  # 10**2999 + 9
+    argv = ["decompose", "--space", "gbit", "--state", "1/%s,1/%s" % (p, q)]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    decs = json.loads(stdout)["decompositions"]
+    assert len(decs) == 2
+    for dec in decs:
+        assert sum(map(parse_rational, dec["weights"])) == 1
+    assert max(len(w) for dec in decs for w in dec["weights"]) > 4300
+    assert _stdout_under_the_lowest_int_limit(argv) == stdout
+
+
+def test_chsh_reads_and_writes_rationals_of_any_length(tmp_path, capsys):
+    argv = ["chsh", "--table", _json_file(tmp_path, LONG_TABLE_DOCUMENT)]
+    assert run(argv) == 0
+    stdout = capsys.readouterr().out
+    assert len(json.loads(stdout)["chsh_max"]) > 4300
+    assert _stdout_under_the_lowest_int_limit(argv) == stdout
+
+
 # ---------------------------------------------------------------------------
 # Property: any input gives JSON and exit 0 or 2, never a traceback
 # ---------------------------------------------------------------------------
 
+# A PR box mixed with a local deterministic table at weight 1/(10**5000 + 7):
+# its entries and its CHSH values have about 5000 digits.
+LONG_WEIGHT = Fraction(1, 10**5000 + 7)
+LONG_TABLE_DOCUMENT = {
+    "p": vector_to_json(
+        tuple(
+            (1 - LONG_WEIGHT) * a + LONG_WEIGHT * b
+            for a, b in zip(pr_box_table().p, local_deterministic_table(0, 1, 1, 0).p)
+        )
+    )
+}
 WELL_FORMED_DOCUMENTS = (
     space_to_json(make_gbit()),
     space_to_json(make_classical(3)),
     {"kind": "ball3", "label": "qubit"},
     PR_BOX_DOCUMENT,
+    LONG_TABLE_DOCUMENT,
 )
 RATIONAL_TEXTS = ("0", "1", "1/2", "-1/3", "1/0", "0.5", "", "x", " 1/4 ", "1/2/3")
+# Long digit strings: past the default int-to-string limit of 4300 digits,
+# past parse_rational's own limit of 10000, and long but malformed.
+LONG_RATIONAL_TEXTS = (
+    "1/1" + "0" * 2999 + "7", "3" * 5000 + "/" + "7" * 5001, "1/" + "9" * 10_001,
+    "1" * 700 + "/x",
+)
 SPACE_NAMES = (
     "gbit", "classical-1", "classical-3", "ball3", "classical-", "classical-x",
     "classical-0", "classical-99999999999", "no-such-space", "", "-",
 )
-json_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers(-3, 3)
-    | st.sampled_from(RATIONAL_TEXTS)
-)
+rational_texts = st.sampled_from(RATIONAL_TEXTS + LONG_RATIONAL_TEXTS)
+json_leaves = st.none() | st.booleans() | st.integers(-3, 3) | rational_texts
 json_keys = st.sampled_from(("kind", "label", "vrep", "hrep", "dim", "p"))
 json_values = st.recursive(
     json_leaves,
@@ -664,9 +715,7 @@ file_contents = (
     | json_values.map(json.dumps)
     | st.text(max_size=20)
 )
-state_texts = st.lists(st.sampled_from(RATIONAL_TEXTS), max_size=4).map(
-    ",".join
-) | st.text(max_size=8)
+state_texts = st.lists(rational_texts, max_size=4).map(",".join) | st.text(max_size=8)
 
 
 @st.composite
@@ -709,3 +758,97 @@ def test_any_input_gives_json_and_exit_0_or_2(input_path, data):
     parsed = json.loads(out.getvalue())
     assert (code == 2) == ("error" in parsed), (argv, parsed)
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Pins: every subcommand on every built-in space
+# ---------------------------------------------------------------------------
+
+# cli_pins.json holds the sha256 of stdout and the exit code per command line
+# (shlex.join of argv), recorded before a rewrite beneath the commands: the
+# half-width simplex tableau.  A table argument names a file that the test
+# writes into tmp_path.  ``python tests/test_cli.py`` records the pins anew.
+CLI_PINS_PATH = os.path.join(os.path.dirname(__file__), "cli_pins.json")
+PIN_SPACES = ("gbit", "boxworld2", "ball3") + tuple(
+    "classical-%d" % n for n in range(1, 8)
+)
+SPACE_COMMANDS = (
+    ["build"], ["vertices"], ["adjacency"], ["adjacency", "--summary"],
+    ["symmetries"], ["orbits"],
+)
+
+
+def _centroid(vertices):
+    return tuple(sum(column) / len(vertices) for column in zip(*vertices))
+
+
+def _pin_tables():
+    """The table files that pinned command lines name, by file name."""
+    return {
+        "boxworld2-vertex-%d.json" % i: v
+        for i, v in enumerate(make_boxworld2().vertices)
+    }
+
+
+def _pin_argvs():
+    argvs = [
+        [command[0], "--space", name, *command[1:]]
+        for name in PIN_SPACES + SPACE_NAMES
+        for command in SPACE_COMMANDS
+    ]
+    argvs += [["postulates", "--config", config] for config in REGISTERED_CONFIGS]
+    for name, space in (
+        ("gbit", make_gbit()),
+        ("classical-3", make_classical(3)),
+        ("boxworld2", make_boxworld2()),
+    ):
+        for state in space.vertices + (_centroid(space.vertices),):
+            state_text = ",".join(map(format_rational, state))
+            argvs.append(["decompose", "--space", name, "--state", state_text])
+    for text in RATIONAL_TEXTS:
+        for state_text in (text, text + ",1/2"):
+            argvs.append(["decompose", "--space", "gbit", "--state", state_text])
+    argvs += [["classify", "--table", name] for name in _pin_tables()]
+    unique = {shlex.join(argv): argv for argv in argvs}
+    return [unique[key] for key in sorted(unique)]
+
+
+def _pin_run(argv, tmp_path):
+    """(sha256 of stdout, exit code) of ``argv``, table names made files."""
+    tables = _pin_tables()
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if arg in tables:
+            path = tmp_path / arg
+            path.write_text(json.dumps({"p": vector_to_json(tables[arg])}))
+            argv[i] = str(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+@pytest.fixture(scope="module")
+def cli_pins():
+    with open(CLI_PINS_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("argv", _pin_argvs(), ids=shlex.join)
+def test_every_subcommand_output_is_pinned(argv, cli_pins, tmp_path):
+    digest, code = _pin_run(argv, tmp_path)
+    assert {"sha256": digest, "exit": code} == cli_pins[shlex.join(argv)]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {}
+        for argv in _pin_argvs():
+            digest, code = _pin_run(argv, Path(tmp))
+            pins[shlex.join(argv)] = {"sha256": digest, "exit": code}
+    with open(CLI_PINS_PATH, "w") as fh:
+        json.dump(pins, fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -51,6 +52,57 @@ def test_parse_rejects_floats():
 def test_parse_rejects_malformed_with_input_error(text):
     with pytest.raises(InputError):
         parse_rational(text)
+
+
+# Integers written as text, so that building them needs no int-to-string
+# conversion: 10**5000 + 7, and ones at either side of the default limit of
+# 4300 digits and of the lowest limit, 640.
+LONG_INTEGER_TEXTS = ["1" + "0" * 4999 + "7"] + [
+    "9" * n for n in (639, 640, 641, 4300, 4301, 10_000)
+]
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_rationals_of_any_length_under_any_int_limit(limit):
+    """Within ``RATIONAL_DIGIT_LIMIT`` digits a rational parses and prints
+    whatever the interpreter's int-to-string limit, which stays as it was."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for text in LONG_INTEGER_TEXTS:
+            for num, den in ((text, "1"), ("-" + text, "1"), ("1", text)):
+                value = parse_rational("%s/%s" % (num, den))
+                assert format_rational(value) == "%s/%s" % (num, den)
+        assert parse_rational("1_" + "2" * 700) == parse_rational("1" + "2" * 700)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "1/" + "7" * 10_001,
+            "rational too long: a numerator or denominator of 10001 digits, "
+            "over the limit of 10000",
+        ),
+        (
+            "-" + "7" * 12_000,
+            "rational too long: a numerator or denominator of 12000 digits, "
+            "over the limit of 10000",
+        ),
+        (
+            "7" * 700 + "x",
+            "malformed rational %r: not a decimal integer of 701 characters"
+            % ("7" * 700 + "x"),
+        ),
+    ],
+)
+def test_long_rationals_are_rejected_with_a_pinned_message(text, message):
+    with pytest.raises(InputError) as err:
+        parse_rational(text)
+    assert str(err.value) == message
 
 
 def test_dot_dimension_mismatch():

@@ -1,8 +1,8 @@
 """Exact LP solver tests: optima, certificates, determinism."""
 
-import copy
 import dataclasses
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -512,43 +512,97 @@ def test_matches_oracle_on_unnormalized_rational_systems():
 # ---------------------------------------------------------------------------
 
 
-def dense_pivot(tab, r, e):
-    """One fraction-free pivot on (r, e), every row updated densely."""
-    pivot_row = tab.rows[r]
-    p = pivot_row[e]
-    if p < 0:
-        pivot_row = tab.rows[r] = [-y for y in pivot_row]
-        p = -p
-    det = tab.det
+class WideTwin:
+    """The wide integer tableau [x+ | x- | slacks | artificials | rhs] with
+    its reduced-cost row, pivoted by the dense Bareiss step alone.
 
-    def eliminate(row):
-        f = row[e]
-        return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+    It is built from a narrow tableau before that tableau's first pivot,
+    whose rows are still the ``HRep``'s rows times ``flip``: the x- columns
+    are the x+ columns negated, and the slack and artificial columns are
+    unit columns, written out here rather than read through the column map.
+    """
 
-    tab.rows = [row if i == r else eliminate(row) for i, row in enumerate(tab.rows)]
-    tab.obj = eliminate(tab.obj)
-    tab.det = p
-    tab.basis[r] = e
+    def __init__(self, tab):
+        dim, m = tab.dim, tab.m
+        n_ineq = tab.n_struct - 2 * dim
+        self.rows = []
+        for r, row in enumerate(tab.rows):
+            units = [int(i == r) for i in range(m)]
+            assert row[dim : dim + m] == units
+            slacks = [tab.flip[r] * (i == r) for i in range(n_ineq)]
+            x = row[:dim]
+            self.rows.append(x + [-a for a in x] + slacks + units + row[-1:])
+        self.det = 1
+        self.basis = list(tab.basis)
+        self.costs = None
+
+    def sync(self, tab):
+        """Drop the rows that the tableau dropped (each row has its own basic
+        column) and recompute the reduced costs when the costs changed."""
+        kept = set(tab.basis)
+        keep = [i for i, bcol in enumerate(self.basis) if bcol in kept]
+        self.rows = [self.rows[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+        if self.costs is not tab.costs:
+            self.costs = tab.costs
+            self.obj = [self.det * c for c in self.costs] + [0]
+            for row, bcol in zip(self.rows, self.basis):
+                cb = self.costs[bcol]
+                self.obj = [z - cb * x for z, x in zip(self.obj, row)]
+
+    def pivot(self, r, e):
+        """One fraction-free pivot on (r, e), every row updated densely."""
+        pivot_row = self.rows[r]
+        p = pivot_row[e]
+        if p < 0:
+            pivot_row = self.rows[r] = [-y for y in pivot_row]
+            p = -p
+        det = self.det
+
+        def eliminate(row):
+            f = row[e]
+            return [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+
+        self.rows = [
+            row if i == r else eliminate(row) for i, row in enumerate(self.rows)
+        ]
+        self.obj = eliminate(self.obj)
+        self.det = p
+        self.basis[r] = e
+
+
+def read_wide(tab):
+    """The narrow tableau's rows and reduced costs, every layout column read
+    through the column map, then its denominator and basis."""
+    columns = list(zip(tab.col, tab.sign))
+    rows = [[s * row[c] for c, s in columns] + [row[tab.rhs]] for row in tab.rows]
+    obj = [
+        tab.det * cost + s * tab.price[c] for cost, (c, s) in zip(tab.costs, columns)
+    ] + [tab.price[tab.rhs]]
+    return rows, obj, tab.det, tab.basis
 
 
 CHSH_PIVOTS = 371  # the 8 CHSH programs, phase 1 and 2, at Bland's path
 
 
 def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
+    """Every pivot of the narrow tableau, sparse or dense, leaves it equal to
+    the wide twin after the dense Bareiss step, the x- and slack columns and
+    the reduced costs of all columns included."""
     pivot = _Tableau._pivot
     branches = Counter()
+    twins = weakref.WeakKeyDictionary()
 
     def checked(tab, r, e):
-        twin = copy.deepcopy(tab)
-        branches["p == det" if abs(tab.rows[r][e]) == tab.det else "p != det"] += 1
+        if tab not in twins:
+            twins[tab] = WideTwin(tab)
+        twin = twins[tab]
+        twin.sync(tab)
+        p = abs(tab.rows[r][tab.col[e]])
+        branches["p == det" if p == tab.det else "p != det"] += 1
         pivot(tab, r, e)
-        dense_pivot(twin, r, e)
-        assert (tab.rows, tab.obj, tab.det, tab.basis) == (
-            twin.rows,
-            twin.obj,
-            twin.det,
-            twin.basis,
-        )
+        twin.pivot(r, e)
+        assert read_wide(tab) == (twin.rows, twin.obj, twin.det, twin.basis)
 
     monkeypatch.setattr(_Tableau, "_pivot", checked)
     test_matches_oracle_on_chsh_programs()
