@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -44,7 +45,18 @@ from .symmetry import affine_automorphisms, orbits
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports errors as JSON with exit code 2."""
+    """argparse variant that reports errors as JSON with exit code 2.
+
+    A token that starts with ``-`` and a digit or ``.`` is read as a value,
+    so ``--state -1/2,1/4`` passes the negative state; argparse by itself
+    takes only a plain negative number for one, and would report the flag
+    as missing its value.  No gptlab option looks like that.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test for a negative number, widened to the prefix.
+        self._negative_number_matcher = re.compile(r"-[0-9.]")
 
     def error(self, message):
         _fail("usage", message)

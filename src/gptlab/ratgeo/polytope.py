@@ -8,10 +8,12 @@ Both conversions run the double description method on a pointed cone:
 extreme rays are the facets.  Everything from an ``HRep``'s canonical rows
 to the re-verification of every output runs on integers: the cone's rows
 (an ``HRep``'s coprime integer rows, or the points times one lcm), DD's
-initial simplex, its primitive rays, the null spaces and the slacks that
-every point test reads.  ``Fraction``s are built only for the returned
-``VRep`` or ``HRep``; all outputs are canonically ordered, so conversions
-are reproducible bit for bit.
+initial simplex (one elimination), its primitive rays, the adjacency tests
+(a count of common zero rows, then a scan), the null spaces and the slacks
+that every point test reads.  ``Fraction``s are built only for the returned
+``VRep`` or ``HRep``, and a ``VRep`` orders its points on ints too; all
+outputs are canonically ordered, so conversions are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from . import lp
 from .linalg import (
     Vector,
     format_rational,
-    independent_rows,
-    integer_inverse,
     integer_null_space,
     integer_row,
     integer_rows,
@@ -140,9 +140,11 @@ class VRep:
 
     The constructor stores the vertices in one canonical form: exact
     duplicates removed and the rest sorted lexicographically, so point lists
-    that differ only in order or repetition build equal ``VRep``s.  Points
-    are kept as given otherwise: a VRep of a polytope lists extreme points
-    only, and ``spaces.from_vertices`` drops the others.
+    that differ only in order or repetition build equal ``VRep``s.  That is
+    ``tuple(sorted(set(points)))``, computed on the points times one lcm
+    (``integer_rows``), and of equal points it keeps the first one given.
+    Points are kept as given otherwise: a VRep of a polytope lists extreme
+    points only, and ``spaces.from_vertices`` drops the others.
     """
 
     ambient_dim: int
@@ -154,8 +156,14 @@ class VRep:
         vertices = tuple(map(tuple, self.vertices))
         if any(len(v) != self.ambient_dim for v in vertices):
             raise InputError("vertex has wrong length")
+        # One positive scale keeps the points' order and equalities; the
+        # stable sort puts the first given of equal points first, the one
+        # that a set keeps.
+        ints, _ = integer_rows(vertices)
+        order = sorted(range(len(vertices)), key=ints.__getitem__)
+        kept = (next(run) for _, run in itertools.groupby(order, ints.__getitem__))
         # A frozen dataclass sets its own fields through object.__setattr__.
-        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
+        object.__setattr__(self, "vertices", tuple(vertices[i] for i in kept))
 
     @staticmethod
     def make(dim, points) -> "VRep":
@@ -181,14 +189,21 @@ def _affine_rank(points) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent(zero_sets: list[int], p: int, q: int) -> bool:
+def _adjacent(zero_sets: list[int], p: int, q: int, need: int = 0) -> bool:
     """Combinatorial adjacency test on bitmask zero (active) sets.
 
     Members p and q are adjacent iff no third member's zero set contains
     Z(p) & Z(q).  Valid for the extreme rays of a pointed cone and for the
-    full vertex list of a polytope under any H-representation.
+    full vertex list of a polytope under any H-representation.  An adjacent
+    pair shares at least ``need`` zero rows, a bound that each caller takes
+    from the dimension, so a smaller common zero set rules the pair out
+    before the scan: the cardinality condition of Fukuda & Prodon (1996).
+    It is only necessary, so the default 0, which skips no pair, gives the
+    same verdicts.
     """
     common = zero_sets[p] & zero_sets[q]
+    if common.bit_count() < need:
+        return False
     return not any(
         (common & ~zs) == 0
         for r, zs in enumerate(zero_sets)
@@ -203,22 +218,35 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
     integer tuples (coprime entries), the canonical form of a ray.  The cone
     is pointed iff ``rows`` has rank k.  Uses the double description method
     on integers (Fukuda & Prodon, 1996): start from the simplicial subcone
-    of k independent rows B, whose rays are the columns of -B^-1 (from
-    ``integer_inverse``), insert the remaining rows one at a time, and keep
-    only combinations of adjacent pairs (``_adjacent``), each primitive.
+    of k independent rows B, insert the remaining rows one at a time, and
+    keep only combinations of adjacent pairs (``_adjacent``), each primitive.
+    Two adjacent rays of the pointed k-cone share at least k - 2 zero rows,
+    the count that ``_adjacent`` checks before its scan.
+
+    One elimination of [M^T | I_k], the rows of M in sorted order, finds the
+    initial simplex.  Its pivot columns in the M^T block are the rows B that
+    a greedy scan in that order keeps.  Its rows are P [M^T | I_k] for an
+    invertible P, and reduction makes P B^T = D diagonal: ray c, zero on
+    every row of B but row c and negative there, is -sign(D_c) times row c
+    of P, the I block.  A pivot in the I block means M has rank below k.
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i])
-    basis_idx = [order[j] for j in independent_rows([rows[i] for i in order])]
-    if len(basis_idx) < k:
+    n = len(order)
+    reduced, pivots = integer_rref(
+        [[rows[i][j] for i in order] + [int(j == c) for c in range(k)] for j in range(k)]
+    )
+    if pivots[-1] >= n:
         return None
 
-    binv, _ = integer_inverse([rows[i] for i in basis_idx])
-    rays = [primitive_ints([-row[c] for row in binv]) for c in range(k)]
-    # B (-B^-1) = -I: ray c is zero on every basis row but row c.
+    rays = [
+        primitive_ints([-x for x in row[n:]] if row[col] > 0 else row[n:])
+        for row, col in zip(reduced, pivots)
+    ]
+    # B P^T = D: ray c is zero on every basis row but row c.
     zero_sets = [((1 << k) - 1) ^ (1 << c) for c in range(k)]
 
-    in_basis = set(basis_idx)
-    remaining = [i for i in order if i not in in_basis]
+    in_basis = set(pivots)
+    remaining = [order[j] for j in range(n) if j not in in_basis]
     # The k basis rows hold bits 0..k-1; each inserted row takes the next bit.
     for step, i in enumerate(remaining, k):
         m = rows[i]
@@ -236,7 +264,7 @@ def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
                 minus.append(idx)
         for p in plus:
             for q in minus:
-                if not _adjacent(zero_sets, p, q):
+                if not _adjacent(zero_sets, p, q, k - 2):
                     continue
                 combo = [
                     values[p] * y - values[q] * x for x, y in zip(rays[p], rays[q])
@@ -397,8 +425,11 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
 
     Vertices i and j are adjacent iff no third vertex's active set contains
     the inequalities active at both (``_adjacent``): the smallest face
-    holding i and j then has no other vertex, so it is their edge.  The test
-    is exact; it requires ``v`` to list every vertex of ``h`` and nothing
+    holding i and j then has no other vertex, so it is their edge.  An
+    edge's active inequalities and the equalities have rank d - 1, so a
+    pair with fewer than d - 1 - len(h.equalities) common active
+    inequalities is ruled out by that count before the scan.  The test is
+    exact; it requires ``v`` to list every vertex of ``h`` and nothing
     else.  Each vertex is checked to lie in ``h``.
     """
     if v.ambient_dim != h.ambient_dim:
@@ -412,9 +443,10 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
                 % ", ".join(map(format_rational, x))
             )
         zero_sets.append(sum(1 << c for c, s in enumerate(slacks[0]) if s == 0))
+    need = h.ambient_dim - 1 - len(h.equalities)
     neighbors = [[] for _ in zero_sets]
     for i, j in itertools.combinations(range(len(zero_sets)), 2):
-        if _adjacent(zero_sets, i, j):
+        if _adjacent(zero_sets, i, j, need):
             neighbors[i].append(j)
             neighbors[j].append(i)
     return tuple(map(tuple, neighbors))

@@ -283,6 +283,57 @@ def test_malformed_state_exits_2(capsys):
     assert data["error"]["type"] == "InputError"
 
 
+# Each value flag, with a value that starts with "-" and a digit or ".".
+NEGATIVE_VALUES = (
+    ["decompose", "--space", "gbit", "--state", "-1/3,1/2"],
+    ["decompose", "--space", "-1/2", "--state", "1/2,1/2"],
+    ["bloch", "--vector", "-1/2,0,0"],
+    ["bloch", "--vector", "-0.5,0,0"],
+    ["chsh", "--angles", "-0.25,0,0.25,0.5"],
+    ["chsh", "--table", "-1.json"],
+    ["classify", "--table", "-1.json"],
+    ["bloch", "--unitary", "-.json"],
+    ["postulates", "--config", "-1/2"],
+    ["vertices", "--space", "gbit", "--out", "-1.json"],
+)
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_VALUES, ids=shlex.join)
+def test_a_value_may_start_with_a_minus(argv, tmp_path, monkeypatch):
+    """``--flag -1/3,...`` answers as ``--flag=-1/3,...`` does, not with a
+    usage error for a flag without its value."""
+    monkeypatch.chdir(tmp_path)
+    *head, flag, value = argv
+    answers = []
+    for args in (argv, head + [flag + "=" + value]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            answers.append((run(args), out.getvalue()))
+    assert answers[0] == answers[1]
+    assert '"usage"' not in answers[0][1]
+    if flag == "--out":
+        assert (tmp_path / value).read_text() == answers[0][1]
+
+
+def test_decompose_reads_a_negative_state(tmp_path, capsys):
+    triangle = from_vertices([(-1, 0), (1, 0), (0, 1)], "triangle")
+    path = _json_file(tmp_path, space_to_json(triangle))
+    code, data = invoke(capsys, "decompose", "--space", path, "--state", "-1/2,1/4")
+    assert code == 0
+    assert data == {
+        "state": ["-1/2", "1/4"],
+        "decompositions": [{"support": [0, 1, 2], "weights": ["5/8", "1/4", "1/8"]}],
+    }
+
+
+def test_a_flag_after_a_value_flag_is_still_a_missing_value(capsys):
+    code, data = invoke(capsys, "decompose", "--space", "gbit", "--state", "--out", "x")
+    assert code == 2
+    assert data["error"] == {
+        "type": "usage", "message": "argument --state: expected one argument"
+    }
+
+
 def _json_file(tmp_path, data):
     return _text_file(tmp_path, json.dumps(data))
 
@@ -747,10 +798,7 @@ def input_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("cli-property") / "input.json")
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_any_input_gives_json_and_exit_0_or_2(input_path, data):
-    argv = data.draw(cli_arguments(input_path))
+def assert_json_and_exit_0_or_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
@@ -758,6 +806,33 @@ def test_any_input_gives_json_and_exit_0_or_2(input_path, data):
     parsed = json.loads(out.getvalue())
     assert (code == 2) == ("error" in parsed), (argv, parsed)
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_input_gives_json_and_exit_0_or_2(input_path, data):
+    assert_json_and_exit_0_or_2(data.draw(cli_arguments(input_path)))
+
+
+FILE_COMMANDS = tuple(
+    [command, "--space", "{path}"]
+    for command in ("build", "vertices", "adjacency", "classify", "symmetries", "orbits")
+) + (
+    ["adjacency", "--space", "{path}", "--summary"],
+    ["decompose", "--space", "{path}", "--state", "1/2,1/2"],
+    ["chsh", "--table", "{path}"],
+    ["classify", "--table", "{path}"],
+    ["bloch", "--unitary", "{path}"],
+)
+
+
+@pytest.mark.parametrize("doc", range(len(WELL_FORMED_DOCUMENTS)))
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=" ".join)
+def test_well_formed_documents_give_json_and_exit_0_or_2(doc, command, tmp_path):
+    """Every well-formed document under every command that reads a file:
+    each one, where the property test above draws only some of them."""
+    path = _json_file(tmp_path, WELL_FORMED_DOCUMENTS[doc])
+    assert_json_and_exit_0_or_2([arg.format(path=path) for arg in command])
 
 
 # ---------------------------------------------------------------------------

@@ -619,7 +619,8 @@ def test_sparse_pivot_matches_dense_bareiss(monkeypatch):
 def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
     """The ``HRep`` constructor builds the integer rows, so the simplex scales
     only the objective, the checkers only the certificate and the witness,
-    and vertex enumeration no row at all."""
+    and vertex enumeration no constraint row: its one ``integer_rows`` call
+    is the ``VRep`` ordering the output points."""
     calls = []
 
     def record(module, name):
@@ -664,4 +665,6 @@ def test_constraint_rows_are_scaled_only_by_the_hrep_cache(monkeypatch, gbit):
     ):
         calls.clear()
         assert polytope.vertex_enumeration(h).vertices == vertices
-        assert calls == []
+        assert [(module, sorted(points)) for module, points in calls] == [
+            ("polytope", list(vertices))
+        ]

@@ -363,6 +363,29 @@ def test_direct_vrep_matches_make():
         assert VRep(dim, [list(p) for p in given]) == direct
 
 
+def test_vrep_matches_sorted_set_oracle():
+    """Ordering on the points times one lcm keeps what ``sorted(set(points))``
+    keeps: the same order, and of equal points the first one given, whether
+    an ``int`` or a ``Fraction``."""
+    rng = random.Random(4099)
+    entries = [0, 1, -2, F(1, 2), F(-3, 4), F(2), F(0), F(5, 6)]
+    for _ in range(60):
+        dim = rng.randrange(1, 4)
+        distinct = [
+            tuple(rng.choice(entries) for _ in range(dim))
+            for _ in range(rng.randrange(1, 8))
+        ]
+        points = distinct + rng.choices(distinct, k=rng.randrange(0, 8))
+        rng.shuffle(points)
+        # Equal points that are distinct objects, some of mixed types.
+        points = [tuple(x if rng.random() < 0.5 else F(x) for x in p) for p in points]
+        kept = VRep(dim, points).vertices
+        oracle = tuple(sorted(set(points)))
+        assert kept == oracle
+        assert all(a is b for a, b in zip(kept, oracle))
+        assert all(a is next(p for p in points if p == a) for a in kept)
+
+
 @pytest.mark.parametrize("build", [VRep, VRep.make])
 def test_wrong_length_vertex_rejected(build):
     good = (F(1), F(0))
@@ -419,18 +442,65 @@ def test_square_adjacency_is_4_cycle():
     assert adjacency_edges(adj) == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
-def test_adjacency_tests_each_vertex_pair_once(boxworld2, monkeypatch):
-    calls = []
+def watch_adjacency_scans(monkeypatch):
+    """(calls, scans): the (p, q) pairs that ``polytope._adjacent`` is called
+    on, and those on which it goes on past its count to scan the other
+    members, seen as an iteration over the zero sets."""
+    calls, scans = [], []
 
-    def counted(zero_sets, p, q):
+    class Watched:
+        def __init__(self, zero_sets, pair):
+            self.zero_sets, self.pair = zero_sets, pair
+
+        def __getitem__(self, i):
+            return self.zero_sets[i]
+
+        def __iter__(self):
+            scans.append(self.pair)
+            return iter(self.zero_sets)
+
+    def watched(zero_sets, p, q, need=0):
         calls.append((p, q))
-        return _adjacent(zero_sets, p, q)
+        return _adjacent(Watched(zero_sets, (p, q)), p, q, need)
 
-    monkeypatch.setattr(polytope, "_adjacent", counted)
+    monkeypatch.setattr(polytope, "_adjacent", watched)
+    return calls, scans
+
+
+def test_adjacency_tests_each_vertex_pair_once(boxworld2, monkeypatch):
+    """Each unordered pair is tested once, and the count lets through every
+    edge, so the scan still decides each of them."""
+    calls, scans = watch_adjacency_scans(monkeypatch)
     adj = vertex_adjacency(boxworld2.v, boxworld2.h)
     n = len(boxworld2.vertices)
-    assert n == 24 and len(calls) == n * (n - 1) // 2 == 276
+    pairs = {tuple(sorted(pair)) for pair in calls}
+    assert n == 24 and len(calls) == len(pairs) == n * (n - 1) // 2 == 276
+    assert len(set(scans)) == len(scans)
+    assert set(adjacency_edges(adj)) <= set(scans)
     assert all(ns == tuple(sorted(ns)) for ns in adj)
+
+
+def test_adjacency_scans_only_the_edges_of_the_9_cube(monkeypatch):
+    """Two vertices of the d-cube share d - 1 active facets iff they differ in
+    one coordinate, so the count leaves exactly the d * 2^(d-1) edges to the
+    scan, out of the 2^(d-1) (2^d - 1) pairs."""
+    d = 9
+    cube = HRep.make(
+        d,
+        [(tuple(F(s) if j == k else F(0) for j in range(d)), F(max(s, 0)))
+         for k in range(d) for s in (1, -1)],
+    )
+    v = VRep.make(d, itertools.product((F(0), F(1)), repeat=d))
+    calls, scans = watch_adjacency_scans(monkeypatch)
+    adj = vertex_adjacency(v, cube)
+    edges = adjacency_edges(adj)
+    assert len(calls) == 512 * 511 // 2
+    assert len(scans) == len(edges) == 2304
+    assert sorted(scans) == list(edges)
+    assert all(
+        sum(x != y for x, y in zip(v.vertices[i], v.vertices[j])) == 1
+        for i, j in edges
+    )
 
 
 def test_adjacency_rejects_foreign_vertex():
@@ -945,6 +1015,18 @@ def dd_oracle_cones():
         yield "flat", valid_inequality_cone(VRep.make(dim, pts))
     for dim in (2, 3, 4):
         yield "cube", homogenization_cone(degenerate_cube_h(dim))
+
+
+def test_dd_reads_the_simplex_and_the_rank_from_one_elimination():
+    """A pivot in the identity block of [M^T | I_k] means rank M < k: the
+    cone holds a line, or no row constrains it at all."""
+    assert polytope._dd_extreme_rays([[1, 0], [-2, 0]], 2) is None
+    assert polytope._dd_extreme_rays([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 3) is None
+    assert polytope._dd_extreme_rays([], 1) is None
+    # Sorted, the rows -x - y and -x start the simplex, and -y cuts it.
+    assert polytope._dd_extreme_rays([[0, -1], [-1, 0], [-1, -1]], 2) == [
+        (0, 1), (1, 0)
+    ]
 
 
 def test_integer_dd_matches_fraction_oracle():
