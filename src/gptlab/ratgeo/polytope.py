@@ -11,9 +11,10 @@ to the re-verification of every output runs on integers: the cone's rows
 initial simplex (one elimination), its primitive rays, the adjacency tests
 (a count of common zero rows, then a scan), the null spaces and the slacks
 that every point test reads.  ``Fraction``s are built only for the returned
-``VRep`` or ``HRep``, and a ``VRep`` orders its points on ints too; all
-outputs are canonically ordered, so conversions are reproducible bit for
-bit.
+``VRep`` or ``HRep``, which each derive their integer form once: an
+``HRep`` its coprime rows, a ``VRep`` its points times one lcm and, on first
+read, their affine hull.  All outputs are canonically ordered, so
+conversions are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from ..errors import EmptyError, InputError, UnboundedError
@@ -143,12 +145,16 @@ class VRep:
     that differ only in order or repetition build equal ``VRep``s.  That is
     ``tuple(sorted(set(points)))``, computed on the points times one lcm
     (``integer_rows``), and of equal points it keeps the first one given.
+    It keeps (ints, scale) as ``_integer_points``, and ``_affine_hull``
+    eliminates their differences on first read: facet enumeration,
+    ``affine_dimension`` and the symmetry search read both.
     Points are kept as given otherwise: a VRep of a polytope lists extreme
     points only, and ``spaces.from_vertices`` drops the others.
     """
 
     ambient_dim: int
     vertices: tuple[Vector, ...]
+    _integer_points: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ambient_dim < 1:
@@ -158,17 +164,22 @@ class VRep:
             raise InputError("vertex has wrong length")
         # One positive scale keeps the points' order and equalities; the
         # stable sort puts the first given of equal points first, the one
-        # that a set keeps.
-        ints, _ = integer_rows(vertices)
+        # that a set keeps.  Dropping equal points leaves the lcm as it is.
+        ints, scale = integer_rows(vertices)
         order = sorted(range(len(vertices)), key=ints.__getitem__)
-        kept = (next(run) for _, run in itertools.groupby(order, ints.__getitem__))
+        kept = [next(run) for _, run in itertools.groupby(order, ints.__getitem__)]
         # A frozen dataclass sets its own fields through object.__setattr__.
         object.__setattr__(self, "vertices", tuple(vertices[i] for i in kept))
+        object.__setattr__(self, "_integer_points", ([ints[i] for i in kept], scale))
 
-    @staticmethod
-    def make(dim, points) -> "VRep":
-        """The ``VRep`` of points given in any iterable."""
-        return VRep(dim, points)
+    @cached_property
+    def _affine_hull(self) -> tuple[list[int], list[list[int]]]:
+        """(coords, normals): the pivot columns of the integer points'
+        differences, on which the hull projects injectively, and the normals
+        of the hull's equalities (``integer_null_space``)."""
+        points = self._integer_points[0]
+        reduced, coords = integer_rref([vsub(p, points[0]) for p in points[1:]])
+        return coords, integer_null_space(reduced, coords, self.ambient_dim)[0]
 
 
 def affine_dimension(points) -> int:
@@ -176,12 +187,7 @@ def affine_dimension(points) -> int:
     pts = [tuple(p) for p in points]
     if not pts:
         raise InputError("affine_dimension of an empty point list")
-    return _affine_rank(integer_rows(pts)[0])
-
-
-def _affine_rank(points) -> int:
-    """Rank of the differences of integer points from the first one."""
-    return len(integer_rref([vsub(p, points[0]) for p in points[1:]])[1])
+    return len(VRep(len(pts[0]), pts)._affine_hull[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ def _affine_rank(points) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _adjacent(zero_sets: list[int], p: int, q: int, need: int = 0) -> bool:
+def _adjacent(zero_sets: list[int], p: int, q: int, need: int) -> bool:
     """Combinatorial adjacency test on bitmask zero (active) sets.
 
     Members p and q are adjacent iff no third member's zero set contains
@@ -198,8 +204,6 @@ def _adjacent(zero_sets: list[int], p: int, q: int, need: int = 0) -> bool:
     pair shares at least ``need`` zero rows, a bound that each caller takes
     from the dimension, so a smaller common zero set rules the pair out
     before the scan: the cardinality condition of Fukuda & Prodon (1996).
-    It is only necessary, so the default 0, which skips no pair, gives the
-    same verdicts.
     """
     common = zero_sets[p] & zero_sets[q]
     if common.bit_count() < need:
@@ -322,7 +326,7 @@ def vertex_enumeration(h: HRep) -> VRep:
     for y in rays:
         if not _is_extreme(h, h._slacks(y[:d], y[d])):
             raise InputError("double description produced a non-extreme point")
-    return VRep.make(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
+    return VRep(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
 
 
 def is_extreme_in(h: HRep, v: Vector) -> bool:
@@ -367,10 +371,9 @@ def facet_enumeration(v: VRep) -> HRep:
         raise InputError("facet enumeration of an empty vertex list")
     d = v.ambient_dim
     # The points times one lcm: the cone keeps its rays and its row order.
-    points, scale = integer_rows(v.vertices)
+    points, scale = v._integer_points
     base = points[0]
-    reduced, coords = integer_rref([vsub(p, base) for p in points[1:]])
-    normals, _ = integer_null_space(reduced, coords, d)
+    coords, normals = v._affine_hull
     # The hyperplane n.x = n.(base / scale), times scale.
     equalities = sorted(
         primitive_signed_ints([x * scale for x in n] + [sum(map(mul, n, base))])
@@ -391,8 +394,9 @@ def facet_enumeration(v: VRep) -> HRep:
         row = primitive_ints(_reduce_mod_equalities(row, equalities))
         bound = row[d] * scale
         values = [sum(map(mul, row, p)) for p in points]
-        tight = [p for p, val in zip(points, values) if val == bound]
-        if max(values) > bound or not tight or _affine_rank(tight) != k - 1:
+        # The tight points span a (k - 1)-flat iff their cone rows have rank k.
+        tight = [c for c, val in zip(cone, values) if val == bound]
+        if max(values) > bound or len(integer_rref(tight)[1]) != k:
             raise InputError("double description produced a non-facet inequality")
         inequalities.append(row)
     return HRep(d, _pairs(sorted(inequalities)), _pairs(equalities))

@@ -101,7 +101,7 @@ def vrep_from_json(data) -> VRep:
         vertices = [vector_from_json(x) for x in _array(data["vertices"])]
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("malformed V-representation: %s" % err) from err
-    return VRep.make(dim, vertices)
+    return VRep(dim, vertices)
 
 
 def graph_to_json(edges) -> dict:

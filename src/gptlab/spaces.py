@@ -88,7 +88,7 @@ def from_vertices(points, label: str) -> StateSpace:
     if not pts:
         raise InputError("a state space needs at least one state")
     d = len(pts[0])
-    cloud = VRep.make(d, pts)
+    cloud = VRep(d, pts)
     h = facet_enumeration(cloud)
     v = VRep(d, tuple(p for p in cloud.vertices if is_extreme_in(h, p)))
     return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)

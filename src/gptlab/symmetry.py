@@ -4,16 +4,17 @@ The reversible transformations of a GPT are the affine bijections of its
 state space onto itself.  For a polytope these permute the vertex set, and
 a vertex permutation extends to an affine map exactly when it fixes the
 matrix Q = W (W^T W)^-1 W^T, the exact projector onto the column space of
-the lifted vertex matrix W (rows (v, 1)).  Q is computed on integers, as
-W (W^T W)^-1 W^T with W scaled to ints by one lcm and (W^T W)^-1 held as
-ints over one denominator: that is Q times a positive integer, which keeps
-every equality and order that the search reads.  The group is found by a
-plain backtrack over vertices: a candidate image must carry the same colour
-(the sorted Q row plus the diagonal entry) and agree with Q on every vertex
-already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn & Schürmann,
-*Computing symmetry groups of polyhedra*, LMS J. Comput. Math. 17, 2014.)
-The backtrack keeps, for each position not yet assigned, a bitmask of the
-images still open to it, starting from the vertices of its colour.
+the lifted vertex matrix W (rows (v, 1)).  Q is computed on integers, with
+W read from the ``VRep``'s integer points and affine hull and (W^T W)^-1
+held as ints over one denominator: that is Q times a positive integer,
+which keeps every equality and order that the search reads.  The group is
+found by a plain backtrack over vertices: a candidate image must carry the
+same colour (the sorted Q row plus the diagonal entry) and agree with Q on
+every vertex already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn
+& Schürmann, *Computing symmetry groups of polyhedra*, LMS J. Comput.
+Math. 17, 2014.)  The backtrack keeps, for each position not yet assigned,
+a bitmask of the images still open to it, starting from the vertices of
+its colour.
 Assigning i -> k ANDs each later position j's mask with the vertices v != k
 that have Q[k][v] == Q[i][j], precomputed per row of Q with each distinct
 entry renumbered as a small int, and an empty mask ends the branch.  The
@@ -38,13 +39,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import InputError, UnsupportedError
-from .ratgeo.linalg import (
-    independent_rows,
-    integer_inverse,
-    integer_null_space,
-    integer_rows,
-    integer_rref,
-)
+from .ratgeo.linalg import independent_rows, integer_inverse
 from .spaces import AffineMap, BALL3, StateSpace, ball_rotation_path
 
 PASS = "pass"
@@ -90,8 +85,8 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
         raise UnsupportedError(
             "the ball has a continuous symmetry group; handled analytically"
         )
-    verts = space.vertices
-    n = len(verts)
+    vrep = space.v
+    n = len(vrep.vertices)
     if n > MAX_VERTICES:
         raise InputError(
             "symmetry search supports at most %d vertices, got %d"
@@ -101,7 +96,7 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     # Each distinct Q entry becomes a small int, which keeps every equality
     # the search reads and lets the masks below be indexed by it.
     ids: dict = {}
-    q = [[ids.setdefault(x, len(ids)) for x in row] for row in _gram_projector(verts)]
+    q = [[ids.setdefault(x, len(ids)) for x in row] for row in _gram_projector(vrep)]
     colours = [(row[i], tuple(sorted(row))) for i, row in enumerate(q)]
     colour_masks: dict = {}
     for v, colour in enumerate(colours):
@@ -137,7 +132,7 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     # The lowest open image is tried first, so the list comes out sorted.
     descend(0, [colour_masks[c] for c in colours])
 
-    realizer = _AffineRealizer(verts, space.dim)
+    realizer = _AffineRealizer(vrep)
     gen_perms, closure = _greedy_generators(permutations, n)
     generators = tuple(realizer.realize(p) for p in gen_perms)
     # Raised, not asserted: the re-verification must survive ``python -O``.
@@ -153,16 +148,17 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     )
 
 
-def _gram_projector(verts) -> list[list[int]]:
+def _gram_projector(v) -> list[list[int]]:
     """Q = W (W^T W)^-1 W^T times a positive integer, as int rows.
 
-    W is the lifted vertex matrix on its pivot columns, scaled to ints by one
-    lcm, which leaves Q unchanged; (W^T W)^-1 is held as ints over one
-    denominator D, so the product is Q times D.
+    Q depends only on W's column space.  The lifted vertices times the
+    ``VRep``'s lcm L are the rows (p, L); the hull's coordinate columns of p
+    and L span their columns, so W is the rows (p[coords], L).  (W^T W)^-1
+    is held as ints over one denominator D, so the product is Q times D.
     """
-    lifted, _ = integer_rows([tuple(v) + (1,) for v in verts])
-    _, pivots = integer_rref(lifted)
-    w = [[row[c] for c in pivots] for row in lifted]
+    points, scale = v._integer_points
+    coords = v._affine_hull[0]
+    w = [[p[c] for c in coords] + [scale] for p in points]
     wt = list(zip(*w))
     gram_inv, _ = integer_inverse([[sum(map(mul, a, b)) for b in wt] for a in wt])
     wg = [[sum(map(mul, row, col)) for col in zip(*gram_inv)] for row in w]
@@ -176,26 +172,25 @@ class _AffineRealizer:
     basis of vertices: the first vertex and those whose differences from it
     a greedy scan keeps independent.  On the orthogonal complement of the
     hull's direction space it acts as the identity, which makes the
-    representative canonical.  Everything runs on integers: the vertices
-    times one lcm L, the basis from ``independent_rows`` of the differences,
-    the complement from ``integer_null_space``, and the inverse of the
-    source basis matrix A as ints over one denominator D.  The basis and
+    representative canonical.  Everything runs on integers: the ``VRep``'s
+    points times one lcm L and its hull's normals (the complement), the
+    basis from ``independent_rows`` of the differences, and the inverse of
+    the source basis matrix A as ints over one denominator D.  The basis and
     A^-1 D do not depend on the permutation and are computed once.
     """
 
-    def __init__(self, verts, d):
-        self.points, self.scale = integer_rows(verts)
-        base = self.points[0]
-        diffs = [[x - y for x, y in zip(p, base)] for p in self.points[1:]]
+    def __init__(self, v):
+        self.points, self.scale = v._integer_points
+        self.complement = v._affine_hull[1]
+        diffs = [[x - y for x, y in zip(p, self.points[0])] for p in self.points[1:]]
         independent = independent_rows(diffs)
         self.basis_idx = [1 + i for i in independent]
-        self.complement, _ = integer_null_space(*integer_rref(diffs), d)
         columns = [diffs[i] for i in independent] + self.complement
         inverse = integer_inverse(list(zip(*columns)))
         assert inverse is not None
         a_inv, self.den = inverse
         self.a_inv_columns = list(zip(*a_inv))
-        self.supports = [[(j, x) for j, x in enumerate(v) if x] for v in diffs]
+        self.supports = [[(j, x) for j, x in enumerate(diff) if x] for diff in diffs]
 
     def realize(self, perm) -> AffineMap | None:
         """The affine map for perm, or None if perm is not affinely consistent.

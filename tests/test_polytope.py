@@ -17,7 +17,8 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
-from gptlab.ratgeo import lp, polytope
+from gptlab import spaces, symmetry
+from gptlab.ratgeo import linalg, lp, polytope
 from gptlab.ratgeo.linalg import (
     dot,
     independent_rows,
@@ -30,7 +31,7 @@ from gptlab.ratgeo.linalg import (
 )
 from gptlab.ratgeo.polytope import _adjacent
 from gptlab.serialize import dumps, hrep_to_json
-from gptlab.spaces import from_vertices, make_classical
+from gptlab.spaces import POLYTOPAL, StateSpace, from_vertices, make_classical
 from test_linalg import (
     fraction_null_space,
     fraction_primitive,
@@ -343,13 +344,13 @@ def test_generator_rows_are_kept():
 
 def test_generator_vertices_are_kept():
     points = [vec(1, 0), vec(0, 1)]
-    assert VRep(2, (p for p in points)) == VRep.make(2, points)
+    assert VRep(2, (p for p in points)) == VRep(2, points)
     with pytest.raises(InputError) as err:
         VRep(2, (p for p in points + [vec(1)]))
     assert str(err.value) == "vertex has wrong length"
 
 
-def test_direct_vrep_matches_make():
+def test_vrep_is_canonical_whatever_the_order_and_repetition():
     """The constructor stores the canonical vertex list: exact duplicates
     dropped and the rest sorted, whatever the order and repetition given."""
     rng = random.Random(1729)
@@ -357,8 +358,8 @@ def test_direct_vrep_matches_make():
         given = pts + rng.choices(pts, k=rng.randrange(1, len(pts) + 1))
         rng.shuffle(given)
         direct = VRep(dim, tuple(given))
-        made = VRep.make(dim, given)
-        assert direct == made and repr(direct) == repr(made)
+        from_list = VRep(dim, given)
+        assert direct == from_list and repr(direct) == repr(from_list)
         assert direct.vertices == tuple(sorted(set(pts)))
         assert VRep(dim, [list(p) for p in given]) == direct
 
@@ -379,19 +380,60 @@ def test_vrep_matches_sorted_set_oracle():
         rng.shuffle(points)
         # Equal points that are distinct objects, some of mixed types.
         points = [tuple(x if rng.random() < 0.5 else F(x) for x in p) for p in points]
-        kept = VRep(dim, points).vertices
+        v = VRep(dim, points)
+        kept = v.vertices
+        assert v._integer_points == integer_rows(kept)
         oracle = tuple(sorted(set(points)))
         assert kept == oracle
         assert all(a is b for a, b in zip(kept, oracle))
         assert all(a is next(p for p in points if p == a) for a in kept)
 
 
-@pytest.mark.parametrize("build", [VRep, VRep.make])
-def test_wrong_length_vertex_rejected(build):
+def test_points_are_scaled_and_eliminated_only_by_the_vrep(monkeypatch):
+    """The ``VRep`` constructor scales the points to ints, and its affine
+    hull eliminates their differences on first read: facet enumeration and
+    the symmetry search, both reading one ``VRep``, scale no point and
+    eliminate the differences once between them."""
+    calls = {"integer_rows": [], "integer_rref": []}
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def counted(rows, *args):
+            rows = list(rows)
+            calls[name].append([list(r) for r in rows])
+            return original(rows, *args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (linalg, polytope, spaces, symmetry):
+        for name in calls:
+            if hasattr(module, name):
+                record(module, name)
+    assert not {"integer_rows", "integer_rref", "integer_null_space"} & set(
+        vars(symmetry)
+    )
+
+    # A parallelogram with fractional corners on the plane z = x + 1/2.
+    points = [vec(F(a, 2), b, F(a + 1, 2)) for a in (0, 1) for b in (0, 3)]
+    v = VRep(3, points)
+    assert calls["integer_rows"] == [[list(p) for p in points]]
+    ints, _ = v._integer_points
+    differences = [[x - y for x, y in zip(p, ints[0])] for p in ints[1:]]
+    calls["integer_rows"].clear()
+
+    h = facet_enumeration(v)
+    group = symmetry.affine_automorphisms(StateSpace(POLYTOPAL, "scaled-once", v, h))
+    assert (len(h.inequalities), len(h.equalities), group.order) == (4, 1, 8)
+    assert calls["integer_rows"] == []
+    assert calls["integer_rref"].count(differences) == 1
+
+
+def test_wrong_length_vertex_rejected():
     good = (F(1), F(0))
     for wrong in ((F(1),), (F(1), F(0), F(0))):
         with pytest.raises(InputError) as err:
-            build(2, (good, wrong))
+            VRep(2, (good, wrong))
         assert str(err.value) == "vertex has wrong length"
 
 
@@ -401,6 +443,10 @@ def test_affine_dimension_examples():
     assert affine_dimension([vec(1, 2, 3)]) == 0
     with pytest.raises(InputError):
         affine_dimension([])
+    # A ragged list is rejected, not truncated to its shortest point.
+    with pytest.raises(InputError) as err:
+        affine_dimension([vec(0, 0), vec(1)])
+    assert str(err.value) == "vertex has wrong length"
 
 
 def test_facets_of_square():
@@ -411,7 +457,7 @@ def test_facets_of_square():
 
 
 def test_facets_of_point():
-    v = VRep.make(3, [vec(1, 2, 3)])
+    v = VRep(3, [vec(1, 2, 3)])
     h = facet_enumeration(v)
     assert len(h.inequalities) == 0
     assert len(h.equalities) == 3
@@ -490,7 +536,7 @@ def test_adjacency_scans_only_the_edges_of_the_9_cube(monkeypatch):
         [(tuple(F(s) if j == k else F(0) for j in range(d)), F(max(s, 0)))
          for k in range(d) for s in (1, -1)],
     )
-    v = VRep.make(d, itertools.product((F(0), F(1)), repeat=d))
+    v = VRep(d, itertools.product((F(0), F(1)), repeat=d))
     calls, scans = watch_adjacency_scans(monkeypatch)
     adj = vertex_adjacency(v, cube)
     edges = adjacency_edges(adj)
@@ -504,7 +550,7 @@ def test_adjacency_scans_only_the_edges_of_the_9_cube(monkeypatch):
 
 
 def test_adjacency_rejects_foreign_vertex():
-    v = VRep.make(2, [vec(0, 0), vec(2, 2)])
+    v = VRep(2, [vec(0, 0), vec(2, 2)])
     with pytest.raises(InputError):
         vertex_adjacency(v, unit_square_h())
 
@@ -514,7 +560,7 @@ def test_adjacency_invariant_under_affine_bijection():
     v = vertex_enumeration(unit_square_h())
     adj = vertex_adjacency(v, unit_square_h())
     mapped = [(x + 2 * y + 1, y - x) for x, y in v.vertices]
-    v2 = VRep.make(2, mapped)
+    v2 = VRep(2, mapped)
     h2 = facet_enumeration(v2)
     adj2 = vertex_adjacency(v2, h2)
     # Relate indices through the affine map, then compare edges.
@@ -869,12 +915,12 @@ def flat_point_sets():
 
 def facet_oracle_corpus(name, gbit, boxworld2):
     if name == "random":
-        return [VRep.make(dim, pts) for dim, pts in random_point_sets()]
+        return [VRep(dim, pts) for dim, pts in random_point_sets()]
     if name == "cubes":
         return [vertex_enumeration(degenerate_cube_h(dim)) for dim in (2, 3, 4)]
     if name == "spaces":
         return [gbit.v, boxworld2.v] + [make_classical(n).v for n in range(1, 7)]
-    return [VRep.make(dim, pts) for dim, pts in flat_point_sets()]
+    return [VRep(dim, pts) for dim, pts in flat_point_sets()]
 
 
 @pytest.mark.parametrize("name", ["random", "cubes", "spaces", "flat"])
@@ -910,7 +956,7 @@ def test_facet_enumeration_bytes_are_pinned(gbit, boxworld2):
     ids=["valid-non-facet", "violated", "tight-nowhere"],
 )
 def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
-    square = VRep.make(2, [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)])
+    square = VRep(2, [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)])
     dd = polytope._dd_extreme_rays
     monkeypatch.setattr(polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [extra])
     with pytest.raises(InputError):
@@ -975,7 +1021,7 @@ def fraction_dd_extreme_rays(rows, k):
                 minus.append(idx)
         for p in plus:
             for q in minus:
-                if not _adjacent(zero_sets, p, q):
+                if not _adjacent(zero_sets, p, q, 0):
                     continue
                 combo = vsub(
                     tuple(values[p] * x for x in rays[q]),
@@ -1010,9 +1056,9 @@ def valid_inequality_cone(v):
 
 def dd_oracle_cones():
     for dim, pts in random_point_sets():
-        yield "random", homogenization_cone(facet_enumeration(VRep.make(dim, pts)))
+        yield "random", homogenization_cone(facet_enumeration(VRep(dim, pts)))
     for dim, pts in flat_point_sets():
-        yield "flat", valid_inequality_cone(VRep.make(dim, pts))
+        yield "flat", valid_inequality_cone(VRep(dim, pts))
     for dim in (2, 3, 4):
         yield "cube", homogenization_cone(degenerate_cube_h(dim))
 
@@ -1043,7 +1089,7 @@ def test_integer_dd_matches_fraction_oracle():
 
 
 def test_facet_enumeration_seeds_the_integer_constraints(gbit, boxworld2):
-    vreps = [VRep.make(dim, pts) for dim, pts in random_point_sets()]
+    vreps = [VRep(dim, pts) for dim, pts in random_point_sets()]
     vreps += [gbit.v, boxworld2.v] + [make_classical(n).v for n in range(1, 7)]
     for v in vreps:
         h = facet_enumeration(v)

@@ -137,7 +137,7 @@ def test_integer_realizer_matches_fraction_oracle(make_space):
         assert element == fraction_realize(verts, d, perm)
     if len(verts) <= 8:
         # Transpositions exercise the reject path as well.
-        realizer = _AffineRealizer(verts, d)
+        realizer = _AffineRealizer(space.v)
         for i, j in itertools.combinations(range(len(verts)), 2):
             perm = list(range(len(verts)))
             perm[i], perm[j] = j, i
@@ -146,8 +146,8 @@ def test_integer_realizer_matches_fraction_oracle(make_space):
 
 @pytest.mark.parametrize("make_space", ORACLE_SPACES, ids=ORACLE_IDS)
 def test_integer_gram_projector_is_a_positive_multiple_of_q(make_space):
-    verts = make_space().vertices
-    q, oracle = _gram_projector(verts), fraction_gram_projector(verts)
+    v = make_space().v
+    q, oracle = _gram_projector(v), fraction_gram_projector(v.vertices)
     factor = Fraction(q[0][0]) / oracle[0][0]
     assert factor > 0 and factor.denominator == 1
     assert q == [[factor * x for x in row] for row in oracle]
@@ -183,7 +183,7 @@ def scanning_backtrack_permutations(space):
     diagonal Q entry and sorted Q row) and agrees with Q on every vertex
     already assigned.  Images are tried in increasing order.
     """
-    q = _gram_projector(space.vertices)
+    q = _gram_projector(space.v)
     n = len(q)
     colour = [(q[i][i], sorted(q[i])) for i in range(n)]
     permutations, image, used = [], [], [False] * n
@@ -274,7 +274,7 @@ def test_realizer_rejects_a_non_affine_permutation(gbit):
     # Swapping two adjacent corners of the square and fixing the other two
     # moves three affinely independent points consistently; only the
     # fourth vertex shows that no affine map does it.
-    realizer = _AffineRealizer(gbit.vertices, gbit.dim)
+    realizer = _AffineRealizer(gbit.v)
     assert realizer.realize((1, 0, 2, 3)) is None
     assert realizer.realize((0, 1, 2, 3)) == AffineMap.identity(2)
 
@@ -286,7 +286,7 @@ def test_realizer_rejects_swapping_a_local_vertex_with_a_pr_box(boxworld2):
     local, pr = tags.index(LOCAL_DETERMINISTIC), tags.index(PR_BOX)
     perm = list(range(len(tags)))
     perm[local], perm[pr] = pr, local
-    realizer = _AffineRealizer(boxworld2.vertices, boxworld2.dim)
+    realizer = _AffineRealizer(boxworld2.v)
     assert realizer.realize(tuple(perm)) is None
 
 
