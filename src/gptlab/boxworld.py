@@ -131,7 +131,7 @@ def build_ns_hrep() -> HRep:
 
     # Reduce the equality system to an independent subset, kept in input order.
     independent = independent_rows([n + (o,) for n, o in eqs])
-    return HRep.make(16, ineqs, [eqs[i] for i in independent])
+    return HRep(16, ineqs, [eqs[i] for i in independent])
 
 
 @lru_cache(maxsize=1)

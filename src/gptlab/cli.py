@@ -36,6 +36,7 @@ from .ratgeo import (
     MAX,
     adjacency_edges,
     affine_dimension,
+    format_rational,
     parse_rational,
     solve_lp,
     vertex_adjacency,
@@ -228,9 +229,9 @@ def cmd_chsh(args):
     t = load_table(args.table)
     values = {variant.label: chsh_value(t, variant) for variant in all_chsh_variants()}
     return {
-        "chsh_max": serialize.rational_to_json(max(map(abs, values.values()))),
+        "chsh_max": format_rational(max(map(abs, values.values()))),
         "values": {
-            label: serialize.rational_to_json(value) for label, value in values.items()
+            label: format_rational(value) for label, value in values.items()
         },
     }
 
@@ -311,17 +312,17 @@ def build_full_report() -> dict:
 
     ns = build_ns_hrep()
     lp_maxima = {
-        variant.label: serialize.rational_to_json(
+        variant.label: format_rational(
             solve_lp(chsh_objective(variant), MAX, ns).optimum
         )
         for variant in all_chsh_variants()
     }
     chsh_by_class = {
         "pr_box": sorted(
-            {serialize.rational_to_json(chsh_max(bw.vertices[i])) for i in pr}
+            {format_rational(chsh_max(bw.vertices[i])) for i in pr}
         ),
         "local_deterministic": sorted(
-            {serialize.rational_to_json(chsh_max(bw.vertices[i])) for i in local}
+            {format_rational(chsh_max(bw.vertices[i])) for i in local}
         ),
     }
     tsirelson = chsh_max(

@@ -143,7 +143,7 @@ def _readout_effect(space, group0, group1) -> Effect | None:
         ineqs.append((_lift(v), ONE))  # e(v) <= 1
     eqs = [(_lift(omega), ZERO) for omega in group0]
     eqs += [(_lift(omega), ONE) for omega in group1]
-    system = HRep.make(d + 1, ineqs, eqs)
+    system = HRep(d + 1, ineqs, eqs)
     result = solve_lp(zeros(d + 1), MAX, system)
     if result.status != OPTIMAL:
         return None
@@ -232,7 +232,7 @@ def joint_readout_system(witness: EncodingWitness, space: StateSpace) -> HRep:
         (_in_blocks(block, {k: _lift(omega)}), ONE)  # e_k(w_k) = 1
         for k, omega in enumerate(witness.states)
     ]
-    return HRep.make(4 * block, ineqs, eqs)
+    return HRep(4 * block, ineqs, eqs)
 
 
 def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult:
@@ -304,9 +304,10 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> dict:
     ]
     # Affinity of each measurement branch: every affine dependency among the
     # input states must be satisfied by the unnormalized branch outputs.  Each
-    # dependency is an int multiple of the rational one, which HRep.make's
-    # primitive rows drop.  The lam_k of either branch sum to 0, since the
-    # verified witness reads e(w_k) = b_k exactly: no normalization row.
+    # dependency is an int multiple of the rational one, which the ``HRep``
+    # constructor's primitive rows drop.  The lam_k of either branch sum to 0,
+    # since the verified witness reads e(w_k) = b_k exactly: no normalization
+    # row.
     input_matrix = list(zip(*map(_lift, witness.states)))
     dependencies, _ = integer_null_space(
         *integer_rref(integer_rows(input_matrix)[0]), 4
@@ -317,7 +318,7 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> dict:
             for j in range(d):
                 coords = {k: tuple(lam[k] * x for x in unit(d, j)) for k in members}
                 eqs.append((_in_blocks(d, coords), ZERO))
-    system = HRep.make(4 * d, ineqs, eqs)
+    system = HRep(4 * d, ineqs, eqs)
 
     branch_forced = {}
     for branch in range(2):

@@ -8,8 +8,9 @@ updated row is divided by the gcd of its entries, in the spirit of Bareiss,
 integer cores ``integer_rref``, ``integer_null_space``, ``integer_inverse``,
 ``primitive_ints`` and ``primitive_signed_ints`` and builds ``Fraction``s
 only at its API.  ``rref``, ``solve``, ``inverse``, ``mat_mul`` and
-``transpose`` give the same answers in ``Fraction``s; no product code calls
-them, and they stay while ``perfbench/tracing.py`` patches them by name.
+``transpose`` give the same answers in ``Fraction``s, and no product code
+calls them.  The first four stay while ``perfbench/tracing.py`` patches them
+by name; ``transpose`` stays because ``mat_mul`` calls it.
 The sizes handled here are small (ambient dimension at most 64, the largest
 built-in space; a weight polytope has one coordinate per vertex), so no
 effort is spent on pivoting for speed.

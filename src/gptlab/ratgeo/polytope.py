@@ -101,8 +101,9 @@ class HRep:
 
     @staticmethod
     def make(dim, ineqs=(), eqs=()) -> "HRep":
-        """The ``HRep`` of (normal, offset) pairs given in any iterables,
-        with no equalities unless given."""
+        """``HRep(dim, ineqs, eqs)``.  Product code calls the constructor;
+        this stays only for ``perfbench/hullcases.py`` and ``lpcases.py``,
+        and goes when they call the constructor too."""
         return HRep(dim, ineqs, eqs)
 
     def slacks(self, x: Vector) -> tuple[list[int], list[int]]:
@@ -149,7 +150,8 @@ class VRep:
     eliminates their differences on first read: facet enumeration,
     ``affine_dimension`` and the symmetry search read both.
     Points are kept as given otherwise: a VRep of a polytope lists extreme
-    points only, and ``spaces.from_vertices`` drops the others.
+    points only, and ``vertex_enumeration(facet_enumeration(v))`` keeps
+    just those of any point list.
     """
 
     ambient_dim: int

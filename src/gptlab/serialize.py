@@ -22,10 +22,6 @@ from .spaces import (
 )
 
 
-def rational_to_json(value: Fraction) -> str:
-    return format_rational(value)
-
-
 def rational_from_json(text) -> Fraction:
     if isinstance(text, str):
         return parse_rational(text)
@@ -35,7 +31,7 @@ def rational_from_json(text) -> Fraction:
 
 
 def vector_to_json(v) -> list:
-    return [rational_to_json(x) for x in v]
+    return [format_rational(x) for x in v]
 
 
 def _array(data) -> list:
@@ -73,8 +69,8 @@ def _dim_from_json(value) -> int:
 def hrep_to_json(h: HRep) -> dict:
     return {
         "dim": h.ambient_dim,
-        "ineqs": [[vector_to_json(n), rational_to_json(o)] for n, o in h.inequalities],
-        "eqs": [[vector_to_json(n), rational_to_json(o)] for n, o in h.equalities],
+        "ineqs": [[vector_to_json(n), format_rational(o)] for n, o in h.inequalities],
+        "eqs": [[vector_to_json(n), format_rational(o)] for n, o in h.equalities],
     }
 
 
@@ -85,7 +81,7 @@ def hrep_from_json(data) -> HRep:
         eqs = _constraints_from_json(data["eqs"])
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("malformed H-representation: %s" % err) from err
-    return HRep.make(dim, ineqs, eqs)
+    return HRep(dim, ineqs, eqs)
 
 
 def vrep_to_json(v: VRep) -> dict:
@@ -156,7 +152,7 @@ def space_from_json(data) -> StateSpace:
 def effect_to_json(e: Effect) -> dict:
     return {
         "linear": vector_to_json(e.linear),
-        "constant": rational_to_json(e.constant),
+        "constant": format_rational(e.constant),
     }
 
 

@@ -21,8 +21,6 @@ from .ratgeo import (
     MAX,
     MIN,
     VRep,
-    facet_enumeration,
-    is_extreme_in,
     solve_lp,
     vertex_enumeration,
 )
@@ -78,22 +76,6 @@ class StateSpace:
         return self.h.contains(tuple(x))
 
 
-def from_vertices(points, label: str) -> StateSpace:
-    """Polytopal space from extreme-point candidates (non-extreme are dropped).
-
-    One facet enumeration runs over all the distinct points; the vertices
-    are the points that ``is_extreme_in`` accepts against its result.
-    """
-    pts = [tuple(p) for p in points]
-    if not pts:
-        raise InputError("a state space needs at least one state")
-    d = len(pts[0])
-    cloud = VRep(d, pts)
-    h = facet_enumeration(cloud)
-    v = VRep(d, tuple(p for p in cloud.vertices if is_extreme_in(h, p)))
-    return StateSpace(kind=POLYTOPAL, label=label, v=v, h=h)
-
-
 def from_hrep(h: HRep, label: str) -> StateSpace:
     """Polytopal space from a bounded nonempty H-representation."""
     return StateSpace(kind=POLYTOPAL, label=label, v=vertex_enumeration(h), h=h)
@@ -101,9 +83,9 @@ def from_hrep(h: HRep, label: str) -> StateSpace:
 
 def make_gbit() -> StateSpace:
     """The generalized bit: states (p(up|0), p(up|1)) filling the unit square."""
-    square = HRep.make(
+    square = HRep(
         2,
-        ineqs=[
+        [
             ((-ONE, ZERO), ZERO),
             ((ONE, ZERO), ONE),
             ((ZERO, -ONE), ZERO),
@@ -122,13 +104,12 @@ def make_classical(n: int) -> StateSpace:
             "classical systems are limited to %d outcomes, got %d"
             % (MAX_CLASSICAL_OUTCOMES, n)
         )
-    if n == 1:
-        return from_vertices([(ONE,)], "classical-1")
+    # Nonnegativity rows; for n = 1 the equality x = 1 already implies x >= 0.
     ineqs = [
-        (tuple(-ONE if j == i else ZERO for j in range(n)), ZERO) for i in range(n)
+        (tuple(-ONE if j == i else ZERO for j in range(n)), ZERO)
+        for i in range(n if n > 1 else 0)
     ]
-    eqs = [((ONE,) * n, ONE)]
-    return from_hrep(HRep.make(n, ineqs, eqs), "classical-%d" % n)
+    return from_hrep(HRep(n, ineqs, [((ONE,) * n, ONE)]), "classical-%d" % n)
 
 
 def make_ball3() -> StateSpace:
@@ -340,7 +321,7 @@ def decompose_state(s: Vector, space: StateSpace) -> tuple[Decomposition, ...]:
         (tuple(-ONE if j == i else ZERO for j in range(n)), ZERO) for i in range(n)
     ]
     reproduce = [(tuple(v[k] for v in verts), s[k]) for k in range(len(s))]
-    weight_polytope = HRep.make(n, nonnegative, reproduce + [((ONE,) * n, ONE)])
+    weight_polytope = HRep(n, nonnegative, reproduce + [((ONE,) * n, ONE)])
     found = []
     for lam in vertex_enumeration(weight_polytope).vertices:
         support = tuple(i for i, w in enumerate(lam) if w != 0)

@@ -40,8 +40,8 @@ from gptlab.ratgeo import (
     verify_dual,
 )
 from gptlab.ratgeo.linalg import vec
-from gptlab.spaces import from_vertices
 from test_linalg import fraction_null_space, fraction_rank
+from test_spaces import space_from_points
 
 
 HALF = F(1, 2)
@@ -285,7 +285,7 @@ def test_chsh_lp_bounds(boxworld2):
         for v in boxworld2.vertices
         if classify_vertex(table_from_vector(v)).tag == LOCAL_DETERMINISTIC
     ]
-    local_space = from_vertices(local, "local-polytope")
+    local_space = space_from_points(local, "local-polytope")
     for variant in all_chsh_variants():
         result = solve_lp(chsh_objective(variant), MAX, local_space.h)
         assert result.status == OPTIMAL

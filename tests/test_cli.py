@@ -23,8 +23,9 @@ from gptlab.postulates import REGISTERED_CONFIGS, run_report
 from gptlab.ratgeo import vertex_adjacency
 from gptlab.ratgeo.linalg import format_rational, parse_rational
 from gptlab.serialize import dumps, space_to_json, vector_to_json
-from gptlab.spaces import from_vertices, make_classical, make_gbit
+from gptlab.spaces import make_classical, make_gbit
 from gptlab.symmetry import check_continuous_reversibility
+from test_spaces import space_from_points
 
 PR_BOX_DOCUMENT = {"p": vector_to_json(pr_box_table().p)}
 
@@ -316,7 +317,7 @@ def test_a_value_may_start_with_a_minus(argv, tmp_path, monkeypatch):
 
 
 def test_decompose_reads_a_negative_state(tmp_path, capsys):
-    triangle = from_vertices([(-1, 0), (1, 0), (0, 1)], "triangle")
+    triangle = space_from_points([(-1, 0), (1, 0), (0, 1)], "triangle")
     path = _json_file(tmp_path, space_to_json(triangle))
     code, data = invoke(capsys, "decompose", "--space", path, "--state", "-1/2,1/4")
     assert code == 0
@@ -475,7 +476,7 @@ def test_classify_accepts_a_subset_of_the_vertices(tmp_path, capsys):
         local_deterministic_table(*bits).p
         for bits in itertools.product(range(2), repeat=4)
     ]
-    path = _json_file(tmp_path, space_to_json(from_vertices(local, "local")))
+    path = _json_file(tmp_path, space_to_json(space_from_points(local, "local")))
     code, data = invoke(capsys, "classify", "--space", path)
     assert code == 0
     assert data["counts"] == {"local_deterministic": 16, "pr_box": 0}

@@ -554,6 +554,47 @@ def uncalled_public_functions(package_sources, user_sources, layers=()):
     return sorted(uncalled)
 
 
+def unread_imports(source):
+    """The names a module imports at its top level and neither reads nor
+    lists in its ``__all__``.  ``from __future__`` imports bind no name that
+    the module reads, so they are exempt."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= set(assigned_literal(tree, "__all__") or ())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    return sorted(imported - read)
+
+
+def test_every_module_level_import_in_src_is_read():
+    """A name imported at a module's top level in ``src/`` is read there or
+    exported through its ``__all__``, so a deletion leaves no stale import
+    behind."""
+    package_dir = pathlib.Path(linalg.__file__).parents[1]
+    unread = {
+        path.relative_to(package_dir).as_posix(): names
+        for path in sorted(package_dir.rglob("*.py"))
+        if (names := unread_imports(path.read_text()))
+    }
+    assert unread == {}
+    # The scan sees both import forms, dotted and aliased names, reads in
+    # annotations and attribute chains, and the ``__all__`` exemption.
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path, json as j\n"
+        "from .m import a, b as c, d, e\n"
+        "__all__ = ['d']\n"
+        "def f(x: a) -> None:\n"
+        "    return os.sep\n"
+    )
+    assert unread_imports(source) == ["c", "e", "j"]
+
+
 def test_every_public_function_in_src_has_a_caller():
     """Code that only the tests call lives in the tests: every public
     function in ``src/`` is exported through a package ``__all__``, read by

@@ -17,7 +17,8 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
-from gptlab import spaces, symmetry
+from gptlab import boxworld, ratgeo, spaces, symmetry
+from gptlab.boxworld import make_boxworld2
 from gptlab.ratgeo import linalg, lp, polytope
 from gptlab.ratgeo.linalg import (
     dot,
@@ -31,7 +32,7 @@ from gptlab.ratgeo.linalg import (
 )
 from gptlab.ratgeo.polytope import _adjacent
 from gptlab.serialize import dumps, hrep_to_json
-from gptlab.spaces import POLYTOPAL, StateSpace, from_vertices, make_classical
+from gptlab.spaces import POLYTOPAL, StateSpace, make_classical, make_gbit
 from test_linalg import (
     fraction_null_space,
     fraction_primitive,
@@ -39,6 +40,7 @@ from test_linalg import (
     fraction_rank,
     fraction_solve,
 )
+from test_spaces import space_from_points
 
 
 def unit_square_h():
@@ -429,6 +431,42 @@ def test_points_are_scaled_and_eliminated_only_by_the_vrep(monkeypatch):
     assert calls["integer_rref"].count(differences) == 1
 
 
+def test_every_space_is_built_by_one_vertex_enumeration(monkeypatch):
+    """Each built-in polytopal space comes from its H-representation: one
+    double description on it, and no facet enumeration or extremality test
+    of a point list."""
+    calls = {"vertex_enumeration": [], "facet_enumeration": [], "is_extreme_in": []}
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name].append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (ratgeo, polytope, spaces, boxworld):
+        for name in calls:
+            if hasattr(module, name):
+                record(module, name)
+
+    builders = [("gbit", make_gbit), ("boxworld2", make_boxworld2.__wrapped__)]
+    builders += [
+        ("classical-%d" % n, lambda n=n: make_classical(n)) for n in range(1, 7)
+    ]
+    for label, build in builders:
+        for recorded in calls.values():
+            recorded.clear()
+        space = build()
+        assert space.label == label
+        assert calls == {
+            "vertex_enumeration": [space.h],
+            "facet_enumeration": [],
+            "is_extreme_in": [],
+        }
+
+
 def test_wrong_length_vertex_rejected():
     good = (F(1), F(0))
     for wrong in ((F(1),), (F(1), F(0), F(0))):
@@ -473,9 +511,9 @@ def test_round_trip_square_and_simplices():
         assert vertex_enumeration(facet_enumeration(v)) == v
 
 
-def test_from_vertices_drops_interior():
+def test_round_trip_drops_interior_points():
     pts = [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1), vec(F(1, 2), F(1, 2)), vec(1, 1)]
-    v = from_vertices(pts, "square").v
+    v = space_from_points(pts, "square").v
     assert v.vertices == (vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1))
 
 
@@ -693,7 +731,7 @@ def random_point_sets():
 def random_vreps():
     """The 40 seeded V-representations of test_round_trip_on_random_vreps."""
     for dim, pts in random_point_sets():
-        yield from_vertices(pts, "random").v
+        yield space_from_points(pts, "random").v
 
 
 def test_round_trip_on_random_vreps():
@@ -805,18 +843,18 @@ def hull_oracle_cases():
         yield dim, pts + [centroid] + rng.sample(pts, 2)
 
 
-def test_from_vertices_matches_lp_hull_oracle():
+def test_round_trip_matches_lp_hull_oracle():
     mismatches = [
         (dim, pts)
         for dim, pts in hull_oracle_cases()
-        if from_vertices(pts, "cloud").v.vertices != lp_hull_vertices(dim, pts)
+        if space_from_points(pts, "cloud").v.vertices != lp_hull_vertices(dim, pts)
     ]
     assert mismatches == []
 
 
-def test_from_vertices_h_ignores_non_extreme_points():
+def test_facets_ignore_non_extreme_points():
     for dim, pts in hull_oracle_cases():
-        space = from_vertices(pts, "cloud")
+        space = space_from_points(pts, "cloud")
         assert space.h == facet_enumeration(space.v)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gptlab.boxworld import pr_box_table
 from gptlab.errors import InputError
-from gptlab.ratgeo.linalg import vec
+from gptlab.ratgeo.linalg import format_rational, vec
 from gptlab.serialize import (
     dumps,
     effect_to_json,
@@ -15,7 +15,6 @@ from gptlab.serialize import (
     hrep_from_json,
     hrep_to_json,
     rational_from_json,
-    rational_to_json,
     space_from_json,
     space_to_json,
     table_from_json,
@@ -39,7 +38,7 @@ def effect_from_json(data):
 
 
 def test_rational_strings():
-    assert rational_to_json(F(4)) == "4/1"
+    assert format_rational(F(4)) == "4/1"
     assert rational_from_json("-2/6") == F(-1, 3)
     assert rational_from_json(3) == F(3)
     with pytest.raises(InputError):

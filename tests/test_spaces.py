@@ -16,14 +16,19 @@ from gptlab.spaces import (
     Measurement,
     decompose_state,
     effect_range,
-    from_vertices,
+    from_hrep,
     is_reversible_transformation,
     make_ball3,
     make_classical,
     make_gbit,
     validate_effect,
 )
-from gptlab.ratgeo import affine_dimension, vertex_adjacency
+from gptlab.ratgeo import (
+    VRep,
+    affine_dimension,
+    facet_enumeration,
+    vertex_adjacency,
+)
 from gptlab.ratgeo.linalg import (
     ONE,
     inverse,
@@ -36,6 +41,14 @@ from gptlab.ratgeo.linalg import (
 )
 from gptlab.symmetry import affine_automorphisms
 from test_linalg import fraction_rank
+
+
+def space_from_points(points, label):
+    """The polytopal space spanned by a nonempty point list, built from its
+    H-representation: facet enumeration of the points, then double
+    description back to the extreme ones, each re-verified."""
+    pts = [tuple(p) for p in points]
+    return from_hrep(facet_enumeration(VRep(len(pts[0]), pts)), label)
 
 
 def mixture(weight: F, a, b):
@@ -319,7 +332,7 @@ def random_polytopes(seed, dim, count):
             tuple(F(rng.randrange(-4, 5)) for _ in range(dim))
             for _ in range(rng.randrange(dim + 1, dim + 6))
         ]
-        yield from_vertices(pts, "random-%d" % dim)
+        yield space_from_points(pts, "random-%d" % dim)
 
 
 def oracle_cases():

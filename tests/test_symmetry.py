@@ -31,7 +31,6 @@ from gptlab.serialize import dumps, symmetry_group_to_json
 from gptlab.spaces import (
     AffineMap,
     ball_rotation_path,
-    from_vertices,
     make_ball3,
     make_classical,
     make_gbit,
@@ -51,7 +50,7 @@ from gptlab.symmetry import (
     orbits,
 )
 from test_linalg import fraction_null_space
-from test_spaces import compose
+from test_spaces import compose, space_from_points
 
 
 def brute_force_symmetries(space):
@@ -85,7 +84,7 @@ def seeded_polytope(seed):
     points = rng.sample(grid, rng.randint(3, 7))
     if seed % 4 == 3:
         points = [(x, y, 0) for x, y, _ in points]
-    return from_vertices(points, "seeded-%d" % seed)
+    return space_from_points(points, "seeded-%d" % seed)
 
 
 def fraction_realize(verts, d, perm):
