@@ -13,7 +13,6 @@ from .boxworld import (
     chsh_value,
     classify_vertex,
     make_boxworld2,
-    marginals,
     pr_box_table,
     product_table,
     quantum_chsh_table,
@@ -40,7 +39,6 @@ from .spaces import (
     Measurement,
     StateSpace,
     decompose_state,
-    is_reversible_transformation,
     make_ball3,
     make_classical,
     make_gbit,
@@ -50,7 +48,6 @@ from .symmetry import (
     affine_automorphisms,
     check_continuous_reversibility,
     check_interaction,
-    check_reversibility,
     orbits,
 )
 
@@ -72,19 +69,16 @@ __all__ = [
     "check_interaction",
     "check_joint_readout",
     "check_no_simultaneous_encoding",
-    "check_reversibility",
     "check_tomographic_locality",
     "chsh_max",
     "chsh_value",
     "classify_vertex",
     "decompose_state",
     "facet_enumeration",
-    "is_reversible_transformation",
     "make_ball3",
     "make_boxworld2",
     "make_classical",
     "make_gbit",
-    "marginals",
     "orbits",
     "pr_box_table",
     "product_table",

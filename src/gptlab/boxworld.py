@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, NotAVertexError, SignallingError
+from .errors import InputError, NotAVertexError
 from .ratgeo import HRep
 from .ratgeo.linalg import ONE, Vector, ZERO, format_rational, independent_rows
 from .spaces import POLYTOPAL, StateSpace, from_hrep
@@ -33,9 +33,9 @@ def table_index(a: int, b: int, x: int, y: int) -> int:
 class ProbabilityTable:
     """16 exact probabilities p(a,b|x,y) in the fixed index order.
 
-    Construction checks nonnegativity and per-setting normalization; the
-    no-signalling equalities are checked by :func:`marginals` (so that the
-    signalling error path stays reachable for hand-built tables).
+    Construction checks nonnegativity and per-setting normalization only, so
+    a signalling table can be built; :func:`classify_vertex` decides
+    membership in the no-signalling set through ``build_ns_hrep().contains``.
     """
 
     p: tuple[Fraction, ...]
@@ -154,38 +154,8 @@ def table_from_vector(v: Vector) -> ProbabilityTable:
 
 
 # ---------------------------------------------------------------------------
-# Marginals and products
+# Products
 # ---------------------------------------------------------------------------
-
-
-def marginals(t: ProbabilityTable):
-    """Setting-independent marginals (pA, pB), each indexed [outcome][setting].
-
-    Raises :class:`SignallingError` naming the violated equality if a
-    marginal depends on the remote party's setting.
-    """
-    pa = [[None, None], [None, None]]
-    for a in range(2):
-        for x in range(2):
-            values = [
-                sum((t.value(a, b, x, y) for b in range(2)), ZERO) for y in range(2)
-            ]
-            if values[0] != values[1]:
-                raise SignallingError("A", a, x, (0, 1), values)
-            pa[a][x] = values[0]
-    pb = [[None, None], [None, None]]
-    for b in range(2):
-        for y in range(2):
-            values = [
-                sum((t.value(a, b, x, y) for a in range(2)), ZERO) for x in range(2)
-            ]
-            if values[0] != values[1]:
-                raise SignallingError("B", b, y, (0, 1), values)
-            pb[b][y] = values[0]
-    return (
-        tuple(tuple(row) for row in pa),
-        tuple(tuple(row) for row in pb),
-    )
 
 
 def product_table(omega_a: Vector, omega_b: Vector) -> ProbabilityTable:

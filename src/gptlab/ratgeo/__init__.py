@@ -1,14 +1,7 @@
 """Exact rational linear algebra, LP, and polytope representation conversion."""
 
 from ..errors import EmptyError, InputError, UnboundedError
-from .linalg import (
-    Vector,
-    as_fraction,
-    dot,
-    format_rational,
-    parse_rational,
-    vec,
-)
+from .linalg import Vector, dot, format_rational, parse_rational
 from .lp import (
     INFEASIBLE,
     LPResult,
@@ -26,7 +19,6 @@ from .polytope import (
     adjacency_edges,
     affine_dimension,
     facet_enumeration,
-    is_extreme_in,
     vertex_adjacency,
     vertex_enumeration,
 )
@@ -36,11 +28,9 @@ __all__ = [
     "InputError",
     "UnboundedError",
     "Vector",
-    "as_fraction",
     "dot",
     "format_rational",
     "parse_rational",
-    "vec",
     "INFEASIBLE",
     "LPResult",
     "MAX",
@@ -55,7 +45,6 @@ __all__ = [
     "adjacency_edges",
     "affine_dimension",
     "facet_enumeration",
-    "is_extreme_in",
     "vertex_adjacency",
     "vertex_enumeration",
 ]

@@ -56,21 +56,6 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
     return [[scaled(x, scale) for x in row] for row in rows], scale
 
 
-def vec(*entries) -> Vector:
-    """Build a rational vector from ints, Fractions or 'n/d' strings."""
-    return tuple(as_fraction(e) for e in entries)
-
-
-def as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    raise TypeError("expected an exact rational, got %r" % (value,))
-
-
 # Decimal text of at most this many digits converts to and from ``int``
 # under any int-to-string limit that CPython accepts (``sys.int_info``'s
 # ``str_digits_check_threshold``; 4300 by default, set by the environment
@@ -197,10 +182,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def identity(n: int) -> Matrix:
-    return tuple(unit(n, i) for i in range(n))
 
 
 def rref(rows) -> tuple[list[list[Fraction]], list[int]]:

@@ -331,17 +331,10 @@ def vertex_enumeration(h: HRep) -> VRep:
     return VRep(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
 
 
-def is_extreme_in(h: HRep, v: Vector) -> bool:
-    """Whether v is a vertex of h.
-
-    v must lie in h, and the constraints active at v, equalities included,
-    must have full rank.
-    """
-    return _is_extreme(h, h.slacks(v))
-
-
 def _is_extreme(h: HRep, slacks) -> bool:
-    """``is_extreme_in`` for the point with these ``HRep.slacks``."""
+    """Whether the point with these ``HRep.slacks`` is a vertex of h: it
+    lies in h, and the constraints active at it, equalities included, have
+    full rank."""
     if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints

@@ -31,10 +31,6 @@ from .ratgeo.linalg import (
     ZERO,
     dot,
     format_rational,
-    identity as identity_matrix,
-    integer_inverse,
-    integer_rows,
-    mat_vec,
     vadd,
     zeros,
 )
@@ -235,43 +231,6 @@ class AffineMap:
 
     matrix: Matrix
     shift: Vector
-
-    def apply(self, x: Vector) -> Vector:
-        return vadd(mat_vec(self.matrix, tuple(x)), self.shift)
-
-    def inverse(self) -> "AffineMap | None":
-        """The inverse map, or None if the matrix is singular: M = A / s for
-        the lcm-scaled int matrix A, so M^-1 = s A^-1 (``integer_inverse``)."""
-        n = len(self.matrix)
-        if any(len(row) != n for row in self.matrix):
-            raise ValueError("inverse requires a square matrix")
-        ints, scale = integer_rows(self.matrix)
-        result = integer_inverse(ints)
-        if result is None:
-            return None
-        inv, den = result
-        minv = tuple(tuple(Fraction(x * scale, den) for x in row) for row in inv)
-        return AffineMap(
-            matrix=minv, shift=tuple(-x for x in mat_vec(minv, self.shift))
-        )
-
-    @staticmethod
-    def identity(dim: int) -> "AffineMap":
-        return AffineMap(matrix=identity_matrix(dim), shift=zeros(dim))
-
-
-def is_reversible_transformation(t: AffineMap, space: StateSpace) -> bool:
-    """True iff t maps the vertex set bijectively onto itself.
-
-    For affine maps on a polytope this is equivalent to mapping the polytope
-    onto itself.  A singular matrix simply fails the bijectivity test.
-    """
-    space.require_polytopal()
-    if len(t.matrix) != space.dim or len(t.shift) != space.dim:
-        raise InputError("transformation dimension does not match the space")
-    verts = space.vertices
-    images = [t.apply(v) for v in verts]
-    return sorted(images) == sorted(verts) and len(set(images)) == len(verts)
 
 
 # ---------------------------------------------------------------------------

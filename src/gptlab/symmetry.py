@@ -287,15 +287,6 @@ def orbits(group: SymmetryGroup, space: StateSpace) -> tuple[tuple[int, ...], ..
     return tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items()))
 
 
-def check_reversibility(space: StateSpace) -> dict:
-    """Pass iff the symmetry group acts transitively on pure states; a fail
-    carries as ``witness`` the least vertices of the first two orbits."""
-    classes = orbits(affine_automorphisms(space), space)
-    if len(classes) == 1:
-        return {"status": PASS}
-    return {"status": FAIL, "witness": [classes[0][0], classes[1][0]]}
-
-
 def check_continuous_reversibility(space: StateSpace) -> dict:
     """Decide Continuous Reversibility for a registered state space, as the
     ``{"status", "subject", "reason"?, "detail"?}`` entry that
@@ -306,7 +297,7 @@ def check_continuous_reversibility(space: StateSpace) -> dict:
     vertex permutations), and a continuous family G(t) into a finite set of
     affine maps must be constant, so G(1) = G(0) = identity can move no
     pure state.  The ball passes: any two unit Bloch vectors are joined by
-    the rotation family ``spaces.ball_rotation_path``, verified here at 100
+    the rotation family ``spaces.ball_rotation_path``, verified here at 101
     sample points.
     """
     if space.kind == BALL3:
@@ -338,7 +329,7 @@ def check_continuous_reversibility(space: StateSpace) -> dict:
             "detail": {
                 "endpoint_error": worst_endpoint,
                 "max_sample_step": worst_step,
-                "samples": 101,
+                "samples": len(samples),
             },
         }
     n = len(space.vertices)

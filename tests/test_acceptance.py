@@ -46,7 +46,6 @@ from gptlab.ratgeo import (
     vertex_adjacency,
     vertex_enumeration,
 )
-from gptlab.ratgeo.linalg import vec
 from gptlab.spaces import decompose_state, make_ball3, make_classical
 from gptlab.symmetry import (
     FAIL,
@@ -56,6 +55,7 @@ from gptlab.symmetry import (
     check_continuous_reversibility,
     orbits,
 )
+from helpers import vec
 from test_linalg import fraction_rank, fraction_solve
 from test_polytope import fraction_contains
 

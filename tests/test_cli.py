@@ -235,6 +235,15 @@ def test_unknown_space_exits_2(capsys):
     assert data["error"]["type"] == "InputError"
 
 
+def test_orbits_names_the_vertex_limit_for_classical_33(capsys):
+    code, data = invoke(capsys, "orbits", "--space", "classical-33")
+    assert code == 2
+    assert data["error"] == {
+        "type": "InputError",
+        "message": "symmetry search supports at most 32 vertices, got 33",
+    }
+
+
 def test_unknown_command_exits_2(capsys):
     code = run(["frobnicate"])
     out = capsys.readouterr().out

@@ -23,8 +23,9 @@ from gptlab.ratgeo import (
     verify_farkas,
 )
 from gptlab.ratgeo import lp, polytope
-from gptlab.ratgeo.linalg import ONE, ZERO, dot, vec, zeros
+from gptlab.ratgeo.linalg import ONE, ZERO, dot, zeros
 from gptlab.ratgeo.lp import _Tableau
+from helpers import vec
 from test_linalg import fraction_primitive
 
 
@@ -47,6 +48,16 @@ def test_box_minimum():
     assert r.optimum == 0
     assert r.witness == (F(0),)
     assert verify_dual(box_1d(), vec(1), MIN, r)
+
+
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_verify_dual_rejects_a_valid_certificate_under_another_status(status):
+    """A result that is not ``OPTIMAL`` certifies no optimum, even with a
+    dual and a witness that would certify it."""
+    r = solve_lp(vec(1), MAX, box_1d())
+    assert verify_dual(box_1d(), vec(1), MAX, r)
+    relabelled = dataclasses.replace(r, status=status)
+    assert not verify_dual(box_1d(), vec(1), MAX, relabelled)
 
 
 def test_unbounded_with_ray():

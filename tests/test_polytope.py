@@ -27,12 +27,12 @@ from gptlab.ratgeo.linalg import (
     inverse,
     rref,
     transpose,
-    vec,
     vsub,
 )
 from gptlab.ratgeo.polytope import _adjacent
 from gptlab.serialize import dumps, hrep_to_json
 from gptlab.spaces import POLYTOPAL, StateSpace, make_classical, make_gbit
+from helpers import vec
 from test_linalg import (
     fraction_null_space,
     fraction_primitive,
@@ -433,9 +433,8 @@ def test_points_are_scaled_and_eliminated_only_by_the_vrep(monkeypatch):
 
 def test_every_space_is_built_by_one_vertex_enumeration(monkeypatch):
     """Each built-in polytopal space comes from its H-representation: one
-    double description on it, and no facet enumeration or extremality test
-    of a point list."""
-    calls = {"vertex_enumeration": [], "facet_enumeration": [], "is_extreme_in": []}
+    double description on it, and no facet enumeration of a point list."""
+    calls = {"vertex_enumeration": [], "facet_enumeration": []}
 
     def record(module, name):
         original = getattr(module, name)
@@ -460,11 +459,7 @@ def test_every_space_is_built_by_one_vertex_enumeration(monkeypatch):
             recorded.clear()
         space = build()
         assert space.label == label
-        assert calls == {
-            "vertex_enumeration": [space.h],
-            "facet_enumeration": [],
-            "is_extreme_in": [],
-        }
+        assert calls == {"vertex_enumeration": [space.h], "facet_enumeration": []}
 
 
 def test_wrong_length_vertex_rejected():

@@ -25,7 +25,6 @@ from gptlab.postulates import (
     verify_encoding_witness,
 )
 from gptlab.ratgeo import INFEASIBLE, solve_lp, verify_farkas
-from gptlab.ratgeo.linalg import vec
 from gptlab.serialize import dumps, hrep_to_json, vector_to_json
 from gptlab.spaces import BALL3, Effect, Measurement, make_ball3, make_classical
 from gptlab.symmetry import (
@@ -34,6 +33,7 @@ from gptlab.symmetry import (
     check_continuous_reversibility,
     check_interaction,
 )
+from helpers import vec
 from test_cli import _fresh_interpreter_env
 
 

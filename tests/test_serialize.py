@@ -6,7 +6,7 @@ import pytest
 
 from gptlab.boxworld import pr_box_table
 from gptlab.errors import InputError
-from gptlab.ratgeo.linalg import format_rational, vec
+from gptlab.ratgeo.linalg import format_rational
 from gptlab.serialize import (
     dumps,
     effect_to_json,
@@ -24,6 +24,7 @@ from gptlab.serialize import (
     vrep_to_json,
 )
 from gptlab.spaces import MAX_CLASSICAL_OUTCOMES, Effect, make_ball3, make_gbit
+from helpers import vec
 
 
 def table_to_json(t):

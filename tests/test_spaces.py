@@ -17,7 +17,6 @@ from gptlab.spaces import (
     decompose_state,
     effect_range,
     from_hrep,
-    is_reversible_transformation,
     make_ball3,
     make_classical,
     make_gbit,
@@ -31,15 +30,12 @@ from gptlab.ratgeo import (
 )
 from gptlab.ratgeo.linalg import (
     ONE,
-    inverse,
-    mat_mul,
-    mat_vec,
     solve,
     vadd,
-    vec,
     vsub,
 )
 from gptlab.symmetry import affine_automorphisms
+from helpers import apply, identity_map, vec
 from test_linalg import fraction_rank
 
 
@@ -140,99 +136,18 @@ def test_unit_effect_measurement():
     assert m.outcome_probabilities(vec(F(1, 2), F(1, 2))) == (F(1),)
 
 
-def rotation90(gbit_center=F(1, 2)):
-    # 90-degree rotation about the square's center: (x, y) -> (1 - y, x).
-    return AffineMap(matrix=(vec(0, -1), vec(1, 0)), shift=vec(1, 0))
-
-
-def test_rotation_is_reversible(gbit):
-    assert is_reversible_transformation(rotation90(), gbit)
-
-
-def test_shear_is_not_reversible(gbit):
+def test_quarter_turn_is_a_gbit_symmetry_and_a_shear_is_not(gbit):
+    """The group that ``gptlab symmetries`` prints holds the square's quarter
+    turn about its centre, (x, y) -> (1 - y, x), and the identity.  A shear
+    and a singular collapse move the vertex set, so they are not in it."""
+    elements = affine_automorphisms(gbit).elements
+    quarter_turn = AffineMap(matrix=(vec(0, -1), vec(1, 0)), shift=vec(1, 0))
+    assert quarter_turn in elements and identity_map(2) in elements
     shear = AffineMap(matrix=(vec(1, 1), vec(0, 1)), shift=vec(-1, 0))
-    assert not is_reversible_transformation(shear, gbit)
-
-
-def test_identity_is_reversible(gbit):
-    assert is_reversible_transformation(AffineMap.identity(2), gbit)
-
-
-def test_singular_map_is_not_reversible(gbit):
     collapse = AffineMap(matrix=(vec(1, 0), vec(1, 0)), shift=vec(0, 0))
-    assert not is_reversible_transformation(collapse, gbit)
-    assert collapse.inverse() is None
-
-
-def compose(f, g):
-    """f after g: x -> f(g(x))."""
-    return AffineMap(
-        matrix=mat_mul(f.matrix, g.matrix),
-        shift=vadd(mat_vec(f.matrix, g.shift), f.shift),
-    )
-
-
-def test_affine_map_compose_inverse(gbit):
-    r = rotation90()
-    rinv = r.inverse()
-    assert compose(r, rinv) == AffineMap.identity(2)
-    assert compose(rinv, r) == AffineMap.identity(2)
-
-
-def fraction_affine_inverse(t):
-    """Oracle: the inverse map from the ``Fraction`` ``linalg.inverse``."""
-    minv = inverse(t.matrix)
-    if minv is None:
-        return None
-    return AffineMap(matrix=minv, shift=tuple(-x for x in mat_vec(minv, t.shift)))
-
-
-def random_affine_map(rng):
-    """A seeded rational map of dimension 1-6, with a planted dependent row
-    (so a singular matrix) one time in five."""
-    n = rng.randint(1, 6)
-
-    def rational():
-        return F(rng.choice((0, rng.randint(-9, 9), rng.randint(-99, 99))),
-                 rng.choice((1, 2, 3, 7, 12, 35)))
-
-    rows = [[rational() for _ in range(n)] for _ in range(n)]
-    if rng.random() < 0.2:
-        c = rational()
-        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[n // 2])]
-    return AffineMap(
-        matrix=tuple(map(tuple, rows)), shift=tuple(rational() for _ in range(n))
-    )
-
-
-def test_affine_inverse_matches_fraction_oracle(gbit, boxworld2_group):
-    maps = [
-        *affine_automorphisms(gbit).elements,
-        *affine_automorphisms(make_classical(4)).elements,
-        *boxworld2_group.elements,
-    ]
-    assert len(maps) == 8 + 24 + 128
-    rng = random.Random(1729)
-    maps += [random_affine_map(rng) for _ in range(300)]
-    maps += [AffineMap.identity(0), AffineMap(matrix=(vec(0, 0), vec(0, 0)), shift=vec(1, 2))]
-    singular = 0
-    for t in maps:
-        got = t.inverse()
-        assert got == fraction_affine_inverse(t), t
-        if got is None:
-            singular += 1
-            continue
-        assert repr(got) == repr(fraction_affine_inverse(t))
-        assert compose(got, t) == AffineMap.identity(len(t.shift))
-    assert singular > 40
-
-
-@pytest.mark.parametrize(
-    "matrix", [(vec(1, 0),), (vec(1, 0), vec(1)), (vec(1), vec(1))]
-)
-def test_affine_inverse_rejects_a_non_square_matrix(matrix):
-    with pytest.raises(ValueError, match="square"):
-        AffineMap(matrix=matrix, shift=(F(0),) * len(matrix)).inverse()
+    for t in (shear, collapse):
+        assert t not in elements
+        assert sorted(apply(t, v) for v in gbit.vertices) != sorted(gbit.vertices)
 
 
 def test_center_has_both_diagonal_decompositions(gbit):

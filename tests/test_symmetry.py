@@ -18,6 +18,7 @@ from gptlab.boxworld import (
 )
 from gptlab.errors import InputError, UnsupportedError
 from gptlab.postulates import check_no_simultaneous_encoding
+from gptlab.ratgeo import HRep
 from gptlab.ratgeo.linalg import (
     independent_rows,
     inverse,
@@ -31,6 +32,7 @@ from gptlab.serialize import dumps, symmetry_group_to_json
 from gptlab.spaces import (
     AffineMap,
     ball_rotation_path,
+    from_hrep,
     make_ball3,
     make_classical,
     make_gbit,
@@ -39,6 +41,7 @@ from gptlab.symmetry import (
     FAIL,
     FINITE_SYMMETRY_GROUP,
     INTERACTING,
+    MAX_VERTICES,
     NON_INTERACTING,
     PASS,
     _AffineRealizer,
@@ -46,11 +49,11 @@ from gptlab.symmetry import (
     affine_automorphisms,
     check_continuous_reversibility,
     check_interaction,
-    check_reversibility,
     orbits,
 )
+from helpers import apply, compose, fraction_affine_inverse, identity_map
 from test_linalg import fraction_null_space
-from test_spaces import compose, space_from_points
+from test_spaces import space_from_points
 
 
 def brute_force_symmetries(space):
@@ -105,7 +108,7 @@ def fraction_realize(verts, d, perm):
     matrix = mat_mul(transpose(image_columns), a_inv)
     shift = vsub(image_base, mat_vec(matrix, verts[0]))
     candidate = AffineMap(matrix=matrix, shift=shift)
-    if any(candidate.apply(v) != verts[perm[u]] for u, v in enumerate(verts)):
+    if any(apply(candidate, v) != verts[perm[u]] for u, v in enumerate(verts)):
         return None
     return candidate
 
@@ -235,15 +238,15 @@ def test_group_axioms_hold_exhaustively(gbit):
             combined = compose(ep, eq)
             target = group.elements[index[composed]]
             for v in gbit.vertices:
-                assert combined.apply(v) == target.apply(v)
+                assert apply(combined, v) == apply(target, v)
 
 
 def test_elements_have_affine_inverses(gbit):
     group = affine_automorphisms(gbit)
     for el in group.elements:
-        inv = el.inverse()
+        inv = fraction_affine_inverse(el)
         assert inv is not None
-        assert compose(inv, el) == AffineMap.identity(2)
+        assert compose(inv, el) == identity_map(2)
 
 
 @pytest.mark.parametrize("name", ["gbit", "boxworld2"])
@@ -253,7 +256,7 @@ def test_generators_generate(name, request):
     verts = space.vertices
     n = len(verts)
     for gen, perm in zip(group.generators, group.generator_permutations):
-        assert all(gen.apply(verts[i]) == verts[perm[i]] for i in range(n))
+        assert all(apply(gen, verts[i]) == verts[perm[i]] for i in range(n))
     generated = {tuple(range(n))}
     frontier = list(generated)
     gen_perms = set(group.generator_permutations)
@@ -275,7 +278,7 @@ def test_realizer_rejects_a_non_affine_permutation(gbit):
     # fourth vertex shows that no affine map does it.
     realizer = _AffineRealizer(gbit.v)
     assert realizer.realize((1, 0, 2, 3)) is None
-    assert realizer.realize((0, 1, 2, 3)) == AffineMap.identity(2)
+    assert realizer.realize((0, 1, 2, 3)) == identity_map(2)
 
 
 def test_realizer_rejects_swapping_a_local_vertex_with_a_pr_box(boxworld2):
@@ -345,7 +348,7 @@ def test_symmetries_preserve_facets(gbit):
     group = affine_automorphisms(gbit)
     ineqs = set(gbit.h.inequalities)
     for el in group.elements:
-        inv = el.inverse()
+        inv = fraction_affine_inverse(el)
         mapped = set()
         for normal, offset in ineqs:
             # a.x <= b becomes (a M^-1).y <= b + (a M^-1).s on y = Mx + s.
@@ -365,6 +368,16 @@ def test_segment_group_order_2():
 
 def test_simplex_group_is_full_permutation_group():
     assert affine_automorphisms(make_classical(4)).order == 24
+
+
+def test_symmetry_search_takes_the_5_cube_at_max_vertices():
+    """The 5-cube, built from its 10 facets, has exactly ``MAX_VERTICES``
+    vertices, and its group is the hyperoctahedral one, 2^5 * 5!."""
+    unit = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    facets = [(tuple(-x for x in e), 0) for e in unit] + [(e, 1) for e in unit]
+    cube = from_hrep(HRep(5, facets), "5-cube")
+    assert len(cube.vertices) == MAX_VERTICES == 32
+    assert affine_automorphisms(cube).order == 3840
 
 
 def test_ball_unsupported():
@@ -397,9 +410,11 @@ def test_polytope_checkers_reject_the_ball(gbit, call, message):
     assert str(err.value) == message
 
 
-def test_square_single_orbit(gbit):
-    group = affine_automorphisms(gbit)
-    assert orbits(group, gbit) == ((0, 1, 2, 3),)
+def test_square_and_simplex_have_one_orbit(gbit):
+    """Their groups act transitively on the pure states."""
+    assert orbits(affine_automorphisms(gbit), gbit) == ((0, 1, 2, 3),)
+    simplex = make_classical(3)
+    assert orbits(affine_automorphisms(simplex), simplex) == ((0, 1, 2),)
 
 
 def test_orbits_rejects_mismatched_group(gbit):
@@ -463,22 +478,6 @@ def test_orbit_classes_have_constant_degree(boxworld2, boxworld2_group):
         assert len(degrees) == 1
 
 
-def test_reversibility_of_gbit_and_simplex(gbit):
-    assert check_reversibility(gbit) == {"status": PASS}
-    assert check_reversibility(make_classical(3)) == {"status": PASS}
-
-
-def test_boxworld_reversibility_fails_with_witness(boxworld2):
-    result = check_reversibility(boxworld2)
-    assert result["status"] == FAIL
-    i, j = result["witness"]
-    tags = {
-        classify_vertex(table_from_vector(boxworld2.vertices[k])).tag
-        for k in (i, j)
-    }
-    assert tags == {LOCAL_DETERMINISTIC, PR_BOX}
-
-
 def test_continuous_reversibility_gbit_fails(gbit):
     result = check_continuous_reversibility(gbit)
     assert result["status"] == FAIL
@@ -517,6 +516,13 @@ def test_interaction_boxworld_non_interacting(boxworld2):
 def test_interaction_requires_product_set(gbit):
     with pytest.raises(InputError):
         check_interaction(gbit, [])
+
+
+@pytest.mark.parametrize("index", [-1, 24])
+def test_interaction_rejects_a_product_index_outside_the_vertices(boxworld2, index):
+    """boxworld2 has 24 vertices, indexed 0-23."""
+    with pytest.raises(InputError, match="product vertex index out of range"):
+        check_interaction(boxworld2, [0, index])
 
 
 def test_interaction_classical_composite_vertex_level():
