@@ -35,7 +35,7 @@ from gptlab.ratgeo.linalg import (
     vsub,
 )
 from gptlab.symmetry import affine_automorphisms
-from helpers import apply, identity_map, vec
+from helpers import apply, compose, fraction_affine_inverse, identity_map, vec
 from test_linalg import fraction_rank
 
 
@@ -136,18 +136,62 @@ def test_unit_effect_measurement():
     assert m.outcome_probabilities(vec(F(1, 2), F(1, 2))) == (F(1),)
 
 
+def rotation90():
+    # 90-degree rotation about the square's center: (x, y) -> (1 - y, x).
+    return AffineMap(matrix=(vec(0, -1), vec(1, 0)), shift=vec(1, 0))
+
+
+def is_gbit_symmetry(t, gbit):
+    """``t`` is in the group that ``gptlab symmetries`` prints for the gbit."""
+    return t in affine_automorphisms(gbit).elements
+
+
+def moves_the_vertex_set(t, space):
+    return sorted(apply(t, v) for v in space.vertices) != sorted(space.vertices)
+
+
 def test_quarter_turn_is_a_gbit_symmetry_and_a_shear_is_not(gbit):
     """The group that ``gptlab symmetries`` prints holds the square's quarter
     turn about its centre, (x, y) -> (1 - y, x), and the identity.  A shear
     and a singular collapse move the vertex set, so they are not in it."""
     elements = affine_automorphisms(gbit).elements
-    quarter_turn = AffineMap(matrix=(vec(0, -1), vec(1, 0)), shift=vec(1, 0))
-    assert quarter_turn in elements and identity_map(2) in elements
+    assert rotation90() in elements and identity_map(2) in elements
     shear = AffineMap(matrix=(vec(1, 1), vec(0, 1)), shift=vec(-1, 0))
     collapse = AffineMap(matrix=(vec(1, 0), vec(1, 0)), shift=vec(0, 0))
     for t in (shear, collapse):
         assert t not in elements
-        assert sorted(apply(t, v) for v in gbit.vertices) != sorted(gbit.vertices)
+        assert moves_the_vertex_set(t, gbit)
+
+
+def test_rotation_is_reversible(gbit):
+    assert is_gbit_symmetry(rotation90(), gbit)
+    assert not moves_the_vertex_set(rotation90(), gbit)
+
+
+def test_shear_is_not_reversible(gbit):
+    shear = AffineMap(matrix=(vec(1, 1), vec(0, 1)), shift=vec(-1, 0))
+    assert not is_gbit_symmetry(shear, gbit)
+    assert moves_the_vertex_set(shear, gbit)
+
+
+def test_identity_is_reversible(gbit):
+    assert is_gbit_symmetry(identity_map(2), gbit)
+
+
+def test_singular_map_is_not_reversible(gbit):
+    collapse = AffineMap(matrix=(vec(1, 0), vec(1, 0)), shift=vec(0, 0))
+    assert not is_gbit_symmetry(collapse, gbit)
+    assert moves_the_vertex_set(collapse, gbit)
+    assert fraction_affine_inverse(collapse) is None
+
+
+def test_affine_map_compose_inverse(gbit):
+    """The quarter turn's inverse is in the gbit group and undoes it."""
+    r = rotation90()
+    rinv = fraction_affine_inverse(r)
+    assert is_gbit_symmetry(rinv, gbit)
+    assert compose(r, rinv) == identity_map(2)
+    assert compose(rinv, r) == identity_map(2)
 
 
 def test_center_has_both_diagonal_decompositions(gbit):

@@ -410,11 +410,40 @@ def test_polytope_checkers_reject_the_ball(gbit, call, message):
     assert str(err.value) == message
 
 
+def test_square_single_orbit(gbit):
+    group = affine_automorphisms(gbit)
+    assert orbits(group, gbit) == ((0, 1, 2, 3),)
+
+
 def test_square_and_simplex_have_one_orbit(gbit):
     """Their groups act transitively on the pure states."""
     assert orbits(affine_automorphisms(gbit), gbit) == ((0, 1, 2, 3),)
     simplex = make_classical(3)
     assert orbits(affine_automorphisms(simplex), simplex) == ((0, 1, 2),)
+
+
+def test_reversibility_of_gbit_and_simplex(gbit):
+    """Every pure state reaches every other by a reversible transformation:
+    for each ordered pair some group element maps the one to the other."""
+    for space in (gbit, make_classical(3)):
+        group = affine_automorphisms(space)
+        n = len(space.vertices)
+        reached = {(i, perm[i]) for perm in group.vertex_permutations for i in range(n)}
+        assert reached == set(itertools.product(range(n), repeat=2))
+
+
+def test_boxworld_reversibility_fails_with_witness(boxworld2, boxworld2_group):
+    """No reversible transformation takes a local deterministic box to a PR
+    box: the first vertex of each of the two orbits is such a pair."""
+    partition = orbits(boxworld2_group, boxworld2)
+    assert len(partition) == 2
+    i, j = partition[0][0], partition[1][0]
+    assert all(perm[i] != j for perm in boxworld2_group.vertex_permutations)
+    tags = {
+        classify_vertex(table_from_vector(boxworld2.vertices[k])).tag
+        for k in (i, j)
+    }
+    assert tags == {LOCAL_DETERMINISTIC, PR_BOX}
 
 
 def test_orbits_rejects_mismatched_group(gbit):
