@@ -1,8 +1,11 @@
 """Command-line front end: every analysis as a subcommand with JSON output.
 
 Exact quantities are printed as "n/d" strings; the bloch and quantum
-subcommands are flagged ``"inexact": true``.  Input errors exit with code 2
-and a machine-readable error object on standard output.
+subcommands are flagged ``"inexact": true``.  Every ``GptlabError`` exits
+with code 2 and a machine-readable error object on standard output, whose
+``type`` names the class: ``InputError`` and its kin for input that gptlab
+rejects, ``VerificationError`` when an internal re-check of a computed
+result fails, which is a defect in gptlab and not in the input.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .boxworld import (
     quantum_chsh_table,
     table_from_vector,
 )
-from .errors import GptlabError, InputError
+from .errors import GptlabError, InputError, VerificationError
 from .postulates import REGISTERED_CONFIGS, run_report
 from .ratgeo import (
     MAX,
@@ -39,6 +42,7 @@ from .ratgeo import (
     format_rational,
     parse_rational,
     solve_lp,
+    verify_dual,
     vertex_adjacency,
 )
 from .spaces import decompose_state, make_ball3, make_classical, make_gbit
@@ -295,7 +299,11 @@ def cmd_report(args):
 
 
 def build_full_report() -> dict:
-    """One artifact bundling every headline computation of the workbench."""
+    """One artifact bundling every headline computation of the workbench.
+
+    Each CHSH maximum over the no-signalling polytope is re-verified through
+    its dual certificate before it is printed.
+    """
     bw = make_boxworld2()
     gbit = make_gbit()
     tags = _classification_labels(bw)
@@ -311,12 +319,15 @@ def build_full_report() -> dict:
     gbit_orbits = orbits(gbit_group, gbit)
 
     ns = build_ns_hrep()
-    lp_maxima = {
-        variant.label: format_rational(
-            solve_lp(chsh_objective(variant), MAX, ns).optimum
-        )
-        for variant in all_chsh_variants()
-    }
+    lp_maxima = {}
+    for variant in all_chsh_variants():
+        objective = chsh_objective(variant)
+        result = solve_lp(objective, MAX, ns)
+        if not verify_dual(ns, objective, MAX, result):
+            raise VerificationError(
+                "CHSH %s: the LP maximum fails its dual certificate" % variant.label
+            )
+        lp_maxima[variant.label] = format_rational(result.optimum)
     chsh_by_class = {
         "pr_box": sorted(
             {format_rational(chsh_max(bw.vertices[i])) for i in pr}

@@ -23,3 +23,12 @@ class NotAVertexError(GptlabError):
 
 class UnsupportedError(GptlabError):
     """The operation is not defined for this kind of state space."""
+
+
+class VerificationError(GptlabError):
+    """An internal re-check of a computed result failed.
+
+    gptlab re-verifies its results (DD's vertices and facets, LP
+    certificates, the symmetry group's generators and closure) before it
+    returns them.  A failed re-check is a defect in gptlab, not in the input.
+    """

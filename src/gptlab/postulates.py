@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .boxworld import is_boxworld2, make_boxworld2, product_table
-from .errors import InputError
+from .errors import InputError, VerificationError
 from .ratgeo import (
     HRep,
     INFEASIBLE,
@@ -26,6 +26,7 @@ from .ratgeo import (
     affine_dimension,
     format_rational,
     solve_lp,
+    verify_dual,
     verify_farkas,
 )
 from .ratgeo.linalg import (
@@ -245,7 +246,7 @@ def check_joint_readout(witness: EncodingWitness, space: StateSpace) -> LPResult
     result = solve_lp(zeros(system.ambient_dim), MAX, system)
     if result.status == INFEASIBLE:
         if not verify_farkas(system, result.witness):
-            raise AssertionError("joint readout: the Farkas certificate fails")
+            raise VerificationError("joint readout: the Farkas certificate fails")
     return result
 
 
@@ -272,7 +273,9 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> dict:
     the sequential statistics would distinguish mixtures from their
     components.  Both constraints go into one exact LP; the claim is
     confirmed when the second readout's statistics are forced equal across
-    the values of the second bit for at least one branch.
+    the values of the second bit for at least one branch.  Each optimum is
+    re-verified through its dual certificate (``VerificationError`` if one
+    fails).
     """
     if not _is_gbit(space):
         return {
@@ -334,6 +337,12 @@ def check_disturbance(space: StateSpace, witness: EncodingWitness) -> dict:
                 "status": NOT_CONFIRMED,
                 "detail": {"reason": "post-measurement constraints infeasible"},
             }
+        for sense, result in ((MAX, hi), (MIN, lo)):
+            if not verify_dual(system, objective, sense, result):
+                raise VerificationError(
+                    "disturbance: the %s of branch %d fails its dual certificate"
+                    % (sense, branch)
+                )
         branch_forced[branch] = (hi.optimum, lo.optimum)
 
     erased = {b: hi == 0 and lo == 0 for b, (hi, lo) in branch_forced.items()}
@@ -431,7 +440,7 @@ def _encoding_entry(space: StateSpace) -> dict:
     if w is None:
         return {"status": PASS, "subject": space.label}
     if not verify_encoding_witness(w, space):
-        raise AssertionError("the encoding witness fails its re-verification")
+        raise VerificationError("the encoding witness fails its re-verification")
     joint = check_joint_readout(w, space)
     disturbance = check_disturbance(space, w)
     return {

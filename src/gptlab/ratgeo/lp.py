@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from ..errors import InputError
+from ..errors import InputError, VerificationError
 from .linalg import Vector, integer_row, primitive_ints
 
 OPTIMAL = "optimal"
@@ -310,8 +310,8 @@ def solve_lp(objective: Vector, sense: str, constraints) -> LPResult:
     # entry is minus the value, so a negative one means a positive minimum.
     phase1_costs = [0] * tab.n_struct + [1] * tab.m
     tab.set_costs(phase1_costs, 1, allow_artificial=True)
-    status = tab.minimize()
-    assert status == OPTIMAL, "phase 1 cannot be unbounded"
+    if tab.minimize() != OPTIMAL:
+        raise VerificationError("phase 1 cannot be unbounded")
     if tab.price[tab.rhs] < 0:
         return LPResult(status=INFEASIBLE, optimum=None, witness=tab.multipliers())
 

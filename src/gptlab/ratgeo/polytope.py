@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from ..errors import EmptyError, InputError, UnboundedError
+from ..errors import EmptyError, InputError, UnboundedError, VerificationError
 from . import lp
 from .linalg import (
     Vector,
@@ -289,9 +289,11 @@ def vertex_enumeration(h: HRep) -> VRep:
     extreme rays.  A ray with t = 0 next to one with t > 0 is a recession
     direction: ``UnboundedError`` names it.  If the cone contains a line, or
     no ray has t > 0, one phase-1 LP decides: ``EmptyError`` if it is
-    infeasible, otherwise ``UnboundedError`` for the line.  Every vertex is
-    re-verified extremal via the active-constraint rank test (``_is_extreme``)
-    on its integer ray, before any ``Fraction`` is built.
+    infeasible, once its Farkas certificate is re-verified, otherwise
+    ``UnboundedError`` for the line.  Every vertex is re-verified extremal
+    via the active-constraint rank test (``_is_extreme``) on its integer ray,
+    before any ``Fraction`` is built.  A failed re-check raises
+    ``VerificationError``.
 
     The cone is parametrized by ``integer_null_space`` of the equalities,
     the canonical basis times one positive ``scale``, so every lifted ray
@@ -315,9 +317,14 @@ def vertex_enumeration(h: HRep) -> VRep:
         columns = list(zip(*basis))
         rays = [[sum(map(mul, col, zray)) for col in columns] for zray in rays]
     if rays is None or all(y[d] == 0 for y in rays):
-        if lp.solve_lp(zeros(d), lp.MAX, h).status == lp.INFEASIBLE:
-            raise EmptyError("the H-representation describes an empty polytope")
-        raise UnboundedError("polyhedron contains a line")
+        phase1 = lp.solve_lp(zeros(d), lp.MAX, h)
+        if phase1.status != lp.INFEASIBLE:
+            raise UnboundedError("polyhedron contains a line")
+        if not lp.verify_farkas(h, phase1.witness):
+            raise VerificationError(
+                "the emptiness verdict fails its Farkas certificate"
+            )
+        raise EmptyError("the H-representation describes an empty polytope")
     for y in rays:
         if y[d] == 0:
             raise UnboundedError(
@@ -327,7 +334,7 @@ def vertex_enumeration(h: HRep) -> VRep:
 
     for y in rays:
         if not _is_extreme(h, h._slacks(y[:d], y[d])):
-            raise InputError("double description produced a non-extreme point")
+            raise VerificationError("double description produced a non-extreme point")
     return VRep(d, [tuple(Fraction(x, y[d]) for x in y[:d]) for y in rays])
 
 
@@ -357,10 +364,10 @@ def facet_enumeration(v: VRep) -> HRep:
     coordinate columns (the pivot columns of the point differences, on which
     the hull projects injectively, so the cone is pointed).  Double
     description enumerates those rays; each facet is re-verified against the
-    points before the canonical HRep is built.  The points need not be
-    extreme: a non-extreme point only adds a redundant cone constraint.  For
-    extreme points the round trip holds exactly:
-    ``vertex_enumeration(facet_enumeration(v)) == v``.
+    points before the canonical HRep is built (``VerificationError`` if one
+    fails).  The points need not be extreme: a non-extreme point only adds a
+    redundant cone constraint.  For extreme points the round trip holds
+    exactly: ``vertex_enumeration(facet_enumeration(v)) == v``.
     """
     if not v.vertices:
         raise InputError("facet enumeration of an empty vertex list")
@@ -380,7 +387,8 @@ def facet_enumeration(v: VRep) -> HRep:
 
     cone = [[p[j] for j in coords] + [-scale] for p in points]
     rays = _dd_extreme_rays(cone, k + 1)
-    assert rays is not None  # p -> p[coords] is injective on the affine hull
+    if rays is None:  # p -> p[coords] is injective on the affine hull
+        raise VerificationError("the cone of valid inequalities is not pointed")
     inequalities = []
     for ray in rays:
         row = [0] * d + [ray[k]]
@@ -392,7 +400,9 @@ def facet_enumeration(v: VRep) -> HRep:
         # The tight points span a (k - 1)-flat iff their cone rows have rank k.
         tight = [c for c, val in zip(cone, values) if val == bound]
         if max(values) > bound or len(integer_rref(tight)[1]) != k:
-            raise InputError("double description produced a non-facet inequality")
+            raise VerificationError(
+                "double description produced a non-facet inequality"
+            )
         inequalities.append(row)
     return HRep(d, _pairs(sorted(inequalities)), _pairs(equalities))
 

@@ -8,26 +8,27 @@ the lifted vertex matrix W (rows (v, 1)).  Q is computed on integers, with
 W read from the ``VRep``'s integer points and affine hull and (W^T W)^-1
 held as ints over one denominator: that is Q times a positive integer,
 which keeps every equality and order that the search reads.  The group is
-found by a plain backtrack over vertices: a candidate image must carry the
-same colour (the sorted Q row plus the diagonal entry) and agree with Q on
-every vertex already assigned.  (Bremner, Dutour Sikirić, Pasechnik, Rehn
-& Schürmann, *Computing symmetry groups of polyhedra*, LMS J. Comput.
+found by a plain backtrack over vertices: a candidate image must agree with
+Q on every vertex already assigned.  (Bremner, Dutour Sikirić, Pasechnik,
+Rehn & Schürmann, *Computing symmetry groups of polyhedra*, LMS J. Comput.
 Math. 17, 2014.)  The backtrack keeps, for each position not yet assigned,
-a bitmask of the images still open to it, starting from the vertices of
-its colour.
+a bitmask of the images still open to it, starting from every vertex.
 Assigning i -> k ANDs each later position j's mask with the vertices v != k
 that have Q[k][v] == Q[i][j], precomputed per row of Q with each distinct
-entry renumbered as a small int, and an empty mask ends the branch.  The
-lowest open image is tried first, so the permutations come out in
-lexicographic order.
+entry renumbered as a small int, and an empty mask ends the branch.  So a
+complete assignment keeps every off-diagonal entry of Q, and with it the
+diagonal, since every row of Q has the same sum (Q fixes the lifted all-ones
+column).  The lowest open image is tried first, so the permutations come
+out in lexicographic order.
 
 The search is certified independently of Q: every generator is realized
 as an explicit affine map and verified on all vertices, and the closure of
 the generators must equal the permutation set, so every element is a
-product of verified affine automorphisms.  The affine maps of the other
-elements are realized (and verified again) only when they are read.  The
-realizer, too, forms and verifies each map on integers and builds
-``Fraction``s only for a map that passes.
+product of verified affine automorphisms; a failed check raises
+``VerificationError``.  The affine maps of the other elements are realized
+(and verified again) only when they are read.  The realizer, too, forms and
+verifies each map on integers and builds ``Fraction``s only for a map that
+passes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, VerificationError
 from .ratgeo.linalg import independent_rows, integer_inverse
 from .spaces import AffineMap, BALL3, StateSpace, ball_rotation_path
 
@@ -97,10 +98,6 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
     # the search reads and lets the masks below be indexed by it.
     ids: dict = {}
     q = [[ids.setdefault(x, len(ids)) for x in row] for row in _gram_projector(vrep)]
-    colours = [(row[i], tuple(sorted(row))) for i, row in enumerate(q)]
-    colour_masks: dict = {}
-    for v, colour in enumerate(colours):
-        colour_masks[colour] = colour_masks.get(colour, 0) | 1 << v
     # holders[k][x]: the vertices v other than k with q[k][v] == x.
     holders = [[0] * len(ids) for _ in range(n)]
     for k, row in enumerate(q):
@@ -129,17 +126,17 @@ def affine_automorphisms(space: StateSpace) -> SymmetryGroup:
                 descend(i + 1, narrowed)
                 image.pop()
 
-    # The lowest open image is tried first, so the list comes out sorted.
-    descend(0, [colour_masks[c] for c in colours])
+    # Every image starts open; the lowest open one is tried first, so the
+    # list comes out sorted.
+    descend(0, [(1 << n) - 1] * n)
 
     realizer = _AffineRealizer(vrep)
     gen_perms, closure = _greedy_generators(permutations, n)
     generators = tuple(realizer.realize(p) for p in gen_perms)
-    # Raised, not asserted: the re-verification must survive ``python -O``.
     if None in generators:
-        raise AssertionError("search produced an unrealizable generator")
+        raise VerificationError("search produced an unrealizable generator")
     if closure != set(permutations):
-        raise AssertionError("generators do not close on the search")
+        raise VerificationError("generators do not close on the search")
     return SymmetryGroup(
         vertex_permutations=tuple(permutations),
         generators=generators,
@@ -187,7 +184,8 @@ class _AffineRealizer:
         self.basis_idx = [1 + i for i in independent]
         columns = [diffs[i] for i in independent] + self.complement
         inverse = integer_inverse(list(zip(*columns)))
-        assert inverse is not None
+        if inverse is None:  # the basis and the complement span the space
+            raise VerificationError("the realizer's affine basis is singular")
         a_inv, self.den = inverse
         self.a_inv_columns = list(zip(*a_inv))
         self.supports = [[(j, x) for j, x in enumerate(diff) if x] for diff in diffs]

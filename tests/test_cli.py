@@ -2,12 +2,14 @@
 
 import contextlib
 import copy
+import glob
 import hashlib
 import io
 import itertools
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +145,31 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
+# ``gptlab report`` with the CHSH maxima's dual certificate check broken.
+BROKEN_REPORT = """
+import sys
+from gptlab import cli
+cli.verify_dual = lambda *args: False
+sys.argv[1:] = ["report"]
+cli.main()
+"""
+
+
+def test_a_failed_recheck_exits_2_with_a_typed_error_and_no_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-c", BROKEN_REPORT],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": {
+            "type": "VerificationError",
+            "message": "CHSH +++-: the LP maximum fails its dual certificate",
+        }
+    }
+
+
 def _fresh_interpreter_env():
     """The environment with this checkout's gptlab first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(gptlab.__file__))
@@ -235,7 +262,13 @@ def test_unknown_space_exits_2(capsys):
     assert data["error"]["type"] == "InputError"
 
 
-def test_orbits_names_the_vertex_limit_for_classical_33(capsys):
+def test_orbits_names_the_vertex_limit_for_classical_33(monkeypatch, capsys):
+    # Past the limit the search would list all 33! permutations: fail at
+    # once instead if the limit ever lets classical-33 reach it.
+    def search_started(v):
+        pytest.fail("the symmetry search started on %d vertices" % len(v.vertices))
+
+    monkeypatch.setattr("gptlab.symmetry._gram_projector", search_started)
     code, data = invoke(capsys, "orbits", "--space", "classical-33")
     assert code == 2
     assert data["error"] == {
@@ -584,6 +617,50 @@ REPORT_SHA256 = "6dd5a6f8a3fb1b8169bcd1403c630b39190da0c743861fd37b0ee5e19141aeb
 def test_report_hashes_to_the_gate():
     stdout = dumps(build_full_report()) + "\n"
     assert hashlib.sha256(stdout.encode()).hexdigest() == REPORT_SHA256
+
+
+def _other_cpythons():
+    """{version: executable} for every CPython 3.10-3.13 on ``PATH`` or in
+    pyenv's versions, other than the one running the tests, that starts."""
+    candidates = [shutil.which("python3.%d" % minor) for minor in range(10, 14)]
+    candidates += sorted(
+        glob.glob(os.path.expanduser("~/.pyenv/versions/3.1[0-3].*/bin/python3"))
+    )
+    probe = (
+        "import platform, sys; "
+        "print(platform.python_implementation(), *sys.version_info[:3])"
+    )
+    found = {}
+    for exe in filter(None, candidates):
+        # A pyenv shim for a version that is not selected exits non-zero.
+        proc = subprocess.run(
+            [exe, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        if proc.returncode != 0:
+            continue
+        implementation, *version = proc.stdout.split()
+        version = tuple(map(int, version))
+        if (
+            implementation == "CPython"
+            and (3, 10) <= version < (3, 14)
+            and version != sys.version_info[:3]
+        ):
+            found.setdefault(version, exe)
+    return found
+
+
+def test_report_hashes_to_the_gate_under_every_other_cpython():
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10-3.13 is installed")
+    digests = {}
+    for version, exe in sorted(interpreters.items()):
+        proc = subprocess.run(
+            [exe, "-B", "-m", "gptlab.cli", "report"],
+            capture_output=True, env=_fresh_interpreter_env(), timeout=120,
+        )
+        digests[version] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
+    assert digests == {version: (0, REPORT_SHA256) for version in interpreters}
 
 
 def test_report_checks_ball_continuity_once(monkeypatch, capsys):

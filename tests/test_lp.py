@@ -119,6 +119,21 @@ def test_degenerate_vertex_no_cycling():
     assert verify_dual(h, vec(1, 1), MAX, r)
 
 
+def test_negative_pivot_keeps_the_denominator_positive():
+    # Driving the artificials out after phase 1 pivots on a negative entry,
+    # and the third equality, redundant, is dropped.  Without the pivot's
+    # sign fix in ``_Tableau._pivot`` the solve returned -9/5 at (-2/5, -3/5)
+    # with a failing certificate.
+    ineqs = [((-1, -2), 2), ((3, 1), 1), ((-2, 2), 4), ((0, 2), -1), ((-1, 1), 0)]
+    eqs = [((1, -2), 1), ((-2, 0), 1), ((5, -2), -1)]
+    h = HRep(2, ineqs, eqs)
+    r = solve_lp((3, 1), MAX, h)
+    assert r.status == OPTIMAL
+    assert r.optimum == F(-9, 4)
+    assert r.witness == (F(-1, 2), F(-3, 4))
+    assert verify_dual(h, (3, 1), MAX, r)
+
+
 def test_deterministic_witness():
     h = HRep.make(
         2,

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gptlab.errors import EmptyError, InputError, UnboundedError
+from gptlab.errors import EmptyError, InputError, UnboundedError, VerificationError
 from gptlab.ratgeo import (
     HRep,
     VRep,
@@ -992,8 +992,9 @@ def test_facet_enumeration_rejects_a_non_facet_ray(monkeypatch, extra):
     square = VRep(2, [vec(0, 0), vec(0, 1), vec(1, 0), vec(1, 1)])
     dd = polytope._dd_extreme_rays
     monkeypatch.setattr(polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [extra])
-    with pytest.raises(InputError):
+    with pytest.raises(VerificationError) as err:
         facet_enumeration(square)
+    assert str(err.value) == "double description produced a non-facet inequality"
 
 
 @pytest.mark.parametrize(
@@ -1012,7 +1013,7 @@ def test_vertex_enumeration_rejects_a_non_extreme_ray(monkeypatch, extra):
         return rays + [tuple(x + y for x, y in zip(rays[0], rays[1]))]
 
     monkeypatch.setattr(polytope, "_dd_extreme_rays", with_extra)
-    with pytest.raises(InputError) as err:
+    with pytest.raises(VerificationError) as err:
         vertex_enumeration(unit_square_h())
     assert str(err.value) == "double description produced a non-extreme point"
 

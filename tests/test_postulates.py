@@ -249,16 +249,24 @@ def test_postulate_lp_systems_are_pinned(gbit, monkeypatch):
 
 
 # Each check breaks one re-verification and prints what the checked call
-# raises.  A bare ``assert`` would vanish under ``python -O``.
+# raises: every failed re-check is a ``VerificationError``, and none is a bare
+# ``assert``, which would vanish under ``python -O``.  The first nine break a
+# re-check of DD, the symmetry search, the postulates and phase 1; the last
+# three break an LP verdict's certificate check.
 BROKEN_CERTIFICATE_CHECKS = """
 import sys
-from gptlab import postulates, symmetry
+from gptlab import cli, postulates, symmetry
+from gptlab.errors import VerificationError
+from gptlab.ratgeo import HRep, lp, polytope
 from gptlab.spaces import make_gbit
 
 gbit = make_gbit()
 witness = postulates.check_no_simultaneous_encoding(gbit)
 greedy = symmetry._greedy_generators
 search = symmetry.affine_automorphisms.__wrapped__
+dd = polytope._dd_extreme_rays
+# x <= 0 and x >= 1: DD finds no point, phase 1 proves it empty.
+empty = HRep(1, [((1,), 0), ((-1,), -1)])
 checks = [
     (postulates, "verify_farkas", lambda *a: False,
      lambda: postulates.check_joint_readout(witness, gbit)),
@@ -267,6 +275,22 @@ checks = [
     (symmetry._AffineRealizer, "realize", lambda *a: None, lambda: search(gbit)),
     (symmetry, "_greedy_generators", lambda p, n: (greedy(p, n)[0], set()),
      lambda: search(gbit)),
+    (symmetry, "integer_inverse", lambda m: None,
+     lambda: symmetry._AffineRealizer(gbit.v)),
+    (polytope, "_is_extreme", lambda *a: False,
+     lambda: polytope.vertex_enumeration(gbit.h)),
+    (polytope, "_dd_extreme_rays", lambda rows, k: None,
+     lambda: polytope.facet_enumeration(gbit.v)),
+    # x + y <= 2 holds on the gbit's square but is tight at (1, 1) alone.
+    (polytope, "_dd_extreme_rays", lambda rows, k: dd(rows, k) + [(1, 1, 2)],
+     lambda: polytope.facet_enumeration(gbit.v)),
+    (lp._Tableau, "minimize", lambda self: lp.UNBOUNDED,
+     lambda: lp.solve_lp((0, 0), lp.MAX, gbit.h)),
+    (lp, "verify_farkas", lambda *a: False,
+     lambda: polytope.vertex_enumeration(empty)),
+    (cli, "verify_dual", lambda *a: False, cli.build_full_report),
+    (postulates, "verify_dual", lambda *a: False,
+     lambda: postulates.check_disturbance(gbit, witness)),
 ]
 print(sys.flags.optimize)
 for owner, name, broken, call in checks:
@@ -275,9 +299,10 @@ for owner, name, broken, call in checks:
     try:
         call()
         print("not raised")
-    except AssertionError as err:
+    except VerificationError as err:
         print(err)
-    setattr(owner, name, original)
+    finally:
+        setattr(owner, name, original)
 """
 
 
@@ -293,4 +318,12 @@ def test_certificate_rechecks_raise_under_python_O():
         "the encoding witness fails its re-verification",
         "search produced an unrealizable generator",
         "generators do not close on the search",
+        "the realizer's affine basis is singular",
+        "double description produced a non-extreme point",
+        "the cone of valid inequalities is not pointed",
+        "double description produced a non-facet inequality",
+        "phase 1 cannot be unbounded",
+        "the emptiness verdict fails its Farkas certificate",
+        "CHSH +++-: the LP maximum fails its dual certificate",
+        "disturbance: the max of branch 0 fails its dual certificate",
     ]
