@@ -2,15 +2,17 @@
 
 Vectors are tuples of ``fractions.Fraction``; matrices are tuples of such
 row tuples.  Every reduction scales each row to Python integers by the lcm
-of its denominators and eliminates fraction-free in ``integer_rref`` (each
-updated row is divided by the gcd of its entries, in the spirit of Bareiss,
-1968), so every result is exact and deterministic.  Product code calls the
-integer cores ``integer_rref``, ``integer_null_space``, ``integer_inverse``,
-``primitive_ints`` and ``primitive_signed_ints`` and builds ``Fraction``s
-only at its API.  ``rref``, ``solve``, ``inverse``, ``mat_mul`` and
-``transpose`` give the same answers in ``Fraction``s, and no product code
-calls them.  The first four stay while ``perfbench/tracing.py`` patches them
-by name; ``transpose`` stays because ``mat_mul`` calls it.
+of its denominators (``integer_row``, ``integer_rows``) and eliminates
+fraction-free in ``integer_rref`` (each updated row is divided by the gcd of
+its entries, in the spirit of Bareiss, 1968), so every result is exact and
+deterministic.  Product code calls the integer cores ``integer_rref``,
+``integer_pivots`` (the same pivots by forward elimination alone, for a
+rank), ``integer_null_space``, ``integer_inverse``, ``primitive_ints`` and
+``primitive_signed_ints`` and builds ``Fraction``s only at its API.
+``rref``, ``solve``, ``inverse``, ``mat_mul`` and ``transpose`` give the
+same answers in ``Fraction``s, and no product code calls them.  The first
+four stay while ``perfbench/tracing.py`` patches them by name;
+``transpose`` stays because ``mat_mul`` calls it.
 The sizes handled here are small (ambient dimension at most 64, the largest
 built-in space; a weight polytope has one coordinate per vertex), so no
 effort is spent on pivoting for speed.
@@ -31,20 +33,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def lcm_of_denominators(values) -> int:
-    """The least positive integer that makes every value an integer."""
-    return lcm(*(v.denominator for v in values))
-
-
-def scaled(value, scale: int) -> int:
-    """The integer ``value * scale``, for ``scale`` a multiple of its denominator."""
-    return value.numerator * (scale // value.denominator)
-
-
 def integer_row(values) -> tuple[list[int], int]:
-    """(ints, scale) with ``ints[i] == values[i] * scale``, scale the lcm."""
-    scale = lcm_of_denominators(values)
-    return [scaled(v, scale) for v in values], scale
+    """(ints, scale) with ``ints[i] == values[i] * scale``, scale the lcm of
+    the denominators.  Each value's numerator and denominator are read once;
+    a float has neither, and raises."""
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    scale = lcm(*dens)
+    if scale == 1:
+        return nums, 1
+    return [n * (scale // d) for n, d in zip(nums, dens)], scale
 
 
 def integer_rows(rows) -> tuple[list[list[int]], int]:
@@ -52,8 +50,14 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
 
     One positive scale for all rows keeps their lexicographic order.
     """
-    scale = lcm_of_denominators(x for row in rows for x in row)
-    return [[scaled(x, scale) for x in row] for row in rows], scale
+    nums = [[x.numerator for x in row] for row in rows]
+    dens = [[x.denominator for x in row] for row in rows]
+    scale = lcm(*(d for row in dens for d in row))
+    if scale == 1:
+        return nums, 1
+    return [
+        [n * (scale // d) for n, d in zip(ns, ds)] for ns, ds in zip(nums, dens)
+    ], scale
 
 
 # Decimal text of at most this many digits converts to and from ``int``
@@ -243,17 +247,56 @@ def integer_rref(rows) -> tuple[list, list[int]]:
     return work[:r], pivots
 
 
+def integer_pivots(rows) -> list[int]:
+    """The pivot columns of ``integer_rref(rows)``, by forward elimination
+    alone, for callers that read only a rank.
+
+    Column c is a pivot iff it is independent of the columns before it,
+    whichever nonzero row each step pivots on, so no back-substitution is
+    needed.  Each step is fraction-free and divides exactly by the previous
+    pivot (Bareiss, 1968): every entry is a minor of the input, with the
+    pivot rows negated where that makes their pivot positive.  A row that is
+    zero in the pivot column changes only when the pivot does, so a run of
+    unit pivots, as on a cube's rows of either sign, leaves it as it is.
+    """
+    work = list(rows)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(work[0]) if work else 0):
+        for i, prow in enumerate(work):
+            if prow[c]:
+                break
+        else:
+            continue
+        del work[i]
+        pivots.append(c)
+        if not work:
+            break
+        p = prow[c]
+        if p < 0:
+            prow, p = [-y for y in prow], -p
+        for j, row in enumerate(work):
+            a = row[c]
+            if a:
+                work[j] = [(p * x - a * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                work[j] = [p * x // prev for x in row]
+        prev = p
+    return pivots
+
+
 def independent_rows(rows) -> list[int]:
     """Indices of the rows that a greedy scan in order keeps.
 
     The scan keeps a row iff it is not in the span of the rows before it.
     That is exactly when its column of the transpose is a pivot column of
-    the reduced row echelon form, so one elimination answers for every row.
+    the reduced row echelon form, so one forward elimination
+    (``integer_pivots``) answers for every row.
     Each column is scaled to ints by the lcm of its denominators, which
     keeps the row space of the transpose and so its pivots; int rows pass
     through unchanged.
     """
-    return integer_rref([integer_row(col)[0] for col in zip(*rows)])[1]
+    return integer_pivots([integer_row(col)[0] for col in zip(*rows)])
 
 
 def integer_null_space(reduced, pivots, ncols: int) -> tuple[list[list[int]], int]:

@@ -9,12 +9,14 @@ extreme rays are the facets.  Everything from an ``HRep``'s canonical rows
 to the re-verification of every output runs on integers: the cone's rows
 (an ``HRep``'s coprime integer rows, or the points times one lcm), DD's
 initial simplex (one elimination), its primitive rays, the adjacency tests
-(a count of common zero rows, then a scan), the null spaces and the slacks
-that every point test reads.  ``Fraction``s are built only for the returned
-``VRep`` or ``HRep``, which each derive their integer form once: an
-``HRep`` its coprime rows, a ``VRep`` its points times one lcm and, on first
-read, their affine hull.  All outputs are canonically ordered, so
-conversions are reproducible bit for bit.
+(a count of common zero rows, then a count of the members whose zero sets
+hold the common one), the null spaces, the rank re-checks (forward
+elimination only) and the slacks that every point test reads.
+``Fraction``s are built only for the returned ``VRep`` or ``HRep``, which
+each derive their integer form once: an ``HRep`` its coprime rows, a
+``VRep`` its points times one lcm and, on first read, their affine hull.
+All outputs are canonically ordered, so conversions are reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linalg import (
     Vector,
     format_rational,
     integer_null_space,
+    integer_pivots,
     integer_row,
     integer_rows,
     integer_rref,
@@ -206,15 +209,13 @@ def _adjacent(zero_sets: list[int], p: int, q: int, need: int) -> bool:
     pair shares at least ``need`` zero rows, a bound that each caller takes
     from the dimension, so a smaller common zero set rules the pair out
     before the scan: the cardinality condition of Fukuda & Prodon (1996).
+    The scan counts the members whose zero sets hold the common one, in one
+    list; p and q always do, so the pair is adjacent iff the count is 2.
     """
     common = zero_sets[p] & zero_sets[q]
     if common.bit_count() < need:
         return False
-    return not any(
-        (common & ~zs) == 0
-        for r, zs in enumerate(zero_sets)
-        if r != p and r != q
-    )
+    return [zs & common for zs in zero_sets].count(common) == 2
 
 
 def _dd_extreme_rays(rows, k: int) -> list[tuple[int, ...]] | None:
@@ -298,22 +299,26 @@ def vertex_enumeration(h: HRep) -> VRep:
     The cone is parametrized by ``integer_null_space`` of the equalities,
     the canonical basis times one positive ``scale``, so every lifted ray
     (x, t) is ``scale`` times the rational one; its rows are the ``HRep``'s
-    coprime integer rows, which are its ``Fraction`` rows.
+    coprime integer rows, which are its ``Fraction`` rows.  Without
+    equalities that basis is the identity with scale 1, so DD runs on the
+    homogenized rows as they are and no ray is mapped back.
     """
     d = h.ambient_dim
     ineqs, eqs = h._integer_constraints
+    cone = [(*n, -o) for n, o in ineqs]
+    cone.append((0,) * d + (-1,))  # t >= 0
+
+    # With no equalities the basis would be the identity, with scale 1.
+    k, basis, scale = d + 1, None, 1
+    if eqs:
+        reduced = integer_rref([(*n, -o) for n, o in eqs])
+        basis, scale = integer_null_space(*reduced, d + 1)
+        cone = [[sum(map(mul, b, row)) for b in basis] for row in cone]
+        k = len(basis)
+
     # An empty basis (no null space) leaves only (x, t) = 0: an empty input.
-    eqs = integer_rref([(*n, -o) for n, o in eqs])
-    basis, scale = integer_null_space(*eqs, d + 1)
-
-    hom_ineqs = [(*n, -o) for n, o in ineqs]
-    hom_ineqs.append((0,) * d + (-1,))  # t >= 0
-
-    reduced_rows = [[sum(map(mul, b, row)) for b in basis] for row in hom_ineqs]
-    reduced_rows = [row for row in reduced_rows if any(row)]
-
-    rays = _dd_extreme_rays(reduced_rows, len(basis)) if basis else []
-    if rays is not None:
+    rays = _dd_extreme_rays([row for row in cone if any(row)], k) if k else []
+    if basis and rays is not None:
         columns = list(zip(*basis))
         rays = [[sum(map(mul, col, zray)) for col in columns] for zray in rays]
     if rays is None or all(y[d] == 0 for y in rays):
@@ -341,13 +346,13 @@ def vertex_enumeration(h: HRep) -> VRep:
 def _is_extreme(h: HRep, slacks) -> bool:
     """Whether the point with these ``HRep.slacks`` is a vertex of h: it
     lies in h, and the constraints active at it, equalities included, have
-    full rank."""
+    full rank (``integer_pivots``: a rank needs no reduced rows)."""
     if not _holds(slacks):
         return False
     ineqs, eqs = h._integer_constraints
     active = [n for (n, _), s in zip(ineqs, slacks[0]) if s == 0]
     active += [n for n, _ in eqs]
-    return len(integer_rref(active)[1]) == h.ambient_dim
+    return len(integer_pivots(active)) == h.ambient_dim
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +404,7 @@ def facet_enumeration(v: VRep) -> HRep:
         values = [sum(map(mul, row, p)) for p in points]
         # The tight points span a (k - 1)-flat iff their cone rows have rank k.
         tight = [c for c, val in zip(cone, values) if val == bound]
-        if max(values) > bound or len(integer_rref(tight)[1]) != k:
+        if max(values) > bound or len(integer_pivots(tight)) != k:
             raise VerificationError(
                 "double description produced a non-facet inequality"
             )
@@ -439,13 +444,15 @@ def vertex_adjacency(v: VRep, h: HRep) -> tuple[tuple[int, ...], ...]:
     pair with fewer than d - 1 - len(h.equalities) common active
     inequalities is ruled out by that count before the scan.  The test is
     exact; it requires ``v`` to list every vertex of ``h`` and nothing
-    else.  Each vertex is checked to lie in ``h``.
+    else.  Each vertex is checked to lie in ``h``, on the slacks of its
+    integer point in ``v._integer_points``.
     """
     if v.ambient_dim != h.ambient_dim:
         raise InputError("representation dimension mismatch")
+    points, scale = v._integer_points
     zero_sets = []
-    for x in v.vertices:
-        slacks = h.slacks(x)
+    for x, p in zip(v.vertices, points):
+        slacks = h._slacks(p, scale)
         if not _holds(slacks):
             raise InputError(
                 "vertex (%s) violates the H-representation"

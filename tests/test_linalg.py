@@ -19,6 +19,7 @@ from gptlab.ratgeo.linalg import (
     independent_rows,
     integer_inverse,
     integer_null_space,
+    integer_pivots,
     integer_row,
     integer_rref,
     inverse,
@@ -31,7 +32,8 @@ from gptlab.ratgeo.linalg import (
     solve,
     transpose,
 )
-from gptlab.ratgeo.polytope import affine_dimension
+from gptlab.boxworld import build_ns_hrep
+from gptlab.ratgeo.polytope import affine_dimension, vertex_enumeration
 from helpers import identity_matrix, vec
 
 
@@ -380,9 +382,9 @@ def test_kernel_matches_fraction_oracle(monkeypatch):
         assert fraction_rank(rows) == len(pivots)
         deficient += len(pivots) < min(len(rows), ncols)
         assert integer_kernel(rows, ncols) == (pivots, fraction_null_space(rows, ncols))
-        basis, scale = integer_null_space(
-            *integer_rref([integer_row(r)[0] for r in rows]), ncols
-        )
+        ints = [integer_row(r)[0] for r in rows]
+        assert integer_pivots(ints) == pivots
+        basis, scale = integer_null_space(*integer_rref(ints), ncols)
         assert type(scale) is int and scale > 0
         assert all(type(x) is int for v in basis for x in v)
         x0 = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols))
@@ -402,6 +404,55 @@ def test_kernel_matches_fraction_oracle(monkeypatch):
             else:
                 assert mat_mul(m, m_inv) == identity_matrix(ncols)
     assert deficient > 120 and singular > 30 and inconsistent > 200
+
+
+def sixteen_column_rows(rng):
+    """Seeded int rows of 16 columns, the width of the no-signalling
+    polytope's normals: sparse and dense rows, zero rows, duplicates and
+    combinations of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(1, 20)):
+        kind = rng.random()
+        if rows and kind < 0.25:
+            row = [0] * 16
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                c = rng.randint(-3, 3)
+                row = [x + c * y for x, y in zip(row, earlier)]
+        elif rows and kind < 0.4:
+            row = list(rng.choice(rows))
+        elif kind < 0.5:
+            row = [0] * 16
+        else:
+            row = [rng.choice((0, 0, rng.randint(-1, 1), rng.randint(-99, 99)))
+                   for _ in range(16)]
+        rows.append(row)
+    return rows
+
+
+def test_integer_pivots_match_the_reduced_form():
+    """The forward elimination finds the pivots of the reduced form on zero,
+    duplicate and rank-deficient rows, and on the 16-column rows that the
+    vertex re-check reads: the no-signalling polytope's active normals."""
+    rng = random.Random(1968)
+    deficient = 0
+    for _ in range(400):
+        rows = sixteen_column_rows(rng)
+        pivots = integer_pivots(rows)
+        assert pivots == integer_rref(rows)[1], rows
+        assert len(pivots) == fraction_rank([tuple(map(F, r)) for r in rows])
+        deficient += len(pivots) < min(len(rows), 16)
+    assert deficient > 150
+    h = build_ns_hrep()
+    normals = [n for n, _ in h._integer_constraints[0]]
+    equalities = [n for n, _ in h._integer_constraints[1]]
+    for x in vertex_enumeration(h).vertices:
+        active = [normals[i] for i in h.active_inequalities(x)] + equalities
+        assert integer_pivots(active) == integer_rref(active)[1]
+        assert len(integer_pivots(active)) == 16
+    zero = [0, 0, 0]
+    for rows in ([], [[]], [zero, zero], [[0, 2, 4], [0, 1, 2], zero, [0, 0, 5]]):
+        assert integer_pivots(rows) == integer_rref(rows)[1]
+    assert integer_pivots([[0, 2, 4], [0, 1, 2], zero, [0, 0, 5]]) == [1, 2]
 
 
 def test_integer_inverse_is_the_inverse_over_its_least_denominator():
@@ -431,6 +482,8 @@ def test_kernel_matches_fraction_oracle_on_empty_and_zero_matrices(monkeypatch):
     zero = vec(0, 0, 0)
     for rows in ([], [()], [(), ()], [zero], [zero, zero, vec(0, F(1, 3), 0)]):
         assert rref(rows) == fraction_rref(rows)
+        ints = [integer_row(r)[0] for r in rows]
+        assert integer_pivots(ints) == integer_rref(ints)[1] == rref(rows)[1]
         ncols = len(rows[0]) if rows else 3
         assert integer_kernel(rows, ncols)[1] == fraction_null_space(rows, ncols)
     assert solve([], ()) == fraction_solve([], ()) == ()

@@ -134,6 +134,27 @@ def test_negative_pivot_keeps_the_denominator_positive():
     assert verify_dual(h, (3, 1), MAX, r)
 
 
+def test_basic_artificial_of_row_0_leaves_before_phase_2(monkeypatch):
+    # x >= 2 and x <= 2 pin x = 2.  Phase 1 ends with row 0's artificial
+    # basic at zero, the first artificial column, which must be pivoted
+    # out like any other.  Left in, phase 2 raised it and returned -3/2 at
+    # x = 1/2, outside x >= 2.
+    h = HRep(1, [((-1,), -2), ((1,), 2), ((-1,), 2), ((-2,), -1)])
+    first_artificial_basic = []
+    drop = _Tableau.drop_redundant_and_artificials
+
+    def watched(tab):
+        first_artificial_basic.append(tab.basis[0] == tab.n_struct)
+        drop(tab)
+
+    monkeypatch.setattr(_Tableau, "drop_redundant_and_artificials", watched)
+    r = solve_lp((-3,), MAX, h)
+    assert first_artificial_basic == [True]
+    assert r.status == OPTIMAL
+    assert (r.optimum, r.witness) == (-6, (2,))
+    assert verify_dual(h, (-3,), MAX, r)
+
+
 def test_deterministic_witness():
     h = HRep.make(
         2,

@@ -40,7 +40,7 @@ from test_linalg import (
     fraction_rank,
     fraction_solve,
 )
-from test_spaces import space_from_points
+from test_spaces import random_polytopes, space_from_points
 
 
 def unit_square_h():
@@ -582,6 +582,39 @@ def test_adjacency_scans_only_the_edges_of_the_9_cube(monkeypatch):
     )
 
 
+def seeded_cut_cube(seed, d, cuts):
+    """The cube [0, 2]^d with ``cuts`` seeded integer cuts a.x <= b, each
+    b 1 to 3 below the maximum of a.x over the cube."""
+    rng = random.Random(seed)
+    ineqs = [
+        (tuple(s if j == k else 0 for j in range(d)), max(2 * s, 0))
+        for k in range(d) for s in (1, -1)
+    ]
+    for _ in range(cuts):
+        a = tuple(rng.randint(-3, 3) for _ in range(d))
+        ineqs.append((a, 2 * sum(max(x, 0) for x in a) - rng.randint(1, 3)))
+    return HRep(d, ineqs)
+
+
+@pytest.mark.parametrize(
+    "build, counts",
+    [
+        (boxworld.build_ns_hrep, (24, 138, 70)),
+        (lambda: seeded_cut_cube(5, 5, 4), (60, 688, 86)),
+    ],
+    ids=["no-signalling", "cut-5-cube"],
+)
+def test_dd_adjacency_work_is_pinned(monkeypatch, build, counts):
+    """DD's pairs and scans, counted as ``watch_adjacency_scans`` sees them:
+    the count of common zero rows lets a pair of the pointed k-cone through
+    to the scan only when they share k - 2 rows.  With k - 3 the scans of
+    these two cones rise to 118 and 266."""
+    h = build()
+    calls, scans = watch_adjacency_scans(monkeypatch)
+    v = vertex_enumeration(h)
+    assert (len(v.vertices), len(calls), len(scans)) == counts
+
+
 def test_adjacency_rejects_foreign_vertex():
     v = VRep(2, [vec(0, 0), vec(2, 2)])
     with pytest.raises(InputError):
@@ -733,6 +766,46 @@ def test_round_trip_on_random_vreps():
     for v in random_vreps():
         h = facet_enumeration(v)
         assert vertex_enumeration(h) == v
+
+
+def round_trip_clouds():
+    """The seeded point clouds of random_vreps and of the
+    test_spaces.random_polytopes calls, as VReps."""
+    yield from random_vreps()
+    for seed, dim, count in ((77, 2, 10), (78, 3, 10), (79, 3, 4)):
+        for space in random_polytopes(seed, dim, count):
+            yield space.v
+
+
+# sha256 of the repr of (V, H, V again, adjacency) over round_trip_clouds,
+# recorded before the hull kernels read the integer forms they hold.
+ROUND_TRIP_SHA256 = "96286a77142adb1d69fb2a385d1c728bcd975ab7e7d18009954b4359e6cdd095"
+
+
+def test_random_round_trip_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for v in round_trip_clouds():
+        h = facet_enumeration(v)
+        again = vertex_enumeration(h)
+        digest.update(repr((v, h, again, vertex_adjacency(again, h))).encode())
+        count += 1
+    assert count == 64
+    assert digest.hexdigest() == ROUND_TRIP_SHA256
+
+
+def test_conversions_reject_floats():
+    """A float has no ``numerator`` or ``denominator``: the integer
+    conversions raise on it rather than read it as the rational that its
+    bits spell (``float.as_integer_ratio``)."""
+    for build in (
+        lambda: HRep(2, [((0.5, 1), 1)]),
+        lambda: VRep(2, [(0.5, 0)]),
+        lambda: linalg.integer_row((0.5,)),
+        lambda: linalg.integer_rows([(1, 0.5)]),
+    ):
+        with pytest.raises(AttributeError):
+            build()
 
 
 def rank_adjacency(v, h):
