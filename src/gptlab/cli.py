@@ -45,7 +45,9 @@ from .ratgeo import (
     verify_dual,
     vertex_adjacency,
 )
-from .spaces import decompose_state, make_ball3, make_classical, make_gbit
+from .ratgeo.linalg import parse_integer
+from .spaces import MAX_CLASSICAL_OUTCOMES, decompose_state, make_ball3
+from .spaces import make_classical, make_gbit
 from .symmetry import affine_automorphisms, orbits
 
 
@@ -81,11 +83,16 @@ def resolve_space(name: str):
     if name == "ball3":
         return make_ball3()
     if name.startswith("classical-"):
-        try:
-            n = int(name.split("-", 1)[1])
-        except ValueError:
+        # N's size from its digit count: no int-to-string limit applies.
+        digits = name[len("classical-"):]
+        if not re.fullmatch("0|[1-9][0-9]*", digits):
             raise InputError("malformed classical space name %r" % name)
-        return make_classical(n)
+        if len(digits) > len(str(MAX_CLASSICAL_OUTCOMES)):
+            raise InputError(
+                "classical systems are limited to %d outcomes, got %s"
+                % (MAX_CLASSICAL_OUTCOMES, digits)
+            )
+        return make_classical(int(digits))
     missing = (
         "unknown space %r (registered: gbit, classical-N, boxworld2, "
         "ball3, or a JSON file path)" % name
@@ -102,9 +109,11 @@ def _read_json(path: str, what: str, missing: str):
     """The parsed JSON file at ``path``; every way to fail is an InputError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_integer)
     except FileNotFoundError:
         raise InputError(missing)
+    except InputError:
+        raise  # an integer past the digit limit: the error a rational gets
     except OSError as err:
         raise InputError("cannot read %s file %r: %s" % (what, path, err.strerror))
     except json.JSONDecodeError as err:
@@ -396,10 +405,11 @@ def make_parser() -> _Parser:
     parser = _Parser(prog="gptlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **flags):
+    def add(name, func, exclusive=False, **flags):
         p = sub.add_parser(name)
+        group = p.add_mutually_exclusive_group() if exclusive else p
         for flag, kwargs in flags.items():
-            p.add_argument("--" + flag, **kwargs)
+            group.add_argument("--" + flag, **kwargs)
         p.add_argument("--out", help="also write the JSON output to this path")
         p.set_defaults(func=func)
         return p
@@ -413,17 +423,17 @@ def make_parser() -> _Parser:
         space=dict(required=True),
         summary=dict(action="store_true"),
     )
-    add("classify", cmd_classify, space=dict(), table=dict())
+    add("classify", cmd_classify, exclusive=True, space=dict(), table=dict())
     add("symmetries", cmd_symmetries, **space_arg)
     add("orbits", cmd_orbits, **space_arg)
-    add("chsh", cmd_chsh, table=dict(), angles=dict())
+    add("chsh", cmd_chsh, exclusive=True, table=dict(), angles=dict())
     add(
         "decompose",
         cmd_decompose,
         space=dict(required=True),
         state=dict(required=True, help="comma-separated rationals, e.g. 1/2,1/2"),
     )
-    add("bloch", cmd_bloch, vector=dict(), unitary=dict())
+    add("bloch", cmd_bloch, exclusive=True, vector=dict(), unitary=dict())
     add(
         "postulates",
         cmd_postulates,

@@ -21,6 +21,7 @@ effort is spent on pivoting for speed.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -63,8 +64,9 @@ def integer_rows(rows) -> tuple[list[list[int]], int]:
 # Decimal text of at most this many digits converts to and from ``int``
 # under any int-to-string limit that CPython accepts (``sys.int_info``'s
 # ``str_digits_check_threshold``; 4300 by default, set by the environment
-# variable PYTHONINTMAXSTRDIGITS).  Longer integers go in pieces of at most
-# this size, so that no answer depends on that process-wide setting.
+# variable PYTHONINTMAXSTRDIGITS).  ``decimal`` converts longer integers,
+# since its conversions have no such limit, so that no answer depends on
+# that process-wide setting.
 _SAFE_DIGITS = 640
 _SAFE_BOUND = 10**_SAFE_DIGITS
 
@@ -74,14 +76,6 @@ RATIONAL_DIGIT_LIMIT = 10_000
 _DECIMAL = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 
 
-def _int_from_digits(digits: str) -> int:
-    if len(digits) <= _SAFE_DIGITS:
-        return int(digits)
-    half = len(digits) // 2
-    high, low = _int_from_digits(digits[:-half]), _int_from_digits(digits[-half:])
-    return high * 10**half + low
-
-
 def _digit_count(text: str) -> int:
     """The digits of an integer text: its length less spaces, sign and
     underscores."""
@@ -89,20 +83,31 @@ def _digit_count(text: str) -> int:
     return len(text) - text.count("_") - (text[:1] in ("+", "-"))
 
 
-def _parse_int(text: str) -> int:
-    """``int(text)`` for a text of any length, under any int-to-string limit.
+def _check_digit_limit(*texts: str):
+    digits = max(map(_digit_count, texts))
+    if digits > RATIONAL_DIGIT_LIMIT:
+        raise InputError(
+            "rational too long: a numerator or denominator of %d digits, "
+            "over the limit of %d" % (digits, RATIONAL_DIGIT_LIMIT)
+        )
+
+
+def parse_integer(text: str) -> int:
+    """``int(text)`` for a text of at most ``RATIONAL_DIGIT_LIMIT`` digits,
+    under any int-to-string limit: how a rational's parts and every integer
+    of a JSON input file are read.
 
     A text longer than ``_SAFE_DIGITS`` must be an ASCII decimal integer,
     optionally signed, with single underscores between digits: what ``int``
-    reads in base 10, less non-ASCII digits.
+    reads in base 10, less non-ASCII digits.  ``decimal`` converts it.
     """
+    _check_digit_limit(text)
     text = text.strip()
     if len(text) <= _SAFE_DIGITS:
         return int(text)
     if not _DECIMAL.fullmatch(text):
         raise ValueError("not a decimal integer of %d characters" % len(text))
-    value = _int_from_digits(text.lstrip("+-").replace("_", ""))
-    return -value if text[0] == "-" else value
+    return int(Decimal(text))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -113,14 +118,9 @@ def parse_rational(text: str) -> Fraction:
     """
     text = text.strip()
     num, den = text.split("/", 1) if "/" in text else (text, "1")
-    digits = max(_digit_count(num), _digit_count(den))
-    if digits > RATIONAL_DIGIT_LIMIT:
-        raise InputError(
-            "rational too long: a numerator or denominator of %d digits, "
-            "over the limit of %d" % (digits, RATIONAL_DIGIT_LIMIT)
-        )
+    _check_digit_limit(num, den)
     try:
-        num, den = _parse_int(num), _parse_int(den)
+        num, den = parse_integer(num), parse_integer(den)
     except ValueError as err:
         raise InputError("malformed rational %r: %s" % (text, err)) from None
     if den == 0:
@@ -128,25 +128,18 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _int_text(n: int) -> str:
-    """``"%d" % n`` for an int of any size: one below ``_SAFE_BOUND`` in
-    one piece, a larger one split by a power of ten of about half its
-    digits."""
-    if n < 0:
-        return "-" + _int_text(-n)
-    if n < _SAFE_BOUND:
-        return "%d" % n
-    k = n.bit_length() * 3 // 20  # about half of its log10(2) * bits digits
-    high, low = divmod(n, 10**k)
-    return _int_text(high) + _int_text(low).zfill(k)
+def format_integer(n: int) -> str:
+    """``"%d" % n`` under any int-to-string limit, through ``decimal``."""
+    return str(Decimal(n))
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize as 'n/d', always including the denominator, at any length."""
+    """Serialize as 'n/d', always including the denominator, at any length;
+    ``decimal`` writes a part of over ``_SAFE_DIGITS`` digits."""
     num, den = value.numerator, value.denominator
     if -_SAFE_BOUND < num < _SAFE_BOUND and den < _SAFE_BOUND:
         return "%d/%d" % (num, den)
-    return _int_text(num) + "/" + _int_text(den)
+    return format_integer(num) + "/" + format_integer(den)
 
 
 def dot(a: Vector, b: Vector) -> Fraction:

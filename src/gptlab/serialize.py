@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .ratgeo import HRep, VRep, format_rational, parse_rational
+from .ratgeo.linalg import format_integer
 from .spaces import (
     BALL3,
     Effect,
@@ -61,8 +62,8 @@ def _dim_from_json(value) -> int:
     if type(value) is not int:
         raise TypeError("dim must be an integer, got %r" % (value,))
     if value > MAX_CLASSICAL_OUTCOMES:
-        raise ValueError(
-            "dim must be at most %d, got %d" % (MAX_CLASSICAL_OUTCOMES, value))
+        raise ValueError("dim must be at most %d, got %s" % (
+            MAX_CLASSICAL_OUTCOMES, format_integer(value)))
     return value
 
 

@@ -258,31 +258,25 @@ def orbits(group: SymmetryGroup, space: StateSpace) -> tuple[tuple[int, ...], ..
     """The orbits of the vertex indices under the group action, as printed
     by ``gptlab orbits``: each orbit sorted, the orbits by least member.
 
-    The orbits are the connected components of the generators' action, so
-    the union-find runs over the generators only.
+    Each orbit is walked over the generator permutations from its least
+    member: a finite group's orbit is closed under its generators alone.
     """
     n = len(space.vertices)
     if not group.vertex_permutations or any(
         len(p) != n for p in group.vertex_permutations
     ):
         raise InputError("group permutations do not match the vertex count")
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in group.generator_permutations:
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(cls)) for _, cls in sorted(classes.items()))
+    classes, seen = [], set()
+    for start in range(n):
+        if start not in seen:
+            seen.add(start)
+            orbit = [start]
+            for i in orbit:
+                images = {perm[i] for perm in group.generator_permutations} - seen
+                seen |= images
+                orbit += images
+            classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
 
 
 def check_continuous_reversibility(space: StateSpace) -> dict:

@@ -381,8 +381,8 @@ def _json_file(tmp_path, data):
     return _text_file(tmp_path, json.dumps(data))
 
 
-def _text_file(tmp_path, text):
-    path = tmp_path / "input.json"
+def _text_file(tmp_path, text, name="input.json"):
+    path = tmp_path / name
     path.write_text(text)
     return str(path)
 
@@ -753,15 +753,28 @@ def test_outputs_are_pinned(case, tmp_path, capsys):
 
 
 def _stdout_under_the_lowest_int_limit(argv):
-    """The stdout of ``gptlab ARGV`` in a fresh interpreter whose
-    int-to-string limit is the lowest that CPython accepts, 640 digits."""
+    """The exit code and stdout of ``gptlab ARGV`` in a fresh interpreter
+    whose int-to-string limit is the lowest that CPython accepts, 640
+    digits."""
     proc = subprocess.run(
         [sys.executable, "-m", "gptlab.cli", *argv],
         capture_output=True, text=True, timeout=60,
         env=dict(_fresh_interpreter_env(), PYTHONINTMAXSTRDIGITS="640"),
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode, proc.stdout
+
+
+def _run_under_int_limit(argv, limit, capsys):
+    """The exit code and stdout of ``gptlab ARGV`` in this process, under
+    the int-to-string limit ``limit``."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code = run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    return code, capsys.readouterr().out
 
 
 def test_decompose_reads_and_writes_rationals_of_any_length(capsys):
@@ -777,7 +790,7 @@ def test_decompose_reads_and_writes_rationals_of_any_length(capsys):
     for dec in decs:
         assert sum(map(parse_rational, dec["weights"])) == 1
     assert max(len(w) for dec in decs for w in dec["weights"]) > 4300
-    assert _stdout_under_the_lowest_int_limit(argv) == stdout
+    assert _stdout_under_the_lowest_int_limit(argv) == (0, stdout)
 
 
 def test_chsh_reads_and_writes_rationals_of_any_length(tmp_path, capsys):
@@ -785,7 +798,119 @@ def test_chsh_reads_and_writes_rationals_of_any_length(tmp_path, capsys):
     assert run(argv) == 0
     stdout = capsys.readouterr().out
     assert len(json.loads(stdout)["chsh_max"]) > 4300
-    assert _stdout_under_the_lowest_int_limit(argv) == stdout
+    assert _stdout_under_the_lowest_int_limit(argv) == (0, stdout)
+
+
+SEVEN_HUNDRED_DIGITS = "7" * 700
+
+
+def _segment_with_a_long_json_offset(tmp_path):
+    """The segment [0, N] in one dimension, N a 700-digit JSON integer in
+    the H-representation and an "N/1" string in the V-representation."""
+    return _text_file(
+        tmp_path,
+        '{"kind": "polytopal", "label": "segment", '
+        '"vrep": {"dim": 1, "vertices": [["0/1"], ["%s/1"]]}, '
+        '"hrep": {"dim": 1, "ineqs": [[[-1], 0], [[1], %s]], "eqs": []}}'
+        % (SEVEN_HUNDRED_DIGITS, SEVEN_HUNDRED_DIGITS),
+    )
+
+
+def _space_with_a_long_json_dim(tmp_path):
+    return _text_file(
+        tmp_path,
+        '{"kind": "polytopal", "label": "big", '
+        '"vrep": {"dim": %s, "vertices": []}, '
+        '"hrep": {"dim": 1, "ineqs": [], "eqs": []}}' % SEVEN_HUNDRED_DIGITS,
+    )
+
+
+# Integers of 700 digits, past the lowest int-to-string limit, where a file
+# or a space name gives them.  Each answer is pinned by its exit code and a
+# fragment of its stdout.
+LONG_INTEGER_INPUTS = {
+    "json-offset": (
+        lambda tmp: ["vertices", "--space", _segment_with_a_long_json_offset(tmp)],
+        0,
+        '"%s/1"' % SEVEN_HUNDRED_DIGITS,
+    ),
+    "json-dim": (
+        lambda tmp: ["vertices", "--space", _space_with_a_long_json_dim(tmp)],
+        2,
+        "dim must be at most 64, got %s" % SEVEN_HUNDRED_DIGITS,
+    ),
+    "classical-name": (
+        lambda tmp: ["build", "--space", "classical-" + SEVEN_HUNDRED_DIGITS],
+        2,
+        "classical systems are limited to 64 outcomes, got %s"
+        % SEVEN_HUNDRED_DIGITS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INTEGER_INPUTS))
+def test_long_integers_read_the_same_under_every_int_limit(case, tmp_path, capsys):
+    make_argv, code, fragment = LONG_INTEGER_INPUTS[case]
+    argv = make_argv(tmp_path)
+    answer = _run_under_int_limit(argv, 4300, capsys)
+    assert answer[0] == code and fragment in answer[1]
+    assert _run_under_int_limit(argv, 0, capsys) == answer
+    assert _stdout_under_the_lowest_int_limit(argv) == answer
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_a_json_integer_past_the_digit_limit_is_a_rational_too_long(
+    limit, tmp_path, capsys
+):
+    """The JSON integer N of 10,001 digits gets the error of the string
+    "N/1", whatever the int-to-string limit."""
+    digits = "7" * 10_001
+    as_integer = _text_file(tmp_path, '{"p": [%s]}' % digits, "integer.json")
+    as_string = _text_file(tmp_path, '{"p": ["%s/1"]}' % digits, "string.json")
+    code, stdout = _run_under_int_limit(["chsh", "--table", as_integer], limit, capsys)
+    assert (code, stdout) == _run_under_int_limit(
+        ["chsh", "--table", as_string], limit, capsys
+    )
+    assert code == 2
+    assert json.loads(stdout)["error"] == {
+        "type": "InputError",
+        "message": "rational too long: a numerator or denominator of 10001 "
+        "digits, over the limit of 10000",
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["classical-1_0", "classical-+3", "classical-03", "classical-\u0663"]
+)
+def test_classical_n_takes_only_canonical_decimal_digits(name, capsys):
+    """``int`` would read each of these N as 10 or 3."""
+    code, data = invoke(capsys, "build", "--space", name)
+    assert code == 2
+    assert data["error"] == {
+        "type": "InputError",
+        "message": "malformed classical space name %r" % name,
+    }
+
+
+TWO_SOURCES = (
+    ["chsh", "--table", "pr.json", "--angles", "0,1,2,3"],
+    ["classify", "--table", "pr.json", "--space", "boxworld2"],
+    ["bloch", "--vector", "0,0,1", "--unitary", "identity.json"],
+)
+
+
+@pytest.mark.parametrize("argv", TWO_SOURCES, ids=shlex.join)
+def test_two_input_sources_are_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    """Each command would run on its own with either source alone."""
+    monkeypatch.chdir(tmp_path)
+    _text_file(tmp_path, json.dumps(PR_BOX_DOCUMENT), "pr.json")
+    _text_file(tmp_path, "[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]", "identity.json")
+    for alone in (argv[:3], argv[:1] + argv[3:]):
+        assert invoke(capsys, *alone)[0] == 0
+    code, data = invoke(capsys, *argv)
+    assert code == 2
+    assert data["error"]["type"] == "usage"
+    assert "not allowed with argument" in data["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
