@@ -6,6 +6,9 @@ with code 2 and a machine-readable error object on standard output, whose
 ``type`` names the class: ``InputError`` and its kin for input that gptlab
 rejects, ``VerificationError`` when an internal re-check of a computed
 result fails, which is a defect in gptlab and not in the input.
+
+Each subcommand imports only the modules it runs, so --help and a usage
+error load no computation, and only bloch needs numpy (the "bloch" extra).
 """
 
 from __future__ import annotations
@@ -18,37 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import serialize
-from .boxworld import (
-    LOCAL_DETERMINISTIC,
-    PR_BOX,
-    all_chsh_variants,
-    build_ns_hrep,
-    chsh_max,
-    chsh_objective,
-    chsh_value,
-    classify_vertex,
-    is_boxworld2,
-    make_boxworld2,
-    quantum_chsh_table,
-    table_from_vector,
-)
-from .errors import GptlabError, InputError, VerificationError
-from .postulates import REGISTERED_CONFIGS, run_report
-from .ratgeo import (
-    MAX,
-    adjacency_edges,
-    affine_dimension,
-    format_rational,
-    parse_rational,
-    solve_lp,
-    verify_dual,
-    vertex_adjacency,
-)
-from .ratgeo.linalg import parse_integer
-from .spaces import MAX_CLASSICAL_OUTCOMES, decompose_state, make_ball3
-from .spaces import make_classical, make_gbit
-from .symmetry import affine_automorphisms, orbits
+from .errors import GptlabError, InputError, UnsupportedError, VerificationError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,15 +43,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fail(kind: str, message: str):
-    print(serialize.dumps({"error": {"type": kind, "message": message}}))
+    _print_error(kind, message)
     raise SystemExit(2)
+
+
+def _print_error(kind: str, message: str):
+    from .serialize import dumps
+
+    print(dumps({"error": {"type": kind, "message": message}}))
 
 
 def resolve_space(name: str):
     """Built-in registry plus JSON files for custom spaces."""
+    from . import serialize
+    from .spaces import MAX_CLASSICAL_OUTCOMES, make_ball3, make_classical, make_gbit
+
     if name == "gbit":
         return make_gbit()
     if name == "boxworld2":
+        from .boxworld import make_boxworld2
+
         return make_boxworld2()
     if name == "ball3":
         return make_ball3()
@@ -101,12 +85,16 @@ def resolve_space(name: str):
 
 
 def load_table(path: str):
+    from . import serialize
+
     missing = "table file %r not found" % path
     return serialize.table_from_json(_read_json(path, "table", missing))
 
 
 def _read_json(path: str, what: str, missing: str):
     """The parsed JSON file at ``path``; every way to fail is an InputError."""
+    from .ratgeo.linalg import parse_integer
+
     try:
         with open(path) as fh:
             return json.load(fh, parse_int=parse_integer)
@@ -125,6 +113,8 @@ def _read_json(path: str, what: str, missing: str):
 
 
 def parse_state(text: str):
+    from .ratgeo import parse_rational
+
     try:
         return tuple(parse_rational(part) for part in text.split(","))
     except ValueError as err:
@@ -132,25 +122,36 @@ def parse_state(text: str):
 
 
 def _classification_labels(space):
+    from .boxworld import classify_vertex, table_from_vector
+
     return [classify_vertex(table_from_vector(v)).tag for v in space.vertices]
 
 
 def cmd_build(args):
+    from . import serialize
+
     return serialize.space_to_json(resolve_space(args.space))
 
 
 def cmd_vertices(args):
+    from . import serialize
+
     space = resolve_space(args.space)
     space.require_polytopal()
     return serialize.vrep_to_json(space.v)
 
 
 def cmd_adjacency(args):
+    from . import serialize
+    from .ratgeo import adjacency_edges, vertex_adjacency
+
     space = resolve_space(args.space)
     space.require_polytopal()
     adj = vertex_adjacency(space.v, space.h)
     if not args.summary:
         return serialize.graph_to_json(adjacency_edges(adj))
+    from .boxworld import is_boxworld2
+
     degrees = sorted(len(row) for row in adj)
     summary = {
         "degree_histogram": {
@@ -170,6 +171,8 @@ def cmd_adjacency(args):
 
 def _boxworld_census(adj, tags) -> dict[str, set[int]]:
     """Degree sets by vertex class: all neighbours, and local or PR ones."""
+    from .boxworld import LOCAL_DETERMINISTIC, PR_BOX
+
     local = [i for i, t in enumerate(tags) if t == LOCAL_DETERMINISTIC]
     pr = [i for i, t in enumerate(tags) if t == PR_BOX]
 
@@ -185,6 +188,8 @@ def _boxworld_census(adj, tags) -> dict[str, set[int]]:
 
 
 def cmd_classify(args):
+    from .boxworld import LOCAL_DETERMINISTIC, PR_BOX, classify_vertex
+
     if args.table is not None:
         cls = classify_vertex(load_table(args.table))
         return {"tag": cls.tag, "detail": cls.detail}
@@ -208,6 +213,9 @@ def cmd_classify(args):
 
 
 def cmd_symmetries(args):
+    from . import serialize
+    from .symmetry import affine_automorphisms
+
     space = resolve_space(args.space)
     group = affine_automorphisms(space)
     return {
@@ -218,12 +226,18 @@ def cmd_symmetries(args):
 
 
 def cmd_orbits(args):
+    from .symmetry import affine_automorphisms, orbits
+
     space = resolve_space(args.space)
     group = affine_automorphisms(space)
     return {"classes": [list(cls) for cls in orbits(group, space)]}
 
 
 def cmd_chsh(args):
+    from . import serialize
+    from .boxworld import all_chsh_variants, chsh_max, chsh_value, quantum_chsh_table
+    from .ratgeo import format_rational
+
     if args.angles:
         try:
             angles = [float(part) for part in args.angles.split(",")]
@@ -250,6 +264,9 @@ def cmd_chsh(args):
 
 
 def cmd_decompose(args):
+    from . import serialize
+    from .spaces import decompose_state
+
     space = resolve_space(args.space)
     state = parse_state(args.state)
     decs = decompose_state(state, space)
@@ -261,9 +278,16 @@ def cmd_decompose(args):
 
 def cmd_bloch(args):
     # numpy is imported here only: no other command loads it.
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise UnsupportedError(
+            "gptlab bloch needs numpy; install the 'bloch' extra: "
+            "pip install 'gptlab[bloch]'"
+        ) from None
 
     from . import bloch as bloch_mod
+    from . import serialize
 
     if args.unitary:
         missing = "unitary file %r not found" % args.unitary
@@ -300,6 +324,8 @@ def _complex_entry(re, im) -> complex:
 
 
 def cmd_postulates(args):
+    from .postulates import run_report
+
     return run_report(args.config)
 
 
@@ -313,6 +339,29 @@ def build_full_report() -> dict:
     Each CHSH maximum over the no-signalling polytope is re-verified through
     its dual certificate before it is printed.
     """
+    from . import serialize
+    from .boxworld import (
+        LOCAL_DETERMINISTIC,
+        PR_BOX,
+        all_chsh_variants,
+        build_ns_hrep,
+        chsh_max,
+        chsh_objective,
+        make_boxworld2,
+        quantum_chsh_table,
+    )
+    from .postulates import run_report
+    from .ratgeo import (
+        MAX,
+        affine_dimension,
+        format_rational,
+        solve_lp,
+        verify_dual,
+        vertex_adjacency,
+    )
+    from .spaces import decompose_state, make_classical, make_gbit
+    from .symmetry import affine_automorphisms, orbits
+
     bw = make_boxworld2()
     gbit = make_gbit()
     tags = _classification_labels(bw)
@@ -402,6 +451,8 @@ def build_full_report() -> dict:
 
 
 def make_parser() -> _Parser:
+    from . import REGISTERED_CONFIGS
+
     parser = _Parser(prog="gptlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,17 +498,16 @@ def run(argv) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        text = serialize.dumps(args.func(args))
+        # Imported once the arguments parse: ``--help`` needs no more.
+        from .serialize import dumps
+
+        text = dumps(args.func(args))
         if args.out:
             _write_out(args.out, text)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except GptlabError as err:
-        print(
-            serialize.dumps(
-                {"error": {"type": type(err).__name__, "message": str(err)}}
-            )
-        )
+        _print_error(type(err).__name__, str(err))
         return 2
     print(text)
     return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import REGISTERED_CONFIGS
 from .boxworld import is_boxworld2, make_boxworld2, product_table
 from .errors import InputError, VerificationError
 from .ratgeo import (
@@ -375,9 +376,6 @@ def _product_vertex_indices(composite: StateSpace) -> tuple[int, ...]:
         )
     # Classical composite: every deterministic joint state is a product.
     return tuple(range(len(composite.vertices)))
-
-
-REGISTERED_CONFIGS = ("boxworld2", "classical2", "ball3", "gbit")
 
 
 def _config_spaces(config: str) -> tuple[StateSpace, StateSpace | None]:

@@ -97,12 +97,16 @@ def parse_integer(text: str) -> int:
     under any int-to-string limit: how a rational's parts and every integer
     of a JSON input file are read.
 
-    A text longer than ``_SAFE_DIGITS`` must be an ASCII decimal integer,
-    optionally signed, with single underscores between digits: what ``int``
-    reads in base 10, less non-ASCII digits.  ``decimal`` converts it.
+    The text must be an ASCII decimal integer at every length, optionally
+    signed, with single underscores between digits: what ``int`` reads in
+    base 10, less non-ASCII digits.  ``int`` reads a text of at most
+    ``_SAFE_DIGITS`` characters, with its own messages; ``decimal`` converts
+    a longer one.
     """
     _check_digit_limit(text)
     text = text.strip()
+    if not text.isascii():
+        raise ValueError("not an ASCII decimal integer")
     if len(text) <= _SAFE_DIGITS:
         return int(text)
     if not _DECIMAL.fullmatch(text):

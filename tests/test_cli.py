@@ -145,11 +145,12 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert "Traceback" not in stderr and "Error" not in stderr, stderr
 
 
-# ``gptlab report`` with the CHSH maxima's dual certificate check broken.
+# ``gptlab report`` with the CHSH maxima's dual certificate check broken
+# where the report reads it.
 BROKEN_REPORT = """
 import sys
-from gptlab import cli
-cli.verify_dual = lambda *args: False
+from gptlab import cli, ratgeo
+ratgeo.verify_dual = lambda *args: False
 sys.argv[1:] = ["report"]
 cli.main()
 """
@@ -181,41 +182,79 @@ def _fresh_interpreter_env():
 
 
 # Every module a cold ``import gptlab.cli`` loads outside the standard
-# library: numpy and ``gptlab.bloch`` are left to ``gptlab bloch``.
-CLI_IMPORTS = [
-    "gptlab",
-    "gptlab.boxworld",
-    "gptlab.cli",
-    "gptlab.errors",
-    "gptlab.postulates",
+# library: each command imports the rest of what it runs.
+CLI_IMPORTS = ["gptlab", "gptlab.cli", "gptlab.errors"]
+
+# The modules that print an error or any exact result.
+EXACT_CORE = [
     "gptlab.ratgeo",
     "gptlab.ratgeo.linalg",
     "gptlab.ratgeo.lp",
     "gptlab.ratgeo.polytope",
     "gptlab.serialize",
     "gptlab.spaces",
-    "gptlab.symmetry",
 ]
+
+
+def _every_module_but(*left_out):
+    """Every module of the gptlab package, less ``left_out``."""
+    package_dir = os.path.dirname(gptlab.__file__)
+    names = set()
+    for path in glob.glob(os.path.join(package_dir, "**", "*.py"), recursive=True):
+        parts = os.path.relpath(path[: -len(".py")], package_dir).split(os.sep)
+        names.add(".".join(["gptlab"] + [p for p in parts if p != "__init__"]))
+    return sorted(names - set(left_out))
+
+
+# What each command line loads after the cold import, outside the standard
+# library (numpy as one name).
+COMMAND_IMPORTS = {
+    "--help": [],
+    "vertices": EXACT_CORE,  # a usage error: --space is missing
+    "vertices --space boxworld2": sorted(EXACT_CORE + ["gptlab.boxworld"]),
+    "bloch --vector 0,0,0.5": sorted(EXACT_CORE + ["gptlab.bloch", "numpy"]),
+    "report": _every_module_but("gptlab.bloch", *CLI_IMPORTS),
+}
+
+
+def _modules_loaded(*argv, executable=sys.executable):
+    """In a fresh interpreter: the modules outside the standard library that
+    a cold ``import gptlab.cli`` loads, and those that ``run(argv)`` loads
+    after it (with no argv, none).  numpy's submodules are left out."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "def outside(names):\n"
+        "    return sorted(n for n in names if n.split('.')[0] not in\n"
+        "                  sys.stdlib_module_names and not n.startswith('numpy.'))\n"
+        "before = set(sys.modules)\n"
+        "import gptlab.cli\n"
+        "imported = set(sys.modules)\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        gptlab.cli.run(sys.argv[1:])\n"
+        "print(json.dumps([outside(imported - before),\n"
+        "                  outside(set(sys.modules) - imported)]))\n"
+    )
+    proc = subprocess.run(
+        [executable, "-B", "-c", code, *argv],
+        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
 
 
 def test_cli_import_loads_only_gptlab_without_bloch():
     """Every command starts with this import, so a heavy module it pulls in
     slows them all."""
-    code = (
-        "import json, sys; before = set(sys.modules); import gptlab.cli; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = [
-        name
-        for name in json.loads(proc.stdout)
-        if name.split(".")[0] not in sys.stdlib_module_names
-    ]
-    assert loaded == CLI_IMPORTS
+    assert _modules_loaded() == (CLI_IMPORTS, [])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_IMPORTS))
+def test_each_command_loads_only_what_it_runs(command):
+    """``vertices`` loads no ``postulates`` or ``symmetry``, only ``bloch``
+    loads numpy, and ``report`` loads every module but ``bloch``."""
+    loaded = _modules_loaded(*shlex.split(command))
+    assert loaded == (CLI_IMPORTS, COMMAND_IMPORTS[command])
 
 
 def _run_without_numpy(*argv):
@@ -228,6 +267,19 @@ def _run_without_numpy(*argv):
         [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=120,
     )
+
+
+def test_bloch_without_numpy_is_an_unsupported_error():
+    proc = _run_without_numpy("bloch", "--vector", "0,0,0.5")
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "error": {
+            "type": "UnsupportedError",
+            "message": "gptlab bloch needs numpy; install the 'bloch' extra: "
+            "pip install 'gptlab[bloch]'",
+        }
+    }
 
 
 def test_report_and_ball_postulates_run_without_numpy():
@@ -254,6 +306,12 @@ def test_postulates_config(capsys):
     results = data["results"]
     assert results["ContinuousReversibility"]["status"] == "fail"
     assert results["TomographicLocality"]["status"] == "pass"
+
+
+def test_postulates_help_lists_the_configurations(capsys):
+    assert run(["postulates", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--config CONFIG one of: boxworld2, classical2, ball3, gbit" in help_text
 
 
 def test_unknown_space_exits_2(capsys):
@@ -324,6 +382,16 @@ def test_malformed_state_exits_2(capsys):
     )
     assert code == 2
     assert data["error"]["type"] == "InputError"
+
+
+def test_a_state_in_non_ascii_digits_exits_2(capsys):
+    code, data = invoke(capsys, "decompose", "--space", "gbit", "--state", "١/٢,١/٢")
+    assert code == 2
+    assert data["error"] == {
+        "type": "InputError",
+        "message": "malformed state '١/٢,١/٢': malformed rational '١/٢': "
+        "not an ASCII decimal integer",
+    }
 
 
 # Each value flag, with a value that starts with "-" and a digit or ".".
@@ -661,6 +729,28 @@ def test_report_hashes_to_the_gate_under_every_other_cpython():
         )
         digests[version] = (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
     assert digests == {version: (0, REPORT_SHA256) for version in interpreters}
+
+
+def test_imports_and_bloch_without_numpy_under_every_other_cpython():
+    """Each other interpreter loads the same modules for a cold ``import
+    gptlab.cli``; where it has no numpy, ``bloch`` is a typed error."""
+    interpreters = _other_cpythons()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10-3.13 is installed")
+    here = _modules_loaded()
+    results, expected = {}, {}
+    for version, exe in sorted(interpreters.items()):
+        probe = subprocess.run([exe, "-c", "import numpy"], capture_output=True)
+        has_numpy = probe.returncode == 0
+        bloch = subprocess.run(
+            [exe, "-B", "-m", "gptlab.cli", "bloch", "--vector", "0,0,0.5"],
+            capture_output=True, text=True, env=_fresh_interpreter_env(), timeout=60,
+        )
+        results[version] = (_modules_loaded(executable=exe), bloch.returncode, bloch.stderr)
+        expected[version] = (here, 0 if has_numpy else 2, "")
+        if not has_numpy:
+            assert json.loads(bloch.stdout)["error"]["type"] == "UnsupportedError"
+    assert results == expected
 
 
 def test_report_checks_ball_continuity_once(monkeypatch, capsys):

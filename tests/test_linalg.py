@@ -108,6 +108,18 @@ def test_long_rationals_are_rejected_with_a_pinned_message(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("digits", ["١", "١" * 700], ids=["short", "long"])
+def test_integer_text_is_ascii_at_every_length(digits):
+    """``int`` alone reads Arabic-Indic digits, but only up to the length at
+    which ``decimal`` takes over; neither reads them here."""
+    for text in (digits, "1/" + digits):
+        with pytest.raises(InputError) as err:
+            parse_rational(text)
+        assert str(err.value) == (
+            "malformed rational %r: not an ASCII decimal integer" % text
+        )
+
+
 def test_dot_dimension_mismatch():
     with pytest.raises(ValueError):
         dot(vec(1, 2), vec(1, 2, 3))
@@ -569,12 +581,16 @@ def attributes_read(tree):
 
 def assigned_literal(tree, target):
     """The literal value a module assigns to the top-level name ``target``,
-    or None."""
+    or None if it assigns none (or a computed value, as ``gptlab``'s
+    ``__all__``)."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == target for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:
+                return None
     return None
 
 
@@ -605,13 +621,13 @@ def uncalled_public_functions(package_sources, user_sources, layers=()):
     return sorted(uncalled)
 
 
-def imported_names(tree):
-    """The names a module binds by import at its top level.  ``from
+def imported_names(nodes):
+    """The names that the import statements among ``nodes`` bind.  ``from
     __future__`` imports bind no name that the module reads, so they are
     left out."""
     return {
         alias.asname or alias.name.split(".")[0]
-        for node in tree.body
+        for node in nodes
         if isinstance(node, ast.Import)
         or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
         for alias in node.names
@@ -624,7 +640,22 @@ def unread_imports(source):
     tree = ast.parse(source)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read |= set(assigned_literal(tree, "__all__") or ())
-    return sorted(imported_names(tree) - read)
+    return sorted(imported_names(tree.body) - read)
+
+
+def unread_local_imports(source):
+    """The names each function of a module imports in its body and does not
+    read there, as "function.name"."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = list(ast.walk(node))
+            read = {n.id for n in inside if isinstance(n, ast.Name)}
+            unread += [
+                "%s.%s" % (node.name, name)
+                for name in sorted(imported_names(inside) - read)
+            ]
+    return unread
 
 
 def test_every_module_level_import_in_src_is_read():
@@ -651,18 +682,58 @@ def test_every_module_level_import_in_src_is_read():
     assert unread_imports(source) == ["c", "e", "j"]
 
 
+def test_every_import_inside_a_function_in_src_is_read():
+    """A command imports what it runs inside its own function; each name it
+    imports there is read there, so a deletion leaves no stale import."""
+    package_dir = pathlib.Path(linalg.__file__).parents[1]
+    unread = {
+        path.relative_to(package_dir).as_posix(): names
+        for path in sorted(package_dir.rglob("*.py"))
+        if (names := unread_local_imports(path.read_text()))
+    }
+    assert unread == {}
+    # The scan sees imports in branches and nested functions, and reads
+    # anywhere in the function, a nested one included.
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from . import a, b\n"
+        "    if a:\n"
+        "        import c as d\n"
+        "    def g():\n"
+        "        from .m import e, h\n"
+        "        return e\n"
+        "    return os, g\n"
+    )
+    assert unread_local_imports(source) == ["f.b", "f.d", "f.h", "g.h"]
+
+
+def lazy_names(tree):
+    """Every name that a module's lazy table ``_HOMES`` (home module ->
+    names) lists, once per listing."""
+    homes = assigned_literal(tree, "_HOMES") or {}
+    return [name for names in homes.values() for name in names]
+
+
 @pytest.mark.parametrize("package", [gptlab, ratgeo], ids=["gptlab", "ratgeo"])
 def test_package_all_is_exactly_what_the_package_imports(package):
     """A package's ``__all__`` lists each name its ``__init__`` binds by
-    import, once, and nothing else, so a deletion leaves no stale
-    re-export behind; every entry resolves."""
+    import or looks up through its lazy table, once, and nothing else, so a
+    deletion leaves no stale re-export behind; every entry resolves."""
     tree = ast.parse(pathlib.Path(package.__file__).read_text())
-    exported = assigned_literal(tree, "__all__")
+    exported = package.__all__
+    lazy = lazy_names(tree)
     assert len(exported) == len(set(exported))
-    assert set(exported) == imported_names(tree)
+    assert len(lazy) == len(set(lazy))
+    assert set(exported) == imported_names(tree.body) | set(lazy)
     namespace = {}
     exec("from %s import *" % package.__name__, namespace)
     assert set(exported) <= namespace.keys()
+    assert set(exported) <= set(dir(package))
+    assert all(getattr(package, name) is namespace[name] for name in exported)
+    # A lazy name is looked up in its home module on every access, never
+    # cached here, so a name patched there reads patched here too.
+    assert set(lazy).isdisjoint(vars(package))
 
 
 def test_every_public_function_in_src_has_a_caller():

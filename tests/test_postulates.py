@@ -255,7 +255,7 @@ def test_postulate_lp_systems_are_pinned(gbit, monkeypatch):
 # three break an LP verdict's certificate check.
 BROKEN_CERTIFICATE_CHECKS = """
 import sys
-from gptlab import cli, postulates, symmetry
+from gptlab import cli, postulates, ratgeo, symmetry
 from gptlab.errors import VerificationError
 from gptlab.ratgeo import HRep, lp, polytope
 from gptlab.spaces import make_gbit
@@ -288,7 +288,7 @@ checks = [
      lambda: lp.solve_lp((0, 0), lp.MAX, gbit.h)),
     (lp, "verify_farkas", lambda *a: False,
      lambda: polytope.vertex_enumeration(empty)),
-    (cli, "verify_dual", lambda *a: False, cli.build_full_report),
+    (ratgeo, "verify_dual", lambda *a: False, cli.build_full_report),
     (postulates, "verify_dual", lambda *a: False,
      lambda: postulates.check_disturbance(gbit, witness)),
 ]
